@@ -45,11 +45,22 @@ class ManagerDecision:
         return cls(switch_to=topology, rationale=rationale)
 
 
+# Decisions are immutable, so the baselines hand out shared instances rather
+# than allocating one per tick.
+_NO_OP = ManagerDecision.no_op()
+_NO_OBSERVATIONS = ManagerDecision.no_op("no observations yet")
+_COOLDOWN = ManagerDecision.no_op("cooldown")
+_WITHIN_THRESHOLDS = ManagerDecision.no_op("within thresholds")
+_SWITCH_FOR_RELIABILITY = ManagerDecision.switch(Topology.RT, "reliability")
+_SWITCH_FOR_COST = ManagerDecision.switch(Topology.MST, "cost")
+_SWITCH_FOR_PERFORMANCE = ManagerDecision.switch(Topology.MST, "performance")
+
+
 class NullManager:
     """Control baseline: observes nothing, never adapts."""
 
     def decide(self, probe) -> ManagerDecision:
-        return ManagerDecision.no_op()
+        return _NO_OP
 
 
 class RandomManager:
@@ -69,7 +80,7 @@ class RandomManager:
     def decide(self, probe) -> ManagerDecision:
         if self.rng.random() < self.switch_probability:
             return ManagerDecision.switch(probe.get_current_topology().other(), "random")
-        return ManagerDecision.no_op()
+        return _NO_OP
 
 
 class KnowledgeBase:
@@ -86,10 +97,9 @@ class KnowledgeBase:
 
     def window_means(self) -> NormalizedMetrics:
         count = len(self.window)
+        active_links, bandwidth, write_time = zip(*self.window)
         return NormalizedMetrics(
-            active_links_pct=sum(m.active_links_pct for m in self.window) / count,
-            bandwidth_pct=sum(m.bandwidth_pct for m in self.window) / count,
-            write_time_pct=sum(m.write_time_pct for m in self.window) / count,
+            sum(active_links) / count, sum(bandwidth) / count, sum(write_time) / count
         )
 
 
@@ -119,38 +129,33 @@ class ThresholdRuleManager:
 
     def decide(self, probe) -> ManagerDecision:
         tick = self._tick
-        self._tick += 1
+        self._tick = tick + 1
+        knowledge = self.knowledge
 
         monitorables = probe.get_monitorables()
         if monitorables is not None:
-            self.knowledge.observe(normalize(monitorables, self.network))
-        if not self.knowledge.window:
-            return ManagerDecision.no_op("no observations yet")
+            knowledge.observe(normalize(monitorables, self.network))
+        if not knowledge.window:
+            return _NO_OBSERVATIONS
 
-        last_switch = self.knowledge.last_adaptation_timestep
+        last_switch = knowledge.last_adaptation_timestep
         if last_switch is not None and tick - last_switch <= self.cooldown:
-            return ManagerDecision.no_op("cooldown")
+            return _COOLDOWN
 
-        means = self.knowledge.window_means()
+        means = knowledge.window_means()
         current = probe.get_current_topology()
-        if (
-            means.active_links_pct < self.thresholds.min_active_links_pct
-            and current is Topology.MST
-        ):
-            self.knowledge.last_adaptation_timestep = tick
-            return ManagerDecision.switch(Topology.RT, "reliability")
-        if current is Topology.RT and (
-            means.bandwidth_pct > self.thresholds.max_bandwidth_pct
-            or means.write_time_pct > self.thresholds.max_write_time_pct
-        ):
-            self.knowledge.last_adaptation_timestep = tick
-            rationale = (
-                "cost"
-                if means.bandwidth_pct > self.thresholds.max_bandwidth_pct
-                else "performance"
-            )
-            return ManagerDecision.switch(Topology.MST, rationale)
-        return ManagerDecision.no_op("within thresholds")
+        thresholds = self.thresholds
+        if means.active_links_pct < thresholds.min_active_links_pct and current is Topology.MST:
+            knowledge.last_adaptation_timestep = tick
+            return _SWITCH_FOR_RELIABILITY
+        if current is Topology.RT:
+            if means.bandwidth_pct > thresholds.max_bandwidth_pct:
+                knowledge.last_adaptation_timestep = tick
+                return _SWITCH_FOR_COST
+            if means.write_time_pct > thresholds.max_write_time_pct:
+                knowledge.last_adaptation_timestep = tick
+                return _SWITCH_FOR_PERFORMANCE
+        return _WITHIN_THRESHOLDS
 
 
 def create_manager(

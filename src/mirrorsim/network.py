@@ -13,6 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 DEFAULT_BANDWIDTH_PER_LINK_RANGE = (20.0, 30.0)  # GigaBytes/second
 DEFAULT_UNIT_WRITE_TIME_RANGE = (10.0, 20.0)  # milliseconds
@@ -51,6 +52,9 @@ class Topology(enum.Enum):
 
 def _check_positive_range(name: str, bounds: tuple[float, float]) -> None:
     lower, upper = bounds
+    # The step path trusts these bounds, so NaN and infinity stop here.
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise ValueError(f"{name} bounds must be finite, got [{lower}, {upper}]")
     if not lower > 0:
         raise ValueError(f"{name} lower bound must be > 0, got {lower}")
     if lower > upper:
@@ -59,7 +63,13 @@ def _check_positive_range(name: str, bounds: tuple[float, float]) -> None:
 
 @dataclass(frozen=True)
 class MirrorNetwork:
-    """Static facts about a fully connected network of data mirrors."""
+    """Static facts about a fully connected network of data mirrors.
+
+    ``bandwidth_basis`` and ``write_time_basis`` (total_links times the upper
+    bound of the per-link bandwidth and unit write time ranges) are the
+    normalization bases. They are derived at construction and are not
+    fields, so equality, hashing, repr and ``dataclasses.replace`` ignore them.
+    """
 
     num_mirrors: int
     total_links: int
@@ -80,6 +90,12 @@ class MirrorNetwork:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         _check_positive_range("bandwidth_per_link_range", self.bandwidth_per_link_range)
         _check_positive_range("unit_write_time_range", self.unit_write_time_range)
+        object.__setattr__(
+            self, "bandwidth_basis", self.total_links * self.bandwidth_per_link_range[1]
+        )
+        object.__setattr__(
+            self, "write_time_basis", self.total_links * self.unit_write_time_range[1]
+        )
 
 
 @dataclass(frozen=True)
@@ -113,19 +129,31 @@ class TopologyRanges:
         return self.rt_active_links_range
 
 
-@dataclass(frozen=True)
-class Monitorables:
-    """The three observed metrics at one timestep."""
-
+class _MonitorablesFields(NamedTuple):
     active_links: int
     bandwidth_consumption: float  # GBps
     time_to_write: float  # ms
 
-    def __post_init__(self) -> None:
-        if self.active_links < 0:
+
+class Monitorables(_MonitorablesFields):
+    """The three observed metrics at one timestep (an immutable named tuple).
+
+    Every construction path, ``_make`` and ``_replace`` included, goes through
+    the non-negativity check in ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, active_links: int, bandwidth_consumption: float, time_to_write: float):
+        if active_links < 0:
             raise ValueError("active_links must be >= 0")
-        if self.bandwidth_consumption < 0 or self.time_to_write < 0:
+        if bandwidth_consumption < 0 or time_to_write < 0:
             raise ValueError("derived monitorables must be >= 0")
+        return tuple.__new__(cls, (active_links, bandwidth_consumption, time_to_write))
+
+    @classmethod
+    def _make(cls, iterable) -> "Monitorables":
+        return cls(*iterable)
 
 
 def build_network(
@@ -219,11 +247,18 @@ def sample_base_monitorables(
     Draw order is part of the replay contract: active links first, then the
     unit write time, then the per-link bandwidth.
     """
-    links = sample_active_links(topology, ranges, rng)
-    unit_write_time = rng.uniform(*network.unit_write_time_range)
-    bandwidth_per_link = rng.uniform(*network.bandwidth_per_link_range)
+    if topology is Topology.MST:
+        lower, upper = ranges.mst_active_links_range
+    else:
+        lower, upper = ranges.rt_active_links_range
+    links = rng.randint(lower, upper)
+    lower, upper = network.unit_write_time_range
+    unit_write_time = rng.uniform(lower, upper)
+    lower, upper = network.bandwidth_per_link_range
+    bandwidth_per_link = rng.uniform(lower, upper)
+    alpha = network.alpha
     return Monitorables(
-        active_links=links,
-        bandwidth_consumption=compute_bandwidth(links, network.alpha, bandwidth_per_link),
-        time_to_write=compute_writing_time(links, network.alpha, unit_write_time),
+        links,
+        compute_bandwidth(links, alpha, bandwidth_per_link),
+        compute_writing_time(links, alpha, unit_write_time),
     )

@@ -49,20 +49,19 @@ def normalize(monitorables: Monitorables, network: MirrorNetwork) -> NormalizedM
     upper bound of the corresponding unit range for the derived metrics, so
     inflation scenarios can push the load percentages above 100.
     """
+    active_links, bandwidth, write_time = monitorables
     return NormalizedMetrics(
-        active_links_pct=100.0 * monitorables.active_links / network.total_links,
-        bandwidth_pct=100.0
-        * monitorables.bandwidth_consumption
-        / (network.total_links * network.bandwidth_per_link_range[1]),
-        write_time_pct=100.0
-        * monitorables.time_to_write
-        / (network.total_links * network.unit_write_time_range[1]),
+        100.0 * active_links / network.total_links,
+        100.0 * bandwidth / network.bandwidth_basis,
+        100.0 * write_time / network.write_time_basis,
     )
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One timestep's observations, plus the topology switch if one landed."""
+class TraceRecord(NamedTuple):
+    """One timestep's observations, plus the topology switch if one landed.
+
+    An immutable named tuple: derive a changed copy with ``_replace``.
+    """
 
     timestep: int
     topology: Topology
@@ -174,35 +173,32 @@ class Simulation:
             )
         t = self.timestep
 
+        topology = self.current_topology
         adaptation: Optional[Topology] = None
-        target = self._topology_schedule.pop(t, None)
-        if target is not None and target is not self.current_topology:
-            self.current_topology = target
-            adaptation = target
+        if self._topology_schedule:
+            target = self._topology_schedule.pop(t, None)
+            if target is not None and target is not topology:
+                self.current_topology = topology = target
+                adaptation = target
 
-        base = sample_base_monitorables(self.current_topology, self.network, self.ranges, self.rng)
-        base = self._with_overrides(base)
+        network = self.network
+        rng = self.rng
+        base = sample_base_monitorables(topology, network, self.ranges, rng)
+        overrides = self._pending_overrides
+        if overrides:
+            base = self._with_overrides(base)
 
-        disturbed = apply_disturbance(
-            self.scenario_state, self.current_topology, base, t, self.rng, self.network
-        )
+        disturbed = apply_disturbance(self.scenario_state, topology, base, t, rng, network)
 
-        record = TraceRecord(
-            timestep=t,
-            topology=self.current_topology,
-            monitorables=disturbed,
-            normalized=normalize(disturbed, self.network),
-            adaptation=adaptation,
-        )
+        record = TraceRecord(t, topology, disturbed, normalize(disturbed, network), adaptation)
         self.trace.append(record)
 
-        self._pending_overrides.clear()  # overrides live for exactly one step
+        if overrides:
+            overrides.clear()  # overrides live for exactly one step
         self.timestep = t + 1
         return record
 
     def _with_overrides(self, base: Monitorables) -> Monitorables:
-        if not self._pending_overrides:
-            return base
         overrides = self._pending_overrides
         links = int(overrides.get("active_links", base.active_links))
         # Non-overridden derived metrics follow the (possibly overridden) link
@@ -243,14 +239,15 @@ def run(manager, config: ExperimentConfig) -> RunResult:
     topology switch (if any) is executed through the effector.
     """
     sim = build_simulation(config)
+    decide, probe, effector, step = manager.decide, sim.probe, sim.effector, sim.step
     for t in range(config.properties.timesteps):
         try:
-            decision = manager.decide(sim.probe)
+            decision = decide(probe)
         except Exception as exc:
             raise ManagerError(t, str(exc)) from exc
         if decision is not None and decision.switch_to is not None:
-            sim.effector.set_current_topology(decision.switch_to)
-        sim.step()
+            effector.set_current_topology(decision.switch_to)
+        step()
     summary = evaluate_satisfaction(sim.trace, config.properties.thresholds)
     return RunResult(trace=tuple(sim.trace), summary=summary, command_log=sim.command_log)
 

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from random import Random
 from typing import Mapping, Optional
 
-from .network import MirrorNetwork, Monitorables, Topology, round_half_up
+from .network import (
+    MirrorNetwork,
+    Monitorables,
+    Topology,
+    _check_positive_range,
+    round_half_up,
+)
 
 Interval = tuple[float, float]
 
@@ -54,11 +60,7 @@ class EffectSet:
 
     def __post_init__(self) -> None:
         for name in FACTOR_NAMES:
-            lower, upper = getattr(self, name)
-            if not lower > 0:
-                raise ValueError(f"{name} bounds must be > 0, got [{lower}, {upper}]")
-            if lower > upper:
-                raise ValueError(f"{name} is inverted: [{lower}, {upper}]")
+            _check_positive_range(name, getattr(self, name))
 
     @property
     def is_identity(self) -> bool:
@@ -212,16 +214,22 @@ def apply_disturbance(
         raise ValueError("timestep must be >= 0")
     if not state.active_at(timestep):
         return base
-    effects = state.profile.effects_for(current_topology)
-    links_factor = rng.uniform(*effects.active_links_factor)
-    bandwidth_factor = rng.uniform(*effects.bandwidth_factor)
-    write_time_factor = rng.uniform(*effects.write_time_factor)
+    profile = state.profile
+    effects = profile.mst_effects if current_topology is Topology.MST else profile.rt_effects
+    lower, upper = effects.active_links_factor
+    links_factor = rng.uniform(lower, upper)
+    lower, upper = effects.bandwidth_factor
+    bandwidth_factor = rng.uniform(lower, upper)
+    lower, upper = effects.write_time_factor
+    write_time_factor = rng.uniform(lower, upper)
 
-    links = round_half_up(base.active_links * links_factor)
-    links = min(max(links, 0), network.total_links)
-    ratio = links / base.active_links if base.active_links else 1.0
+    active_links, bandwidth, write_time = base
+    links = round_half_up(active_links * links_factor)
+    if links < 0:
+        links = 0
+    elif links > network.total_links:
+        links = network.total_links
+    ratio = links / active_links if active_links else 1.0
     return Monitorables(
-        active_links=links,
-        bandwidth_consumption=base.bandwidth_consumption * ratio * bandwidth_factor,
-        time_to_write=base.time_to_write * ratio * write_time_factor,
+        links, bandwidth * ratio * bandwidth_factor, write_time * ratio * write_time_factor
     )

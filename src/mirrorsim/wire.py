@@ -18,7 +18,6 @@ from typing import Callable, Optional
 from .config import ExperimentConfig
 from .management import EffectorError, ProbeError
 from .runner import (
-    RunResult,
     SatisfactionSummary,
     Simulation,
     TraceRecord,
@@ -285,10 +284,3 @@ def serve_tcp(
             finally:
                 rfile.close()
                 wfile.close()
-
-
-def session_run_result(result: SessionResult) -> Optional[RunResult]:
-    """Adapt a completed session to a RunResult; None if it was aborted."""
-    if not result.completed or result.summary is None:
-        return None
-    return RunResult(trace=result.trace, summary=result.summary, command_log=result.command_log)

@@ -25,6 +25,23 @@ def write_config(tmp_path, mapping):
     return path
 
 
+@pytest.mark.parametrize(
+    "fragment",
+    [
+        '"bandwidth_per_link_range": [20, NaN]',
+        '"unit_write_time_range": [10, Infinity]',
+        '"unit_write_time_range": [-Infinity, 20]',
+        '"disturbances": {"S1": {"mst": {"bandwidth_factor": [1, NaN]}}}',
+        '"disturbances": {"S2": {"rt": {"write_time_factor": [1, Infinity]}}}',
+    ],
+)
+def test_non_finite_ranges_in_json_are_config_errors(tmp_path, fragment):
+    path = tmp_path / "configuration.json"
+    path.write_text("{" + fragment + "}")
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
 def test_default_file_round_trip(tmp_path):
     path = write_config(tmp_path, default_config_mapping())
     config = load_config(path)

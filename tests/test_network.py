@@ -43,6 +43,17 @@ def test_rejects_bad_parameter_ranges():
         build_network(5, unit_write_time_range=(-1.0, 20.0))
 
 
+@pytest.mark.parametrize(
+    "field", ["bandwidth_per_link_range", "unit_write_time_range"]
+)
+@pytest.mark.parametrize(
+    "bounds", [(20.0, math.nan), (math.nan, 30.0), (10.0, math.inf), (-math.inf, 30.0)]
+)
+def test_rejects_non_finite_parameter_ranges(field, bounds):
+    with pytest.raises(ValueError):
+        build_network(25, **{field: bounds})
+
+
 @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
 def test_rejects_alpha_outside_unit_interval(alpha):
     with pytest.raises(ValueError):

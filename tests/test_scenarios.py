@@ -36,6 +36,13 @@ def test_scenario_parse():
         ScenarioId.parse("S9")
 
 
+@pytest.mark.parametrize("name", ["active_links_factor", "bandwidth_factor", "write_time_factor"])
+@pytest.mark.parametrize("bounds", [(1.0, math.nan), (math.nan, 1.0), (1.0, math.inf)])
+def test_effect_set_rejects_non_finite_bounds(name, bounds):
+    with pytest.raises(ValueError):
+        EffectSet(**{name: bounds})
+
+
 def test_s0_is_identity_profile():
     profile = scenario_profile(ScenarioId.S0)
     assert profile.mst_effects.is_identity
