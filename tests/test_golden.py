@@ -4,7 +4,9 @@ Each digest is the SHA-256 of ``render_trace_csv`` for one run. The in-process
 matrix covers every scenario under every reference manager for two seeds;
 one extra threshold-driven session runs over the line-JSON wire. A change
 that moves one drawn number, one float operation or one CSV byte changes a
-digest here.
+digest here. For that wire session the server's whole output stream is
+pinned as well, so a change of JSON key order, float formatting or message
+shape changes a digest too.
 
 To print the table for the current source (only when a change of the trace
 is intended and documented): ``PYTHONPATH=src:tests python tests/test_golden.py``.
@@ -73,6 +75,8 @@ GOLDEN = {
 
 WIRE_GOLDEN = "e007ab30485a153622b96daec7e6e56087108c89a4a2d5930a0c229a1fa8225f"
 
+WIRE_STREAM_GOLDEN = "e2e43bc90857ec1bc8d7aa8f80a494b315f5a16491b1ad50738e79b89e7f5de5"
+
 
 def _config(scenario: str, seed: int):
     return config_from_mapping({"scenario": scenario, "seed": seed, "timesteps": STEPS})
@@ -100,6 +104,14 @@ def wire_digest(scenario: str, seed: int) -> str:
     return _digest(harness.result.trace)
 
 
+def wire_stream_digest(scenario: str, seed: int) -> str:
+    """SHA-256 of every line the server wrote, from ``hello`` to ``run_complete``."""
+    with WireHarness(_config(scenario, seed)) as harness:
+        drive_threshold_policy(harness)
+        assert harness.recv_eof()
+    return hashlib.sha256("".join(harness.received).encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("manager_name", MANAGERS)
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -109,6 +121,10 @@ def test_in_process_trace_digest(scenario, manager_name, seed):
 
 def test_wire_threshold_session_digest():
     assert wire_digest(*WIRE_CASE) == WIRE_GOLDEN
+
+
+def test_wire_threshold_session_stream_digest():
+    assert wire_stream_digest(*WIRE_CASE) == WIRE_STREAM_GOLDEN
 
 
 if __name__ == "__main__":
@@ -121,3 +137,5 @@ if __name__ == "__main__":
     print("}")
     print()
     print(f'WIRE_GOLDEN = "{wire_digest(*WIRE_CASE)}"')
+    print()
+    print(f'WIRE_STREAM_GOLDEN = "{wire_stream_digest(*WIRE_CASE)}"')

@@ -24,6 +24,7 @@ class WireHarness:
         self.rfile = self._client_sock.makefile("r", encoding="utf-8", newline="\n")
         self.wfile = self._client_sock.makefile("w", encoding="utf-8", newline="\n")
         self._seq = 0
+        self.received: list[str] = []  # every server line, verbatim
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
@@ -47,6 +48,7 @@ class WireHarness:
         line = self.rfile.readline()
         if not line:
             raise AssertionError("server closed the session")
+        self.received.append(line)
         return json.loads(line)
 
     def recv_eof(self) -> bool:
