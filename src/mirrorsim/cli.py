@@ -22,7 +22,7 @@ from .config import (
     load_config,
 )
 from .managers import DEFAULT_SWITCH_PROBABILITY, MANAGER_NAMES, create_manager
-from .runner import TRACE_CSV_HEADER, ManagerError, run, write_trace_csv
+from .runner import TRACE_CSV_HEADER, TRACE_FIELDS, ManagerError, run, write_trace_csv
 from .scenarios import ScenarioId
 from .wire import serve_stdio, serve_tcp
 
@@ -86,17 +86,18 @@ def emit_plot_data(trace_text: str, thresholds: SatisfactionThresholds) -> str:
     if not lines or lines[0] != TRACE_CSV_HEADER:
         raise ValueError("malformed trace: unexpected header")
     series = (
-        ("active_links_pct", 5, thresholds.min_active_links_pct),
-        ("bandwidth_pct", 6, thresholds.max_bandwidth_pct),
-        ("write_time_pct", 7, thresholds.max_write_time_pct),
+        ("active_links_pct", thresholds.min_active_links_pct),
+        ("bandwidth_pct", thresholds.max_bandwidth_pct),
+        ("write_time_pct", thresholds.max_write_time_pct),
     )
     out = [PLOT_CSV_HEADER]
-    for lineno, row in enumerate(lines[1:], start=2):
-        cells = row.split(",")
-        if len(cells) != 9:
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(TRACE_FIELDS):
             raise ValueError(f"malformed trace: bad row at line {lineno}")
-        for name, index, threshold in series:
-            out.append(f"{cells[0]},{name},{cells[index]},{threshold:.6f}")
+        row = dict(zip(TRACE_FIELDS, cells))
+        for name, threshold in series:
+            out.append(f"{row['timestep']},{name},{row[name]},{threshold:.6f}")
     return "\n".join(out) + "\n"
 
 

@@ -115,7 +115,8 @@ class Effector:
         """Switch topology when the simulation advances into ``timestep``.
 
         The change lands before that step's monitorables are sampled; a later
-        command for the same target wins.
+        command for the same target wins. A target at or past the end of the
+        run would never land and is rejected.
         """
         target = self._parse_topology(topology)
         if not isinstance(timestep, int) or isinstance(timestep, bool):
@@ -124,6 +125,11 @@ class Effector:
             raise EffectorError(
                 f"cannot target past timestep {timestep}"
                 f" (current is {self._sim.timestep})"
+            )
+        if timestep >= self._sim.properties.timesteps:
+            raise EffectorError(
+                f"cannot target timestep {timestep}: the run ends after"
+                f" {self._sim.properties.timesteps} timesteps"
             )
         self._sim.schedule_topology(timestep, target)
         self._log(CommandKind.SET_NETWORK_TOPOLOGY, target, target_timestep=timestep)

@@ -8,12 +8,12 @@ log and must reproduce the original trace bit for bit.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from random import Random
 from typing import NamedTuple, Optional, Sequence
 
 from .config import ExperimentConfig, SatisfactionThresholds, SimulationProperties
-from .management import CommandKind, CommandLog, Effector, EffectorCommand, Probe
+from .management import CommandLog, Effector, EffectorCommand, Probe
 from .network import (
     MirrorNetwork,
     Monitorables,
@@ -82,14 +82,7 @@ class SatisfactionSummary:
     mr_satisfied: bool
 
     def as_dict(self) -> dict:
-        return {
-            "mean_bandwidth_pct": self.mean_bandwidth_pct,
-            "mean_write_time_pct": self.mean_write_time_pct,
-            "mean_active_links_pct": self.mean_active_links_pct,
-            "mc_satisfied": self.mc_satisfied,
-            "mp_satisfied": self.mp_satisfied,
-            "mr_satisfied": self.mr_satisfied,
-        }
+        return asdict(self)
 
 
 def evaluate_satisfaction(
@@ -264,48 +257,39 @@ def replay(log: CommandLog, config: ExperimentConfig) -> RunResult:
     sim = build_simulation(config)
     for t in range(config.properties.timesteps):
         for command in by_step.get(t, ()):
-            _reissue(sim.effector, command)
+            target = command.target_timestep  # set by set_network_topology only
+            args = (command.payload,) if target is None else (target, command.payload)
+            getattr(sim.effector, command.kind.value)(*args)
         sim.step()
     summary = evaluate_satisfaction(sim.trace, config.properties.thresholds)
     return RunResult(trace=tuple(sim.trace), summary=summary, command_log=sim.command_log)
 
 
-def _reissue(effector: Effector, command: EffectorCommand) -> None:
-    kind = command.kind
-    if kind is CommandKind.SET_NETWORK_TOPOLOGY:
-        effector.set_network_topology(command.target_timestep, command.payload)
-    elif kind is CommandKind.SET_CURRENT_TOPOLOGY:
-        effector.set_current_topology(command.payload)
-    elif kind is CommandKind.SET_ACTIVE_LINKS:
-        effector.set_active_links(command.payload)
-    elif kind is CommandKind.SET_TIME_TO_WRITE:
-        effector.set_time_to_write(command.payload)
-    elif kind is CommandKind.SET_BANDWIDTH_CONSUMPTION:
-        effector.set_bandwidth_consumption(command.payload)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown command kind: {kind}")
-
-
-TRACE_CSV_HEADER = (
-    "timestep,topology,active_links,bandwidth_gbps,time_to_write_ms,"
-    "active_links_pct,bandwidth_pct,write_time_pct,adaptation"
+# The one definition of a trace row: the CSV header and rows, the wire's
+# ``record`` payload and the plot-data columns all follow this order.
+TRACE_FIELDS = (
+    "timestep", "topology", "active_links", "bandwidth_gbps", "time_to_write_ms",
+    "active_links_pct", "bandwidth_pct", "write_time_pct", "adaptation",
 )
+TRACE_CSV_HEADER = ",".join(TRACE_FIELDS)
+_CSV_ROW = "{},{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f},{}".format
+
+
+def record_row(record: TraceRecord) -> tuple:
+    """The record's values in ``TRACE_FIELDS`` order; topologies by name, no switch as None."""
+    timestep, topology, monitorables, normalized, adaptation = record
+    return (
+        timestep, topology.value, *monitorables, *normalized,
+        adaptation.value if adaptation is not None else None,
+    )
 
 
 def render_trace_csv(trace: Sequence[TraceRecord]) -> str:
     """Fixed-format CSV (6 decimal places) so equal traces render byte-equal."""
     lines = [TRACE_CSV_HEADER]
     for r in trace:
-        adaptation = r.adaptation.value if r.adaptation is not None else ""
-        lines.append(
-            f"{r.timestep},{r.topology.value},{r.monitorables.active_links},"
-            f"{r.monitorables.bandwidth_consumption:.6f},"
-            f"{r.monitorables.time_to_write:.6f},"
-            f"{r.normalized.active_links_pct:.6f},"
-            f"{r.normalized.bandwidth_pct:.6f},"
-            f"{r.normalized.write_time_pct:.6f},"
-            f"{adaptation}"
-        )
+        *values, adaptation = record_row(r)
+        lines.append(_CSV_ROW(*values, adaptation or ""))
     return "\n".join(lines) + "\n"
 
 

@@ -9,6 +9,7 @@ and ends the session. See docs/protocol.md for the full grammar.
 
 from __future__ import annotations
 
+import inspect
 import json
 import socket
 import sys
@@ -16,35 +17,35 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .config import ExperimentConfig
-from .management import EffectorError, ProbeError
+from .management import CommandKind, CommandLog, Effector, EffectorError, ProbeError
 from .runner import (
+    TRACE_FIELDS,
     SatisfactionSummary,
     Simulation,
     TraceRecord,
     build_simulation,
     evaluate_satisfaction,
+    record_row,
 )
 
 PROTOCOL_VERSION = 1
+MAX_LINE_CHARS = 64 * 1024  # longest request line accepted, newline included
 
-PROBE_KINDS = frozenset(
-    {
-        "get_current_topology",
-        "get_active_links",
-        "get_bandwidth_consumption",
-        "get_time_to_write",
-        "get_monitorables",
-    }
-)
-EFFECTOR_KINDS = frozenset(
-    {
-        "set_network_topology",
-        "set_active_links",
-        "set_time_to_write",
-        "set_bandwidth_consumption",
-        "set_current_topology",
-    }
-)
+# Probe request kind -> (reply kind, encoder); the reply carries the encoded
+# probe result under a key named like the reply kind.
+PROBE_REPLIES = {
+    "get_current_topology": ("topology", lambda topology: topology.value),
+    "get_active_links": ("value", int),
+    "get_bandwidth_consumption": ("value", int),
+    "get_time_to_write": ("value", int),
+    "get_monitorables": ("monitorables", lambda m: None if m is None else m._asdict()),
+}
+# Effector request kind -> its fields in call order: the Effector method's
+# parameters are the wire grammar.
+EFFECTOR_FIELDS = {
+    kind.value: tuple(inspect.signature(getattr(Effector, kind.value)).parameters)[1:]
+    for kind in CommandKind
+}
 
 
 @dataclass(frozen=True)
@@ -53,22 +54,12 @@ class SessionResult:
 
     trace: tuple[TraceRecord, ...]
     summary: Optional[SatisfactionSummary]
-    command_log: object
+    command_log: CommandLog
     completed: bool
 
 
 def record_payload(record: TraceRecord) -> dict:
-    return {
-        "timestep": record.timestep,
-        "topology": record.topology.value,
-        "active_links": record.monitorables.active_links,
-        "bandwidth_gbps": record.monitorables.bandwidth_consumption,
-        "time_to_write_ms": record.monitorables.time_to_write,
-        "active_links_pct": record.normalized.active_links_pct,
-        "bandwidth_pct": record.normalized.bandwidth_pct,
-        "write_time_pct": record.normalized.write_time_pct,
-        "adaptation": record.adaptation.value if record.adaptation is not None else None,
-    }
+    return dict(zip(TRACE_FIELDS, record_row(record)))
 
 
 class WireSession:
@@ -86,9 +77,14 @@ class WireSession:
         self._send({"kind": "hello", "protocol": PROTOCOL_VERSION, "config": self._config_summary()})
         completed = False
         while True:
-            line = self.rfile.readline()
+            line = self.rfile.readline(MAX_LINE_CHARS)
             if not line:
                 break  # client disconnected; abort the run
+            if len(line) == MAX_LINE_CHARS and not line.endswith("\n"):
+                self._send_error(
+                    None, "malformed_message", f"request line exceeds {MAX_LINE_CHARS} characters"
+                )
+                break
             line = line.strip()
             if not line:
                 continue
@@ -136,9 +132,9 @@ class WireSession:
 
         if kind == "step":
             return self._handle_step(seq)
-        if kind in PROBE_KINDS:
+        if kind in PROBE_REPLIES:
             return self._handle_probe(seq, kind)
-        if kind in EFFECTOR_KINDS:
+        if kind in EFFECTOR_FIELDS:
             return self._handle_effector(seq, kind, message)
         self._send_error(seq, "unknown_kind", f"unknown message kind: {kind!r}")
         return False
@@ -158,58 +154,28 @@ class WireSession:
         return True
 
     def _handle_probe(self, seq: int, kind: str) -> bool:
-        probe = self.sim.probe
+        reply_kind, encode = PROBE_REPLIES[kind]
         try:
-            if kind == "get_current_topology":
-                self._reply(seq, {"kind": "topology", "topology": probe.get_current_topology().value})
-            elif kind == "get_active_links":
-                self._reply(seq, {"kind": "value", "value": probe.get_active_links()})
-            elif kind == "get_bandwidth_consumption":
-                self._reply(seq, {"kind": "value", "value": probe.get_bandwidth_consumption()})
-            elif kind == "get_time_to_write":
-                self._reply(seq, {"kind": "value", "value": probe.get_time_to_write()})
-            else:  # get_monitorables
-                monitorables = probe.get_monitorables()
-                payload = None
-                if monitorables is not None:
-                    payload = {
-                        "active_links": monitorables.active_links,
-                        "bandwidth_consumption": monitorables.bandwidth_consumption,
-                        "time_to_write": monitorables.time_to_write,
-                    }
-                self._reply(seq, {"kind": "monitorables", "monitorables": payload})
+            value = getattr(self.sim.probe, kind)()
         except ProbeError as exc:
             self._send_error(seq, "not_observable", str(exc))  # session continues
+            return True
+        self._reply(seq, {"kind": reply_kind, reply_kind: encode(value)})
         return True
 
     def _handle_effector(self, seq: int, kind: str, message: dict) -> bool:
-        effector = self.sim.effector
         try:
-            if kind == "set_network_topology":
-                args = self._fields(message, "timestep", "topology")
-                effector.set_network_topology(args["timestep"], args["topology"])
-            elif kind == "set_active_links":
-                effector.set_active_links(self._fields(message, "active_links")["active_links"])
-            elif kind == "set_time_to_write":
-                effector.set_time_to_write(self._fields(message, "time_to_write")["time_to_write"])
-            elif kind == "set_bandwidth_consumption":
-                effector.set_bandwidth_consumption(
-                    self._fields(message, "bandwidth_consumption")["bandwidth_consumption"]
-                )
-            else:  # set_current_topology
-                effector.set_current_topology(self._fields(message, "topology")["topology"])
+            args = [message[name] for name in EFFECTOR_FIELDS[kind]]
         except KeyError as exc:
             self._send_error(seq, "malformed_message", f"missing field {exc.args[0]!r}")
             return False
+        try:
+            getattr(self.sim.effector, kind)(*args)
         except EffectorError as exc:
             self._send_error(seq, "invalid_value", str(exc))  # session continues
             return True
         self._reply(seq, {"kind": "ack", "command": kind})
         return True
-
-    @staticmethod
-    def _fields(message: dict, *names: str) -> dict:
-        return {name: message[name] for name in names}
 
     def _config_summary(self) -> dict:
         network = self.config.network

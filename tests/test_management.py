@@ -100,6 +100,17 @@ def test_set_network_topology_rejections(make_config):
         sim.effector.set_network_topology("5", "rt")
 
 
+def test_set_network_topology_rejects_targets_past_the_end(make_config):
+    sim = build_simulation(make_config(seed=2, timesteps=5))
+    for timestep in (5, 10**9):  # would never land
+        with pytest.raises(EffectorError, match="run ends after 5 timesteps"):
+            sim.effector.set_network_topology(timestep, "rt")
+    assert len(sim.command_log) == 0
+    sim.effector.set_network_topology(4, "rt")  # the last step is still reachable
+    records = [sim.step() for _ in range(5)]
+    assert records[4].adaptation is Topology.RT
+
+
 def test_last_command_for_a_target_wins(make_config):
     sim = build_simulation(make_config(seed=2))
     sim.effector.set_network_topology(1, "rt")

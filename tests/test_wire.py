@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import inspect
+import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from mirrorsim.management import CommandKind, Effector, Probe
 from mirrorsim.managers import NullManager
-from mirrorsim.runner import render_trace_csv, run
-from mirrorsim.wire import PROTOCOL_VERSION
+from mirrorsim.runner import TRACE_CSV_HEADER, render_trace_csv, run
+from mirrorsim.wire import MAX_LINE_CHARS, PROBE_REPLIES, PROTOCOL_VERSION, WireSession
+
+PROTOCOL_DOC = Path(__file__).resolve().parent.parent / "docs" / "protocol.md"
 
 from wire_helpers import WireHarness, drive_null_policy
 
@@ -105,6 +112,72 @@ def test_invalid_effector_value_keeps_session_alive(make_config):
         assert reply["kind"] == "error" and reply["code"] == "invalid_value"
         assert harness.request("get_current_topology")["kind"] == "topology"
         drive_null_policy_rest(harness, 1)
+
+
+def test_unreachable_topology_target_is_invalid_value(make_config):
+    with WireHarness(make_config(timesteps=3)) as harness:
+        harness.recv()
+        reply = harness.request("set_network_topology", timestep=10**9, topology="rt")
+        assert reply["kind"] == "error" and reply["code"] == "invalid_value"
+        reply = harness.request("set_network_topology", timestep=3, topology="rt")
+        assert reply["kind"] == "error" and reply["code"] == "invalid_value"
+        drive_null_policy_rest(harness, 3)
+    assert harness.result is not None and harness.result.completed
+    assert len(harness.result.command_log) == 0
+
+
+def _serve_lines(config, text: str) -> tuple[list[dict], object]:
+    out = io.StringIO()
+    result = WireSession(config, io.StringIO(text), out).run()
+    return [json.loads(line) for line in out.getvalue().splitlines()], result
+
+
+def test_over_long_request_line_terminates_session(make_config):
+    padding = " " * MAX_LINE_CHARS
+    text = '{"seq": 1, "kind": "get_monitorables"' + padding + "}\n" + '{"seq": 2, "kind": "step"}\n'
+    messages, result = _serve_lines(make_config(timesteps=3), text)
+    assert [m["kind"] for m in messages] == ["hello", "error"]
+    assert messages[1]["code"] == "malformed_message"
+    assert str(MAX_LINE_CHARS) in messages[1]["detail"]
+    assert not result.completed and result.trace == ()
+
+
+def test_request_line_at_the_limit_is_accepted(make_config):
+    request = '{"seq": 1, "kind": "get_monitorables"'
+    line = request + " " * (MAX_LINE_CHARS - len(request) - 2) + "}\n"
+    assert len(line) == MAX_LINE_CHARS
+    messages, _ = _serve_lines(make_config(timesteps=3), line)
+    assert [m["kind"] for m in messages] == ["hello", "monitorables"]
+
+
+def test_protocol_doc_matches_the_surface(make_config):
+    text = PROTOCOL_DOC.read_text(encoding="utf-8")
+    requests_section = text.split("## Client requests", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in re.findall(r"^\{.*\}$", requests_section, flags=re.MULTILINE):
+        message = json.loads(line)
+        kind = message.pop("kind")
+        documented[kind] = tuple(name for name in message if name != "seq")
+    probes = {name for name in vars(Probe) if not name.startswith("_")}
+    assert set(PROBE_REPLIES) == probes
+    expected = {name: () for name in probes}
+    for kind in CommandKind:
+        method = getattr(Effector, kind.value)
+        expected[kind.value] = tuple(inspect.signature(method).parameters)[1:]
+    expected["step"] = ()
+    assert documented == expected
+
+    columns = TRACE_CSV_HEADER.split(",")
+    doc_record = json.loads(
+        re.search(r'^\{"seq": \d+, "re": \d+, "kind": "step_complete".*?\}\}$',
+                  text, flags=re.MULTILINE | re.DOTALL).group(0)
+    )["record"]
+    assert list(doc_record) == columns
+    with WireHarness(make_config(timesteps=1)) as harness:
+        harness.recv()
+        live_record = harness.request("step")["record"]
+        harness.recv()  # run_complete
+    assert list(live_record) == columns
 
 
 def test_malformed_json_terminates_session(make_config):
