@@ -106,6 +106,10 @@ def _write_text(path: Path, text: str) -> None:
         handle.write(text)
 
 
+def _write_json(path: Path, obj) -> None:
+    _write_text(path, json.dumps(obj, indent=2) + "\n")
+
+
 def _cmd_run(args) -> int:
     config = _load_base_config(args.config)
     try:
@@ -136,10 +140,7 @@ def _cmd_run(args) -> int:
             result = run(manager, cfg)
             stem = f"{scenario.value}_{args.manager}_seed{seed}"
             write_trace_csv(result.trace, output_dir / f"{stem}_trace.csv")
-            _write_text(
-                output_dir / f"{stem}_summary.json",
-                json.dumps(result.summary.as_dict(), indent=2) + "\n",
-            )
+            _write_json(output_dir / f"{stem}_summary.json", result.summary.as_dict())
             if args.plot_data:
                 trace_text = (output_dir / f"{stem}_trace.csv").read_text(encoding="utf-8")
                 _write_text(
@@ -210,17 +211,11 @@ def _cmd_serve(args) -> int:
         stem = f"{props.scenario.value}_wire_seed{props.seed}"
         write_trace_csv(result.trace, output_dir / f"{stem}_trace.csv")
         if result.completed:
-            _write_text(
-                output_dir / f"{stem}_summary.json",
-                json.dumps(result.summary.as_dict(), indent=2) + "\n",
-            )
+            _write_json(output_dir / f"{stem}_summary.json", result.summary.as_dict())
         else:
-            _write_text(
+            _write_json(
                 output_dir / f"{stem}_incomplete.json",
-                json.dumps(
-                    {"status": "incomplete", "timesteps_completed": len(result.trace)}, indent=2
-                )
-                + "\n",
+                {"status": "incomplete", "timesteps_completed": len(result.trace)},
             )
     return EXIT_OK if result.completed else EXIT_ABORTED
 
@@ -229,7 +224,7 @@ def _cmd_init_config(args) -> int:
     path = Path(args.path)
     if path.exists() and not args.force:
         raise ConfigError(f"refusing to overwrite existing file: {path} (use --force)")
-    _write_text(path, json.dumps(default_config_mapping(), indent=2) + "\n")
+    _write_json(path, default_config_mapping())
     print(f"wrote default configuration to {path}")
     return EXIT_OK
 

@@ -57,6 +57,14 @@ class ConfigInvariantError(ConfigError):
     """Values parse but violate a domain invariant (e.g. fewer than 2 mirrors)."""
 
 
+# Key of the configuration's "thresholds" object -> SatisfactionThresholds field.
+THRESHOLD_FIELDS = {
+    "bandwidth_pct": "max_bandwidth_pct",
+    "write_time_pct": "max_write_time_pct",
+    "active_links_pct": "min_active_links_pct",
+}
+
+
 @dataclass(frozen=True)
 class SatisfactionThresholds:
     """Per-objective bounds on the normalized monitorable means."""
@@ -66,7 +74,7 @@ class SatisfactionThresholds:
     min_active_links_pct: float = DEFAULT_MIN_ACTIVE_LINKS_PCT
 
     def __post_init__(self) -> None:
-        for name in ("max_bandwidth_pct", "max_write_time_pct", "min_active_links_pct"):
+        for name in THRESHOLD_FIELDS.values():
             value = getattr(self, name)
             if not 0 < value <= 100:
                 raise ValueError(f"{name} must be in (0, 100], got {value}")
@@ -126,6 +134,7 @@ class ExperimentConfig:
 
 def default_config_mapping() -> dict:
     """The full schema with its default values, as written by ``init-config``."""
+    thresholds = SatisfactionThresholds()
     return {
         "number_of_mirrors": DEFAULT_NUM_MIRRORS,
         "timesteps": DEFAULT_TIMESTEPS,
@@ -136,18 +145,10 @@ def default_config_mapping() -> dict:
         "unit_write_time_range": list(DEFAULT_UNIT_WRITE_TIME_RANGE),
         "mst_active_links_range_pct": list(DEFAULT_MST_ACTIVE_LINKS_RANGE_PCT),
         "rt_active_links_range_pct": list(DEFAULT_RT_ACTIVE_LINKS_RANGE_PCT),
-        "thresholds": {
-            "bandwidth_pct": DEFAULT_MAX_BANDWIDTH_PCT,
-            "write_time_pct": DEFAULT_MAX_WRITE_TIME_PCT,
-            "active_links_pct": DEFAULT_MIN_ACTIVE_LINKS_PCT,
-        },
+        "thresholds": {key: getattr(thresholds, field) for key, field in THRESHOLD_FIELDS.items()},
         "disturbances": {},
         "disturbance_window": None,
     }
-
-
-_TOP_LEVEL_KEYS = frozenset(default_config_mapping())
-_THRESHOLD_KEYS = frozenset({"bandwidth_pct", "write_time_pct", "active_links_pct"})
 
 
 def _as_int(value: object, path: str) -> int:
@@ -214,53 +215,43 @@ def config_from_mapping(raw: Mapping) -> ExperimentConfig:
     """Validate a parsed configuration mapping and build the domain objects."""
     if not isinstance(raw, Mapping):
         raise ConfigSchemaError("$", f"expected a JSON object, got {raw!r}")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
+    defaults = default_config_mapping()
+    unknown = set(raw) - set(defaults)
     if unknown:
         raise ConfigSchemaError(sorted(unknown)[0], "unknown configuration key")
+    values = {**defaults, **raw}
 
-    num_mirrors = _as_int(raw.get("number_of_mirrors", DEFAULT_NUM_MIRRORS), "number_of_mirrors")
-    timesteps = _as_int(raw.get("timesteps", DEFAULT_TIMESTEPS), "timesteps")
-    scenario = _parse_scenario(raw.get("scenario", "S0"), "scenario")
-    seed = _as_int(raw.get("seed", DEFAULT_SEED), "seed")
-    alpha = _as_number(raw.get("alpha", DEFAULT_ALPHA), "alpha")
+    num_mirrors = _as_int(values["number_of_mirrors"], "number_of_mirrors")
+    timesteps = _as_int(values["timesteps"], "timesteps")
+    scenario = _parse_scenario(values["scenario"], "scenario")
+    seed = _as_int(values["seed"], "seed")
+    alpha = _as_number(values["alpha"], "alpha")
     bandwidth_range = _as_number_pair(
-        raw.get("bandwidth_per_link_range", DEFAULT_BANDWIDTH_PER_LINK_RANGE),
-        "bandwidth_per_link_range",
+        values["bandwidth_per_link_range"], "bandwidth_per_link_range"
     )
-    write_time_range = _as_number_pair(
-        raw.get("unit_write_time_range", DEFAULT_UNIT_WRITE_TIME_RANGE),
-        "unit_write_time_range",
-    )
+    write_time_range = _as_number_pair(values["unit_write_time_range"], "unit_write_time_range")
     mst_range_pct = _as_number_pair(
-        raw.get("mst_active_links_range_pct", DEFAULT_MST_ACTIVE_LINKS_RANGE_PCT),
-        "mst_active_links_range_pct",
+        values["mst_active_links_range_pct"], "mst_active_links_range_pct"
     )
     rt_range_pct = _as_number_pair(
-        raw.get("rt_active_links_range_pct", DEFAULT_RT_ACTIVE_LINKS_RANGE_PCT),
-        "rt_active_links_range_pct",
+        values["rt_active_links_range_pct"], "rt_active_links_range_pct"
     )
 
-    thresholds_raw = raw.get("thresholds", {})
+    thresholds_raw = values["thresholds"]
     if not isinstance(thresholds_raw, dict):
         raise ConfigSchemaError("thresholds", f"expected an object, got {thresholds_raw!r}")
-    unknown = set(thresholds_raw) - _THRESHOLD_KEYS
+    unknown = set(thresholds_raw) - set(THRESHOLD_FIELDS)
     if unknown:
         raise ConfigSchemaError(f"thresholds.{sorted(unknown)[0]}", "unknown threshold key")
-    max_bandwidth = _as_number(
-        thresholds_raw.get("bandwidth_pct", DEFAULT_MAX_BANDWIDTH_PCT), "thresholds.bandwidth_pct"
-    )
-    max_write_time = _as_number(
-        thresholds_raw.get("write_time_pct", DEFAULT_MAX_WRITE_TIME_PCT),
-        "thresholds.write_time_pct",
-    )
-    min_active_links = _as_number(
-        thresholds_raw.get("active_links_pct", DEFAULT_MIN_ACTIVE_LINKS_PCT),
-        "thresholds.active_links_pct",
-    )
+    threshold_values = {**defaults["thresholds"], **thresholds_raw}
+    threshold_args = {
+        field: _as_number(threshold_values[key], f"thresholds.{key}")
+        for key, field in THRESHOLD_FIELDS.items()
+    }
 
-    overrides = _parse_disturbances(raw.get("disturbances", {}))
+    overrides = _parse_disturbances(values["disturbances"])
 
-    window_raw = raw.get("disturbance_window")
+    window_raw = values["disturbance_window"]
     window = None if window_raw is None else _as_int_pair(window_raw, "disturbance_window")
 
     try:
@@ -271,11 +262,7 @@ def config_from_mapping(raw: Mapping) -> ExperimentConfig:
             alpha=alpha,
         )
         ranges = topology_ranges_from_pct(network, mst_range_pct, rt_range_pct)
-        thresholds = SatisfactionThresholds(
-            max_bandwidth_pct=max_bandwidth,
-            max_write_time_pct=max_write_time,
-            min_active_links_pct=min_active_links,
-        )
+        thresholds = SatisfactionThresholds(**threshold_args)
         properties = SimulationProperties(
             timesteps=timesteps,
             scenario=scenario,

@@ -139,12 +139,14 @@ class Effector:
 
         Sugar for :meth:`set_network_topology` targeting the current timestep.
         """
+        self._check_running()
         target = self._parse_topology(topology)
         self._sim.schedule_topology(self._sim.timestep, target)
         self._log(CommandKind.SET_CURRENT_TOPOLOGY, target)
 
     def set_active_links(self, active_links: int) -> None:
         """Override the next step's sampled active-link count (one step only)."""
+        self._check_running()
         if not isinstance(active_links, int) or isinstance(active_links, bool):
             raise EffectorError(f"active_links must be an integer, got {active_links!r}")
         if active_links < 0:
@@ -159,15 +161,21 @@ class Effector:
 
     def set_time_to_write(self, time_to_write: float) -> None:
         """Override the next step's write time in ms (one step only)."""
+        self._check_running()
         value = self._checked_scalar("time_to_write", time_to_write)
         self._sim.queue_override("time_to_write", value)
         self._log(CommandKind.SET_TIME_TO_WRITE, value)
 
     def set_bandwidth_consumption(self, bandwidth_consumption: float) -> None:
         """Override the next step's bandwidth in GBps (one step only)."""
+        self._check_running()
         value = self._checked_scalar("bandwidth_consumption", bandwidth_consumption)
         self._sim.queue_override("bandwidth_consumption", value)
         self._log(CommandKind.SET_BANDWIDTH_CONSUMPTION, value)
+
+    def _check_running(self) -> None:
+        if self._sim.finished:
+            raise EffectorError("the run has finished: no later step would apply the command")
 
     @staticmethod
     def _parse_topology(topology: object) -> Topology:

@@ -167,8 +167,6 @@ def build_network(
 
     The link count is m(m-1)/2; for the default 25 mirrors that is 300 links.
     """
-    if num_mirrors < 2:
-        raise ValueError(f"need at least 2 mirrors, got {num_mirrors}")
     return MirrorNetwork(
         num_mirrors=num_mirrors,
         total_links=num_mirrors * (num_mirrors - 1) // 2,
@@ -210,30 +208,28 @@ def sample_active_links(topology: Topology, ranges: TopologyRanges, rng: Random)
     return rng.randint(lower, upper)
 
 
+def _checked_link_product(active_links: int, alpha: float, per_link: float, name: str) -> float:
+    if active_links < 0:
+        raise ValueError("active_links must be >= 0")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if per_link <= 0:
+        raise ValueError(f"{name} must be > 0")
+    return alpha * active_links * per_link
+
+
 def compute_writing_time(active_links: int, alpha: float, unit_write_time: float) -> float:
     """Total write time in ms: alpha * active_links * unit_write_time.
 
     Writes are acknowledged per active link on the communication path, so the
     total scales linearly with the link count.
     """
-    if active_links < 0:
-        raise ValueError("active_links must be >= 0")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if unit_write_time <= 0:
-        raise ValueError("unit_write_time must be > 0")
-    return alpha * active_links * unit_write_time
+    return _checked_link_product(active_links, alpha, unit_write_time, "unit_write_time")
 
 
 def compute_bandwidth(active_links: int, alpha: float, bandwidth_per_link: float) -> float:
     """Total bandwidth in GBps: alpha * active_links * bandwidth_per_link."""
-    if active_links < 0:
-        raise ValueError("active_links must be >= 0")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if bandwidth_per_link <= 0:
-        raise ValueError("bandwidth_per_link must be > 0")
-    return alpha * active_links * bandwidth_per_link
+    return _checked_link_product(active_links, alpha, bandwidth_per_link, "bandwidth_per_link")
 
 
 def sample_base_monitorables(
@@ -245,7 +241,8 @@ def sample_base_monitorables(
     """Sample one timestep's undisturbed monitorables.
 
     Draw order is part of the replay contract: active links first, then the
-    unit write time, then the per-link bandwidth.
+    unit write time, then the per-link bandwidth. The inputs were checked at
+    construction, so the ``compute_*`` products are taken inline, in their order.
     """
     if topology is Topology.MST:
         lower, upper = ranges.mst_active_links_range
@@ -256,9 +253,5 @@ def sample_base_monitorables(
     unit_write_time = rng.uniform(lower, upper)
     lower, upper = network.bandwidth_per_link_range
     bandwidth_per_link = rng.uniform(lower, upper)
-    alpha = network.alpha
-    return Monitorables(
-        links,
-        compute_bandwidth(links, alpha, bandwidth_per_link),
-        compute_writing_time(links, alpha, unit_write_time),
-    )
+    scale = network.alpha * links
+    return Monitorables(links, scale * bandwidth_per_link, scale * unit_write_time)

@@ -95,29 +95,28 @@ class DisturbanceProfile:
         return self.rt_effects
 
 
-def _default_profile(scenario: ScenarioId) -> DisturbanceProfile:
-    reduce_links = EffectSet(active_links_factor=DEFAULT_LINK_REDUCTION)
-    inflate_load = EffectSet(
-        bandwidth_factor=DEFAULT_LOAD_INFLATION,
-        write_time_factor=DEFAULT_LOAD_INFLATION,
-    )
-    both = reduce_links.compose(inflate_load)
-    profiles = {
-        ScenarioId.S0: DisturbanceProfile(),
-        # Reliability drop while MST is selected; RT untouched.
-        ScenarioId.S1: DisturbanceProfile(mst_effects=reduce_links),
-        # Cost and write-time inflation while RT is selected; MST untouched.
-        ScenarioId.S2: DisturbanceProfile(rt_effects=inflate_load),
-        # S1 and S2 at once.
-        ScenarioId.S3: DisturbanceProfile(mst_effects=reduce_links, rt_effects=inflate_load),
-        # S1 plus load inflation, all while MST is selected.
-        ScenarioId.S4: DisturbanceProfile(mst_effects=both),
-        # S2 plus a reliability drop, all while RT is selected.
-        ScenarioId.S5: DisturbanceProfile(rt_effects=both),
-        # S4 and S5 at once: every objective degraded under either topology.
-        ScenarioId.S6: DisturbanceProfile(mst_effects=both, rt_effects=both),
-    }
-    return profiles[scenario]
+_REDUCE_LINKS = EffectSet(active_links_factor=DEFAULT_LINK_REDUCTION)
+_INFLATE_LOAD = EffectSet(
+    bandwidth_factor=DEFAULT_LOAD_INFLATION,
+    write_time_factor=DEFAULT_LOAD_INFLATION,
+)
+_BOTH = _REDUCE_LINKS.compose(_INFLATE_LOAD)
+# Checked once at import; ``scenario_profile`` returns these when there are no overrides.
+_DEFAULT_PROFILES = {
+    ScenarioId.S0: DisturbanceProfile(),
+    # Reliability drop while MST is selected; RT untouched.
+    ScenarioId.S1: DisturbanceProfile(mst_effects=_REDUCE_LINKS),
+    # Cost and write-time inflation while RT is selected; MST untouched.
+    ScenarioId.S2: DisturbanceProfile(rt_effects=_INFLATE_LOAD),
+    # S1 and S2 at once.
+    ScenarioId.S3: DisturbanceProfile(mst_effects=_REDUCE_LINKS, rt_effects=_INFLATE_LOAD),
+    # S1 plus load inflation, all while MST is selected.
+    ScenarioId.S4: DisturbanceProfile(mst_effects=_BOTH),
+    # S2 plus a reliability drop, all while RT is selected.
+    ScenarioId.S5: DisturbanceProfile(rt_effects=_BOTH),
+    # S4 and S5 at once: every objective degraded under either topology.
+    ScenarioId.S6: DisturbanceProfile(mst_effects=_BOTH, rt_effects=_BOTH),
+}
 
 
 def _effects_with_overrides(base: EffectSet, overrides: Mapping) -> EffectSet:
@@ -139,8 +138,7 @@ def scenario_profile(
     ``overrides`` maps "mst"/"rt" to partial factor-interval replacements,
     e.g. {"mst": {"active_links_factor": [0.5, 0.5]}}.
     """
-    scenario = ScenarioId.parse(scenario)
-    profile = _default_profile(scenario)
+    profile = _DEFAULT_PROFILES[ScenarioId.parse(scenario)]
     if not overrides:
         return profile
     unknown = set(overrides) - {"mst", "rt"}

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .config import ExperimentConfig
+from .config import THRESHOLD_FIELDS, ExperimentConfig
 from .management import CommandKind, CommandLog, Effector, EffectorError, ProbeError
 from .runner import (
     TRACE_FIELDS,
@@ -55,7 +55,10 @@ class SessionResult:
     trace: tuple[TraceRecord, ...]
     summary: Optional[SatisfactionSummary]
     command_log: CommandLog
-    completed: bool
+
+    @property
+    def completed(self) -> bool:
+        return self.summary is not None
 
 
 def record_payload(record: TraceRecord) -> dict:
@@ -72,10 +75,10 @@ class WireSession:
         self.sim: Simulation = build_simulation(config)
         self._next_seq = 0
         self._last_client_seq: Optional[int] = None
+        self._summary: Optional[SatisfactionSummary] = None  # set by the final step
 
     def run(self) -> SessionResult:
         self._send({"kind": "hello", "protocol": PROTOCOL_VERSION, "config": self._config_summary()})
-        completed = False
         while True:
             line = self.rfile.readline(MAX_LINE_CHARS)
             if not line:
@@ -90,19 +93,10 @@ class WireSession:
                 continue
             if not self._handle_line(line):
                 break
-            if self.sim.finished:
-                completed = True
-                break
-        summary = (
-            evaluate_satisfaction(self.sim.trace, self.config.properties.thresholds)
-            if completed
-            else None
-        )
         return SessionResult(
             trace=tuple(self.sim.trace),
-            summary=summary,
+            summary=self._summary,
             command_log=self.sim.command_log,
-            completed=completed,
         )
 
     def _handle_line(self, line: str) -> bool:
@@ -148,10 +142,11 @@ class WireSession:
             seq,
             {"kind": "step_complete", "timestep": record.timestep, "record": record_payload(record)},
         )
-        if self.sim.finished:
-            summary = evaluate_satisfaction(self.sim.trace, self.config.properties.thresholds)
-            self._send({"kind": "run_complete", "summary": summary.as_dict()})
-        return True
+        if not self.sim.finished:
+            return True
+        self._summary = evaluate_satisfaction(self.sim.trace, self.config.properties.thresholds)
+        self._send({"kind": "run_complete", "summary": self._summary.as_dict()})
+        return False  # the session ends with the run
 
     def _handle_probe(self, seq: int, kind: str) -> bool:
         reply_kind, encode = PROBE_REPLIES[kind]
@@ -194,9 +189,7 @@ class WireSession:
             "mst_active_links_range": list(ranges.mst_active_links_range),
             "rt_active_links_range": list(ranges.rt_active_links_range),
             "thresholds": {
-                "bandwidth_pct": props.thresholds.max_bandwidth_pct,
-                "write_time_pct": props.thresholds.max_write_time_pct,
-                "active_links_pct": props.thresholds.min_active_links_pct,
+                key: getattr(props.thresholds, field) for key, field in THRESHOLD_FIELDS.items()
             },
             "initial_topology": self.sim.current_topology.value,
             "disturbance_window": list(window) if window is not None else None,

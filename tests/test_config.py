@@ -96,6 +96,11 @@ def test_wrong_type_reports_path():
         config_from_mapping({"timesteps": True})
 
 
+def test_partial_thresholds_keep_the_other_defaults():
+    config = config_from_mapping({"thresholds": {"bandwidth_pct": 30}})
+    assert config.properties.thresholds == SatisfactionThresholds(max_bandwidth_pct=30.0)
+
+
 def test_unknown_scenario_is_schema_error():
     with pytest.raises(ConfigSchemaError) as excinfo:
         config_from_mapping({"scenario": "S9"})

@@ -7,7 +7,7 @@ import pytest
 
 from mirrorsim.management import CommandKind, EffectorError, ProbeError
 from mirrorsim.network import Topology
-from mirrorsim.runner import build_simulation
+from mirrorsim.runner import build_simulation, replay
 
 PROBE_NAMES = (
     "get_current_topology",
@@ -109,6 +109,27 @@ def test_set_network_topology_rejects_targets_past_the_end(make_config):
     sim.effector.set_network_topology(4, "rt")  # the last step is still reachable
     records = [sim.step() for _ in range(5)]
     assert records[4].adaptation is Topology.RT
+
+
+def test_effectors_refuse_commands_after_the_run_finished(make_config):
+    config = make_config(seed=2, timesteps=3)
+    sim = build_simulation(config)
+    sim.effector.set_active_links(200)
+    sim.step()
+    sim.effector.set_current_topology("rt")
+    while not sim.finished:
+        sim.step()
+    log = sim.command_log.entries
+    for name, value in (
+        ("set_current_topology", "mst"),
+        ("set_active_links", 10),
+        ("set_time_to_write", 5.0),
+        ("set_bandwidth_consumption", 5.0),
+    ):
+        with pytest.raises(EffectorError, match="run has finished"):
+            getattr(sim.effector, name)(value)
+    assert sim.command_log.entries == log
+    assert replay(sim.command_log, config).command_log == sim.command_log
 
 
 def test_last_command_for_a_target_wins(make_config):

@@ -113,6 +113,20 @@ def test_profile_overrides():
         scenario_profile(ScenarioId.S1, {"mst": {"active_links_factor": [0.7, 0.4]}})
 
 
+@pytest.mark.parametrize("scenario", list(ScenarioId))
+def test_default_profile_is_shared(scenario):
+    assert scenario_profile(scenario) is scenario_profile(scenario)
+
+
+def test_override_builds_a_new_profile_and_keeps_the_default():
+    default = scenario_profile(ScenarioId.S1)
+    overridden = scenario_profile(ScenarioId.S1, {"mst": {"active_links_factor": [0.5, 0.5]}})
+    assert overridden is not default
+    assert overridden.mst_effects.active_links_factor == (0.5, 0.5)
+    assert scenario_profile(ScenarioId.S1) is default
+    assert default.mst_effects.active_links_factor == DEFAULT_LINK_REDUCTION
+
+
 def test_initial_topologies():
     rng = Random(0)
     assert initial_topology(ScenarioId.S0, rng) is Topology.MST

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import mirrorsim.wire
+from mirrorsim.config import default_config_mapping
 from mirrorsim.management import CommandKind, Effector, Probe
 from mirrorsim.managers import NullManager
 from mirrorsim.runner import TRACE_CSV_HEADER, render_trace_csv, run
@@ -130,6 +132,30 @@ def _serve_lines(config, text: str) -> tuple[list[dict], object]:
     out = io.StringIO()
     result = WireSession(config, io.StringIO(text), out).run()
     return [json.loads(line) for line in out.getvalue().splitlines()], result
+
+
+def test_completed_session_evaluates_the_summary_once(make_config, monkeypatch):
+    calls = []
+    evaluate = mirrorsim.wire.evaluate_satisfaction
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(mirrorsim.wire, "evaluate_satisfaction", counting)
+    text = "".join(f'{{"seq": {seq}, "kind": "step"}}\n' for seq in (1, 2, 3))
+    messages, result = _serve_lines(make_config(seed=5, timesteps=3), text)
+    assert messages[-1]["kind"] == "run_complete"
+    assert len(calls) == 1
+    assert result.completed
+    assert result.summary.as_dict() == messages[-1]["summary"]
+
+
+def test_hello_thresholds_use_the_config_file_keys(make_config):
+    messages, result = _serve_lines(make_config(timesteps=1), "")
+    thresholds = messages[0]["config"]["thresholds"]
+    assert thresholds.keys() == default_config_mapping()["thresholds"].keys()
+    assert not result.completed and result.summary is None
 
 
 def test_over_long_request_line_terminates_session(make_config):
