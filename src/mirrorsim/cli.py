@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .config import (
     CONFIG_PATH_ENV_VAR,
+    THRESHOLD_FIELDS,
     ConfigError,
     ExperimentConfig,
     SatisfactionThresholds,
@@ -22,7 +23,14 @@ from .config import (
     load_config,
 )
 from .managers import DEFAULT_SWITCH_PROBABILITY, MANAGER_NAMES, create_manager
-from .runner import TRACE_CSV_HEADER, TRACE_FIELDS, ManagerError, run, write_trace_csv
+from .runner import (
+    TRACE_CSV_HEADER,
+    TRACE_FIELDS,
+    ManagerError,
+    NormalizedMetrics,
+    run,
+    write_trace_csv,
+)
 from .scenarios import ScenarioId
 from .wire import serve_stdio, serve_tcp
 
@@ -85,11 +93,9 @@ def emit_plot_data(trace_text: str, thresholds: SatisfactionThresholds) -> str:
     lines = trace_text.splitlines()
     if not lines or lines[0] != TRACE_CSV_HEADER:
         raise ValueError("malformed trace: unexpected header")
-    series = (
-        ("active_links_pct", thresholds.min_active_links_pct),
-        ("bandwidth_pct", thresholds.max_bandwidth_pct),
-        ("write_time_pct", thresholds.max_write_time_pct),
-    )
+    series = [
+        (name, getattr(thresholds, THRESHOLD_FIELDS[name])) for name in NormalizedMetrics._fields
+    ]
     out = [PLOT_CSV_HEADER]
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")

@@ -8,7 +8,7 @@ for 100 timesteps under the stable scenario S0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -23,7 +23,7 @@ from .network import (
     build_network,
     topology_ranges_from_pct,
 )
-from .scenarios import FACTOR_NAMES, ScenarioId, scenario_profile
+from .scenarios import FACTOR_NAMES, DisturbanceProfile, ScenarioId, scenario_profile
 
 DEFAULT_NUM_MIRRORS = 25
 DEFAULT_TIMESTEPS = 100
@@ -104,14 +104,21 @@ class SimulationProperties:
                 )
 
 
+def _default_scenario_profiles() -> dict:
+    return {scenario: scenario_profile(scenario) for scenario in ScenarioId}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs: network facts, link ranges, properties, overrides."""
+    """Everything a run needs: network facts, link ranges, properties, and the
+    disturbance profile of every scenario (the defaults unless overridden)."""
 
     network: MirrorNetwork
     ranges: TopologyRanges
     properties: SimulationProperties
-    scenario_overrides: Optional[Mapping] = None
+    scenario_profiles: Mapping[ScenarioId, DisturbanceProfile] = field(
+        default_factory=_default_scenario_profiles, hash=False
+    )
 
     def with_updates(
         self,
@@ -207,7 +214,7 @@ def _parse_disturbances(raw: object) -> dict:
                     )
                 parsed_factors[name] = _as_number_pair(bounds, factor_path)
             parsed_sides[side] = parsed_factors
-        overrides[scenario.value] = parsed_sides
+        overrides[scenario] = parsed_sides
     return overrides
 
 
@@ -270,9 +277,14 @@ def config_from_mapping(raw: Mapping) -> ExperimentConfig:
             thresholds=thresholds,
             disturbance_window=window,
         )
-        # Surface bad override intervals at load time, not mid-run.
-        for scenario_key, per_topology in overrides.items():
-            scenario_profile(ScenarioId(scenario_key), per_topology)
+        # Build each overridden profile once, here, so bad intervals surface at load.
+        profiles = _default_scenario_profiles()
+        for overridden, sides in overrides.items():
+            default = profiles[overridden]
+            profiles[overridden] = DisturbanceProfile(
+                mst_effects=replace(default.mst_effects, **sides.get("mst", {})),
+                rt_effects=replace(default.rt_effects, **sides.get("rt", {})),
+            )
     except ValueError as exc:
         raise ConfigInvariantError(str(exc)) from None
 
@@ -280,7 +292,7 @@ def config_from_mapping(raw: Mapping) -> ExperimentConfig:
         network=network,
         ranges=ranges,
         properties=properties,
-        scenario_overrides=overrides or None,
+        scenario_profiles=profiles,
     )
 
 

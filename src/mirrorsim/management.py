@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .network import Monitorables, Topology, round_half_up
 
@@ -40,34 +40,6 @@ class EffectorCommand:
     payload: object
     issued_at: int
     target_timestep: Optional[int] = None  # SET_NETWORK_TOPOLOGY only
-
-
-class CommandLog:
-    """Append-only record of every effector command issued during a run."""
-
-    def __init__(self) -> None:
-        self._entries: list[EffectorCommand] = []
-
-    def append(self, command: EffectorCommand) -> None:
-        self._entries.append(command)
-
-    @property
-    def entries(self) -> tuple[EffectorCommand, ...]:
-        return tuple(self._entries)
-
-    def issued_at(self, timestep: int) -> tuple[EffectorCommand, ...]:
-        return tuple(cmd for cmd in self._entries if cmd.issued_at == timestep)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[EffectorCommand]:
-        return iter(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CommandLog):
-            return NotImplemented
-        return self._entries == other._entries
 
 
 class Probe:

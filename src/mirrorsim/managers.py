@@ -165,8 +165,6 @@ def create_manager(
     thresholds: SatisfactionThresholds,
     seed: int,
     switch_probability: float = DEFAULT_SWITCH_PROBABILITY,
-    window_length: int = DEFAULT_WINDOW_LENGTH,
-    cooldown: int = DEFAULT_COOLDOWN,
 ):
     """Instantiate a reference manager by name ("null", "random", "threshold")."""
     if name == "null":
@@ -176,5 +174,5 @@ def create_manager(
         # and disjoint from the environment stream Random(seed).
         return RandomManager(switch_probability, Random(f"manager:{seed}"))
     if name == "threshold":
-        return ThresholdRuleManager(network, thresholds, window_length, cooldown)
+        return ThresholdRuleManager(network, thresholds)
     raise ValueError(f"unknown manager name: {name!r} (expected one of {MANAGER_NAMES})")

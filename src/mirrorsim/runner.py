@@ -13,7 +13,7 @@ from random import Random
 from typing import NamedTuple, Optional, Sequence
 
 from .config import ExperimentConfig, SatisfactionThresholds, SimulationProperties
-from .management import CommandLog, Effector, EffectorCommand, Probe
+from .management import Effector, EffectorCommand, Probe
 from .network import (
     MirrorNetwork,
     Monitorables,
@@ -21,7 +21,7 @@ from .network import (
     TopologyRanges,
     sample_base_monitorables,
 )
-from .scenarios import ScenarioState, apply_disturbance, initial_topology, scenario_profile
+from .scenarios import ScenarioState, apply_disturbance, initial_topology
 
 
 class SimulationError(RuntimeError):
@@ -132,7 +132,7 @@ class Simulation:
         self.timestep = 0  # index of the next step to execute
         self.current_topology = initial_topology(scenario_state.scenario, self.rng)
         self.trace: list[TraceRecord] = []
-        self.command_log = CommandLog()
+        self.command_log: list[EffectorCommand] = []
         self._topology_schedule: dict[int, Topology] = {}
         self._pending_overrides: dict[str, float] = {}
         self.probe = Probe(self)
@@ -210,15 +210,14 @@ class Simulation:
 class RunResult:
     trace: tuple[TraceRecord, ...]
     summary: SatisfactionSummary
-    command_log: CommandLog
+    command_log: list[EffectorCommand]
 
 
 def build_simulation(config: ExperimentConfig) -> Simulation:
     props = config.properties
-    overrides = (config.scenario_overrides or {}).get(props.scenario.value)
     state = ScenarioState(
         scenario=props.scenario,
-        profile=scenario_profile(props.scenario, overrides),
+        profile=config.scenario_profiles[props.scenario],
         window=props.disturbance_window,
     )
     return Simulation(config.network, config.ranges, state, props)
@@ -245,7 +244,7 @@ def run(manager, config: ExperimentConfig) -> RunResult:
     return RunResult(trace=tuple(sim.trace), summary=summary, command_log=sim.command_log)
 
 
-def replay(log: CommandLog, config: ExperimentConfig) -> RunResult:
+def replay(log: Sequence[EffectorCommand], config: ExperimentConfig) -> RunResult:
     """Re-drive a fresh simulation from a command log.
 
     Commands are reissued at their recorded timesteps in their original

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from random import Random
-from typing import Mapping, Optional
+from typing import Optional
 
 from .network import (
     MirrorNetwork,
@@ -101,7 +101,7 @@ _INFLATE_LOAD = EffectSet(
     write_time_factor=DEFAULT_LOAD_INFLATION,
 )
 _BOTH = _REDUCE_LINKS.compose(_INFLATE_LOAD)
-# Checked once at import; ``scenario_profile`` returns these when there are no overrides.
+# Checked once at import; ``scenario_profile`` returns these shared instances.
 _DEFAULT_PROFILES = {
     ScenarioId.S0: DisturbanceProfile(),
     # Reliability drop while MST is selected; RT untouched.
@@ -119,38 +119,13 @@ _DEFAULT_PROFILES = {
 }
 
 
-def _effects_with_overrides(base: EffectSet, overrides: Mapping) -> EffectSet:
-    unknown = set(overrides) - set(FACTOR_NAMES)
-    if unknown:
-        raise ValueError(f"unknown effect factor name(s): {sorted(unknown)}")
-    fields = {name: getattr(base, name) for name in FACTOR_NAMES}
-    for name, bounds in overrides.items():
-        lower, upper = bounds
-        fields[name] = (float(lower), float(upper))
-    return EffectSet(**fields)
+def scenario_profile(scenario: ScenarioId) -> DisturbanceProfile:
+    """Return the scenario's default disturbance profile (one shared instance).
 
-
-def scenario_profile(
-    scenario: ScenarioId, overrides: Optional[Mapping] = None
-) -> DisturbanceProfile:
-    """Return the scenario's disturbance profile, with optional per-interval overrides.
-
-    ``overrides`` maps "mst"/"rt" to partial factor-interval replacements,
-    e.g. {"mst": {"active_links_factor": [0.5, 0.5]}}.
+    A configuration's ``disturbances`` overrides are built into its
+    ``scenario_profiles`` at load time.
     """
-    profile = _DEFAULT_PROFILES[ScenarioId.parse(scenario)]
-    if not overrides:
-        return profile
-    unknown = set(overrides) - {"mst", "rt"}
-    if unknown:
-        raise ValueError(f"unknown topology key(s) in scenario overrides: {sorted(unknown)}")
-    mst = profile.mst_effects
-    rt = profile.rt_effects
-    if "mst" in overrides:
-        mst = _effects_with_overrides(mst, overrides["mst"])
-    if "rt" in overrides:
-        rt = _effects_with_overrides(rt, overrides["rt"])
-    return DisturbanceProfile(mst_effects=mst, rt_effects=rt)
+    return _DEFAULT_PROFILES[ScenarioId.parse(scenario)]
 
 
 @dataclass(frozen=True)

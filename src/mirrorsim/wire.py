@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .config import THRESHOLD_FIELDS, ExperimentConfig
-from .management import CommandKind, CommandLog, Effector, EffectorError, ProbeError
+from .management import CommandKind, Effector, EffectorCommand, EffectorError, ProbeError
 from .runner import (
     TRACE_FIELDS,
     SatisfactionSummary,
@@ -54,7 +54,7 @@ class SessionResult:
 
     trace: tuple[TraceRecord, ...]
     summary: Optional[SatisfactionSummary]
-    command_log: CommandLog
+    command_log: list[EffectorCommand]
 
     @property
     def completed(self) -> bool:
@@ -134,9 +134,6 @@ class WireSession:
         return False
 
     def _handle_step(self, seq: int) -> bool:
-        if self.sim.finished:
-            self._send_error(seq, "run_finished", "all timesteps already executed")
-            return False
         record = self.sim.step()
         self._reply(
             seq,
@@ -214,13 +211,9 @@ class WireSession:
             pass  # client went away; the read loop will see EOF and abort
 
 
-def serve_stdio(config: ExperimentConfig, rfile=None, wfile=None) -> SessionResult:
+def serve_stdio(config: ExperimentConfig) -> SessionResult:
     """Run one session over stdio (stdout carries only protocol messages)."""
-    return WireSession(
-        config,
-        rfile if rfile is not None else sys.stdin,
-        wfile if wfile is not None else sys.stdout,
-    ).run()
+    return WireSession(config, sys.stdin, sys.stdout).run()
 
 
 def serve_tcp(

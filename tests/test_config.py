@@ -16,7 +16,7 @@ from mirrorsim.config import (
     default_config_mapping,
     load_config,
 )
-from mirrorsim.scenarios import ScenarioId
+from mirrorsim.scenarios import DisturbanceProfile, EffectSet, ScenarioId, scenario_profile
 
 
 def write_config(tmp_path, mapping):
@@ -59,7 +59,7 @@ def test_empty_mapping_gets_all_defaults():
     config = config_from_mapping({})
     assert config == default_config()
     assert config.network.alpha == 1.0
-    assert config.scenario_overrides is None
+    assert config.scenario_profiles == {s: scenario_profile(s) for s in ScenarioId}
 
 
 def test_omitted_scenario_defaults_to_s0(tmp_path):
@@ -142,7 +142,10 @@ def test_disturbance_overrides_parse_and_apply():
             "disturbances": {"S1": {"mst": {"active_links_factor": [0.5, 0.6]}}},
         }
     )
-    assert config.scenario_overrides == {"S1": {"mst": {"active_links_factor": (0.5, 0.6)}}}
+    profiles = config.scenario_profiles
+    overridden = DisturbanceProfile(mst_effects=EffectSet(active_links_factor=(0.5, 0.6)))
+    assert profiles[ScenarioId.S1] == overridden
+    assert all(profiles[s] is scenario_profile(s) for s in ScenarioId if s is not ScenarioId.S1)
 
 
 def test_disturbance_override_paths_and_invariants():

@@ -34,7 +34,6 @@ from mirrorsim import (
     normalize,
     run,
     sample_base_monitorables,
-    scenario_profile,
 )
 from mirrorsim.network import compute_bandwidth, compute_writing_time, round_half_up
 from mirrorsim.scenarios import FACTOR_NAMES
@@ -131,7 +130,9 @@ def scenario_states(draw):
             st.tuples(st.integers(0, 20), st.integers(0, 20)).map(lambda w: (w[0], w[0] + w[1])),
         )
     )
-    return ScenarioState(scenario, scenario_profile(scenario, overrides), window)
+    disturbances = {scenario.value: overrides or {}}
+    profiles = config_from_mapping({"disturbances": disturbances}).scenario_profiles
+    return ScenarioState(scenario, profiles[scenario], window)
 
 
 topologies = st.sampled_from([Topology.MST, Topology.RT])

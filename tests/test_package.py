@@ -1,0 +1,28 @@
+"""The package's public surface and the README examples."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import mirrorsim
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in mirrorsim.__all__ if not hasattr(mirrorsim, name)]
+    assert missing == []
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                        flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    for block in blocks:  # later blocks use the names the quick start defines
+        exec(compile(block, str(README), "exec"), namespace)
+    assert (tmp_path / "trace.csv").is_file()
+    assert namespace["replayed"].trace == namespace["result"].trace
+    assert namespace["sim"].finished

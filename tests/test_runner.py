@@ -20,6 +20,7 @@ from mirrorsim.runner import (
     replay,
     run,
 )
+from mirrorsim.scenarios import ScenarioId
 
 NETWORK = build_network(25)
 
@@ -144,6 +145,16 @@ def test_replay_reproduces_mixed_commands(make_config):
     replayed = replay(sim.command_log, config)
     assert replayed.trace == tuple(sim.trace)
     assert replayed.command_log == sim.command_log
+
+
+def test_runs_share_the_configured_override_profile(make_config):
+    config = make_config(
+        scenario="S1", disturbances={"S1": {"mst": {"active_links_factor": [0.5, 0.6]}}}
+    )
+    profile = config.scenario_profiles[ScenarioId.S1]
+    assert profile.mst_effects.active_links_factor == (0.5, 0.6)
+    assert build_simulation(config).scenario_state.profile is profile
+    assert build_simulation(config).scenario_state.profile is profile
 
 
 def test_replay_reproduces_manager_run(make_config):

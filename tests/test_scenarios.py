@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mirrorsim.config import ConfigError, config_from_mapping
 from mirrorsim.network import Monitorables, Topology, build_network
 from mirrorsim.scenarios import (
     DEFAULT_LINK_REDUCTION,
@@ -24,9 +25,15 @@ from mirrorsim.scenarios import (
 NETWORK = build_network(25)
 
 
+def overridden_profile(scenario, overrides):
+    scenario = ScenarioId.parse(scenario)
+    config = config_from_mapping({"disturbances": {scenario.value: overrides}})
+    return config.scenario_profiles[scenario]
+
+
 def make_state(scenario, overrides=None, window=None):
     scenario = ScenarioId.parse(scenario)
-    return ScenarioState(scenario, scenario_profile(scenario, overrides), window)
+    return ScenarioState(scenario, overridden_profile(scenario, overrides or {}), window)
 
 
 def test_scenario_parse():
@@ -100,17 +107,15 @@ def test_effect_set_invariants():
 
 
 def test_profile_overrides():
-    profile = scenario_profile(
-        ScenarioId.S1, {"mst": {"active_links_factor": [0.5, 0.5]}}
-    )
+    profile = overridden_profile(ScenarioId.S1, {"mst": {"active_links_factor": [0.5, 0.5]}})
     assert profile.mst_effects.active_links_factor == (0.5, 0.5)
     assert profile.rt_effects.is_identity
-    with pytest.raises(ValueError):
-        scenario_profile(ScenarioId.S1, {"ring": {}})
-    with pytest.raises(ValueError):
-        scenario_profile(ScenarioId.S1, {"mst": {"latency_factor": [1, 2]}})
-    with pytest.raises(ValueError):
-        scenario_profile(ScenarioId.S1, {"mst": {"active_links_factor": [0.7, 0.4]}})
+    with pytest.raises(ConfigError):
+        overridden_profile(ScenarioId.S1, {"ring": {}})
+    with pytest.raises(ConfigError):
+        overridden_profile(ScenarioId.S1, {"mst": {"latency_factor": [1, 2]}})
+    with pytest.raises(ConfigError):
+        overridden_profile(ScenarioId.S1, {"mst": {"active_links_factor": [0.7, 0.4]}})
 
 
 @pytest.mark.parametrize("scenario", list(ScenarioId))
@@ -120,7 +125,7 @@ def test_default_profile_is_shared(scenario):
 
 def test_override_builds_a_new_profile_and_keeps_the_default():
     default = scenario_profile(ScenarioId.S1)
-    overridden = scenario_profile(ScenarioId.S1, {"mst": {"active_links_factor": [0.5, 0.5]}})
+    overridden = overridden_profile(ScenarioId.S1, {"mst": {"active_links_factor": [0.5, 0.5]}})
     assert overridden is not default
     assert overridden.mst_effects.active_links_factor == (0.5, 0.5)
     assert scenario_profile(ScenarioId.S1) is default

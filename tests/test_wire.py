@@ -151,6 +151,14 @@ def test_completed_session_evaluates_the_summary_once(make_config, monkeypatch):
     assert result.summary.as_dict() == messages[-1]["summary"]
 
 
+def test_steps_after_the_final_one_get_no_reply(make_config):
+    text = "".join(f'{{"seq": {seq}, "kind": "step"}}\n' for seq in (1, 2, 3))
+    messages, result = _serve_lines(make_config(seed=5, timesteps=2), text)
+    kinds = [m["kind"] for m in messages]
+    assert kinds == ["hello", "step_complete", "step_complete", "run_complete"]
+    assert result.completed
+
+
 def test_hello_thresholds_use_the_config_file_keys(make_config):
     messages, result = _serve_lines(make_config(timesteps=1), "")
     thresholds = messages[0]["config"]["thresholds"]
