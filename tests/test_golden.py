@@ -6,7 +6,11 @@ one extra threshold-driven session runs over the line-JSON wire. A change
 that moves one drawn number, one float operation or one CSV byte changes a
 digest here. For that wire session the server's whole output stream is
 pinned as well, so a change of JSON key order, float formatting or message
-shape changes a digest too.
+shape changes a digest too. One long threshold run pins both its trace and
+the bytes of its summary JSON: over 10,000 steps the window means decide
+switches that sit exactly on a threshold, and the run means carry every
+last digit, so a change of summation order (as in ``sum()`` since CPython
+3.12) changes a digest.
 
 To print the table for the current source (only when a change of the trace
 is intended and documented): ``PYTHONPATH=src:tests python tests/test_golden.py``.
@@ -14,7 +18,9 @@ is intended and documented): ``PYTHONPATH=src:tests python tests/test_golden.py`
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import json
 
 import pytest
 
@@ -27,6 +33,7 @@ MANAGERS = ("null", "random", "threshold")
 SEEDS = (7, 2021)
 STEPS = 500
 WIRE_CASE = ("S3", 13)
+LONG_CASE = ("S3", 1, 10_000)  # scenario, seed, steps; threshold manager
 
 GOLDEN = {
     ("S0", "null", 7): "f36fcf9fb78cc4a8d991342fe40d30e9a25ae3e366645167ec9dd8365a479a23",
@@ -77,6 +84,10 @@ WIRE_GOLDEN = "e007ab30485a153622b96daec7e6e56087108c89a4a2d5930a0c229a1fa8225f"
 
 WIRE_STREAM_GOLDEN = "e2e43bc90857ec1bc8d7aa8f80a494b315f5a16491b1ad50738e79b89e7f5de5"
 
+LONG_TRACE_GOLDEN = "8586796a0a3ac8c43c8169dedb54c86f21c12eb34922c24f18d5a0204f6123e6"
+
+LONG_SUMMARY_GOLDEN = "f4081fd6e8b6de5b43ce1728231d96afb2df6973ddc912957dd1267b58a10c51"
+
 
 def _config(scenario: str, seed: int):
     return config_from_mapping({"scenario": scenario, "seed": seed, "timesteps": STEPS})
@@ -112,6 +123,18 @@ def wire_stream_digest(scenario: str, seed: int) -> str:
     return hashlib.sha256("".join(harness.received).encode("utf-8")).hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def long_run_digests(scenario: str, seed: int, steps: int) -> tuple[str, str]:
+    """SHA-256 of the trace and of ``json.dumps(summary.as_dict(), indent=2)``."""
+    config = config_from_mapping({"scenario": scenario, "seed": seed, "timesteps": steps})
+    manager = create_manager(
+        "threshold", network=config.network, thresholds=config.properties.thresholds, seed=seed
+    )
+    result = run(manager, config)
+    summary_text = json.dumps(result.summary.as_dict(), indent=2)
+    return _digest(result.trace), hashlib.sha256(summary_text.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("manager_name", MANAGERS)
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -127,6 +150,14 @@ def test_wire_threshold_session_stream_digest():
     assert wire_stream_digest(*WIRE_CASE) == WIRE_STREAM_GOLDEN
 
 
+def test_long_threshold_trace_digest():
+    assert long_run_digests(*LONG_CASE)[0] == LONG_TRACE_GOLDEN
+
+
+def test_long_threshold_summary_digest():
+    assert long_run_digests(*LONG_CASE)[1] == LONG_SUMMARY_GOLDEN
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for scenario in SCENARIOS:
@@ -139,3 +170,8 @@ if __name__ == "__main__":
     print(f'WIRE_GOLDEN = "{wire_digest(*WIRE_CASE)}"')
     print()
     print(f'WIRE_STREAM_GOLDEN = "{wire_stream_digest(*WIRE_CASE)}"')
+    long_trace, long_summary = long_run_digests(*LONG_CASE)
+    print()
+    print(f'LONG_TRACE_GOLDEN = "{long_trace}"')
+    print()
+    print(f'LONG_SUMMARY_GOLDEN = "{long_summary}"')
