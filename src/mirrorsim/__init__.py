@@ -41,9 +41,6 @@ from .network import (
     Topology,
     TopologyRanges,
     build_network,
-    compute_bandwidth,
-    compute_writing_time,
-    sample_active_links,
     sample_base_monitorables,
     topology_ranges_from_pct,
 )
@@ -112,8 +109,6 @@ __all__ = [
     "apply_disturbance",
     "build_network",
     "build_simulation",
-    "compute_bandwidth",
-    "compute_writing_time",
     "config_from_mapping",
     "create_manager",
     "default_config",
@@ -125,7 +120,6 @@ __all__ = [
     "render_trace_csv",
     "replay",
     "run",
-    "sample_active_links",
     "sample_base_monitorables",
     "scenario_profile",
     "topology_ranges_from_pct",

@@ -145,10 +145,9 @@ def _cmd_run(args) -> int:
             )
             result = run(manager, cfg)
             stem = f"{scenario.value}_{args.manager}_seed{seed}"
-            write_trace_csv(result.trace, output_dir / f"{stem}_trace.csv")
+            trace_text = write_trace_csv(result.trace, output_dir / f"{stem}_trace.csv")
             _write_json(output_dir / f"{stem}_summary.json", result.summary.as_dict())
             if args.plot_data:
-                trace_text = (output_dir / f"{stem}_trace.csv").read_text(encoding="utf-8")
                 _write_text(
                     output_dir / f"{stem}_plot.csv",
                     emit_plot_data(trace_text, cfg.properties.thresholds),

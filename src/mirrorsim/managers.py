@@ -16,7 +16,7 @@ from typing import Optional
 
 from .config import SatisfactionThresholds
 from .network import MirrorNetwork, Topology
-from .runner import NormalizedMetrics, normalize
+from .runner import NormalizedMetrics, column_means, normalize
 
 DEFAULT_WINDOW_LENGTH = 5
 DEFAULT_COOLDOWN = 3
@@ -31,10 +31,6 @@ class ManagerDecision:
 
     switch_to: Optional[Topology]
     rationale: str = ""
-
-    @property
-    def is_switch(self) -> bool:
-        return self.switch_to is not None
 
     @classmethod
     def no_op(cls, rationale: str = "no-op") -> "ManagerDecision":
@@ -96,11 +92,7 @@ class KnowledgeBase:
         self.window.append(metrics)
 
     def window_means(self) -> NormalizedMetrics:
-        count = len(self.window)
-        active_links, bandwidth, write_time = zip(*self.window)
-        return NormalizedMetrics(
-            sum(active_links) / count, sum(bandwidth) / count, sum(write_time) / count
-        )
+        return column_means(self.window)
 
 
 class ThresholdRuleManager:

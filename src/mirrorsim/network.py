@@ -4,7 +4,7 @@ The network is a fully connected graph of data mirrors described only by
 aggregate facts: how many mirrors, how many links, and the per-link parameter
 ranges. Each timestep the simulator draws an active-link count for the
 selected topology plus one write-time unit and one per-link bandwidth, then
-derives the two load metrics from the closed-form products below.
+derives each load metric as alpha * active_links * its drawn unit.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class Topology(enum.Enum):
             raise ValueError(f"unknown topology name: {name!r}") from None
 
 
-def _check_positive_range(name: str, bounds: tuple[float, float]) -> None:
+def check_positive_range(name: str, bounds: tuple[float, float]) -> None:
     lower, upper = bounds
     # The step path trusts these bounds, so NaN and infinity stop here.
     if not (math.isfinite(lower) and math.isfinite(upper)):
@@ -88,8 +88,8 @@ class MirrorNetwork:
             )
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        _check_positive_range("bandwidth_per_link_range", self.bandwidth_per_link_range)
-        _check_positive_range("unit_write_time_range", self.unit_write_time_range)
+        check_positive_range("bandwidth_per_link_range", self.bandwidth_per_link_range)
+        check_positive_range("unit_write_time_range", self.unit_write_time_range)
         object.__setattr__(
             self, "bandwidth_basis", self.total_links * self.bandwidth_per_link_range[1]
         )
@@ -122,11 +122,6 @@ class TopologyRanges:
             raise ValueError(
                 "RT active-link range must not start below the MST range's upper bound"
             )
-
-    def range_for(self, topology: Topology) -> tuple[int, int]:
-        if topology is Topology.MST:
-            return self.mst_active_links_range
-        return self.rt_active_links_range
 
 
 class _MonitorablesFields(NamedTuple):
@@ -202,36 +197,6 @@ def topology_ranges_from_pct(
     )
 
 
-def sample_active_links(topology: Topology, ranges: TopologyRanges, rng: Random) -> int:
-    """Draw an active-link count uniformly from the range of ``topology``."""
-    lower, upper = ranges.range_for(topology)
-    return rng.randint(lower, upper)
-
-
-def _checked_link_product(active_links: int, alpha: float, per_link: float, name: str) -> float:
-    if active_links < 0:
-        raise ValueError("active_links must be >= 0")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if per_link <= 0:
-        raise ValueError(f"{name} must be > 0")
-    return alpha * active_links * per_link
-
-
-def compute_writing_time(active_links: int, alpha: float, unit_write_time: float) -> float:
-    """Total write time in ms: alpha * active_links * unit_write_time.
-
-    Writes are acknowledged per active link on the communication path, so the
-    total scales linearly with the link count.
-    """
-    return _checked_link_product(active_links, alpha, unit_write_time, "unit_write_time")
-
-
-def compute_bandwidth(active_links: int, alpha: float, bandwidth_per_link: float) -> float:
-    """Total bandwidth in GBps: alpha * active_links * bandwidth_per_link."""
-    return _checked_link_product(active_links, alpha, bandwidth_per_link, "bandwidth_per_link")
-
-
 def sample_base_monitorables(
     topology: Topology,
     network: MirrorNetwork,
@@ -242,7 +207,7 @@ def sample_base_monitorables(
 
     Draw order is part of the replay contract: active links first, then the
     unit write time, then the per-link bandwidth. The inputs were checked at
-    construction, so the ``compute_*`` products are taken inline, in their order.
+    construction, so the products ``alpha * links * unit`` are taken unchecked.
     """
     if topology is Topology.MST:
         lower, upper = ranges.mst_active_links_range

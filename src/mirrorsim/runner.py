@@ -42,6 +42,19 @@ class NormalizedMetrics(NamedTuple):
     write_time_pct: float
 
 
+def column_means(rows: Sequence[NormalizedMetrics]) -> NormalizedMetrics:
+    """Per-column means, summed left to right from 0.0: the same bits on every
+    Python, unlike ``sum()``, which is compensated from CPython 3.12 on.
+    """
+    links = bandwidth = write_time = 0.0
+    for links_pct, bandwidth_pct, write_time_pct in rows:
+        links += links_pct
+        bandwidth += bandwidth_pct
+        write_time += write_time_pct
+    count = len(rows)
+    return NormalizedMetrics(links / count, bandwidth / count, write_time / count)
+
+
 def normalize(monitorables: Monitorables, network: MirrorNetwork) -> NormalizedMetrics:
     """Express the three monitorables as percentages of their per-step maxima.
 
@@ -91,10 +104,9 @@ def evaluate_satisfaction(
     """Arithmetic means over the whole trace, compared inclusively."""
     if not trace:
         raise ValueError("cannot evaluate an empty trace")
-    count = len(trace)
-    mean_bandwidth = sum(r.normalized.bandwidth_pct for r in trace) / count
-    mean_write_time = sum(r.normalized.write_time_pct for r in trace) / count
-    mean_active_links = sum(r.normalized.active_links_pct for r in trace) / count
+    mean_active_links, mean_bandwidth, mean_write_time = column_means(
+        [r.normalized for r in trace]
+    )
     return SatisfactionSummary(
         mean_bandwidth_pct=mean_bandwidth,
         mean_write_time_pct=mean_write_time,
@@ -208,9 +220,17 @@ class Simulation:
 
 @dataclass(frozen=True)
 class RunResult:
+    """What a run produced, in process or over the wire; ``summary`` is None
+    only for a wire session that ended before its final step.
+    """
+
     trace: tuple[TraceRecord, ...]
-    summary: SatisfactionSummary
+    summary: Optional[SatisfactionSummary]
     command_log: list[EffectorCommand]
+
+    @property
+    def completed(self) -> bool:
+        return self.summary is not None
 
 
 def build_simulation(config: ExperimentConfig) -> Simulation:
@@ -292,6 +312,9 @@ def render_trace_csv(trace: Sequence[TraceRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace_csv(trace: Sequence[TraceRecord], path) -> None:
+def write_trace_csv(trace: Sequence[TraceRecord], path) -> str:
+    """Write ``render_trace_csv(trace)`` to ``path`` and return the text written."""
+    text = render_trace_csv(trace)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(render_trace_csv(trace))
+        handle.write(text)
+    return text

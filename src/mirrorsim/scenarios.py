@@ -18,7 +18,7 @@ from .network import (
     MirrorNetwork,
     Monitorables,
     Topology,
-    _check_positive_range,
+    check_positive_range,
     round_half_up,
 )
 
@@ -60,11 +60,7 @@ class EffectSet:
 
     def __post_init__(self) -> None:
         for name in FACTOR_NAMES:
-            _check_positive_range(name, getattr(self, name))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(getattr(self, name) == IDENTITY_INTERVAL for name in FACTOR_NAMES)
+            check_positive_range(name, getattr(self, name))
 
     def compose(self, other: "EffectSet") -> "EffectSet":
         """Per-field interval product: both effects applied in sequence."""
@@ -88,11 +84,6 @@ class DisturbanceProfile:
 
     mst_effects: EffectSet = IDENTITY_EFFECTS
     rt_effects: EffectSet = IDENTITY_EFFECTS
-
-    def effects_for(self, topology: Topology) -> EffectSet:
-        if topology is Topology.MST:
-            return self.mst_effects
-        return self.rt_effects
 
 
 _REDUCE_LINKS = EffectSet(active_links_factor=DEFAULT_LINK_REDUCTION)

@@ -13,13 +13,13 @@ import inspect
 import json
 import socket
 import sys
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .config import THRESHOLD_FIELDS, ExperimentConfig
-from .management import CommandKind, Effector, EffectorCommand, EffectorError, ProbeError
+from .management import CommandKind, Effector, EffectorError, ProbeError
 from .runner import (
     TRACE_FIELDS,
+    RunResult,
     SatisfactionSummary,
     Simulation,
     TraceRecord,
@@ -48,19 +48,6 @@ EFFECTOR_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class SessionResult:
-    """What a session produced; ``summary`` is None when the client bailed out."""
-
-    trace: tuple[TraceRecord, ...]
-    summary: Optional[SatisfactionSummary]
-    command_log: list[EffectorCommand]
-
-    @property
-    def completed(self) -> bool:
-        return self.summary is not None
-
-
 def record_payload(record: TraceRecord) -> dict:
     return dict(zip(TRACE_FIELDS, record_row(record)))
 
@@ -77,7 +64,7 @@ class WireSession:
         self._last_client_seq: Optional[int] = None
         self._summary: Optional[SatisfactionSummary] = None  # set by the final step
 
-    def run(self) -> SessionResult:
+    def run(self) -> RunResult:
         self._send({"kind": "hello", "protocol": PROTOCOL_VERSION, "config": self._config_summary()})
         while True:
             line = self.rfile.readline(MAX_LINE_CHARS)
@@ -93,7 +80,7 @@ class WireSession:
                 continue
             if not self._handle_line(line):
                 break
-        return SessionResult(
+        return RunResult(
             trace=tuple(self.sim.trace),
             summary=self._summary,
             command_log=self.sim.command_log,
@@ -211,7 +198,7 @@ class WireSession:
             pass  # client went away; the read loop will see EOF and abort
 
 
-def serve_stdio(config: ExperimentConfig) -> SessionResult:
+def serve_stdio(config: ExperimentConfig) -> RunResult:
     """Run one session over stdio (stdout carries only protocol messages)."""
     return WireSession(config, sys.stdin, sys.stdout).run()
 
@@ -222,7 +209,7 @@ def serve_tcp(
     port: int = 0,
     *,
     ready_callback: Optional[Callable[[int], None]] = None,
-) -> SessionResult:
+) -> RunResult:
     """Accept one local connection and run one session over it."""
     with socket.create_server((host, port)) as server:
         if ready_callback is not None:

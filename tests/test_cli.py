@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +149,28 @@ def test_plot_data_long_format(tmp_path):
     for (timestep, series, value, _), source in zip(rows, (r for r in trace_rows for _ in range(3))):
         assert timestep == source[0]
         assert value == source[by_series[series]]
+
+
+def test_run_plot_data_reads_no_file_back(tmp_path, monkeypatch):
+    monkeypatch.delenv("MIRRORSIM_CONFIG", raising=False)
+    out = tmp_path / "results"
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"read back {self}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "read_text", refuse)
+        rc = run_cli(
+            "run", "--scenario", "S0,S3", "--manager", "threshold", "--seeds", "1,2",
+            "--timesteps", "50", "--output-dir", str(out), "--plot-data",
+        )
+    assert rc == EXIT_OK
+    traces = sorted(out.glob("*_trace.csv"))
+    assert len(traces) == 4
+    for trace_path in traces:
+        plot_path = trace_path.with_name(trace_path.name.replace("_trace.csv", "_plot.csv"))
+        expected = emit_plot_data(trace_path.read_text(encoding="utf-8"), SatisfactionThresholds())
+        assert plot_path.read_bytes() == expected.encode("utf-8")
 
 
 def test_plot_data_rejects_malformed_trace(tmp_path):

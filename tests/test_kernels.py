@@ -1,9 +1,10 @@
 """The step kernels against their straightforward reference formulations.
 
 The references below are the plain versions of the per-step kernels: the
-topology's range through ``range_for``, bounds splatted into
-``rng.uniform(*...)``, the effect set through ``effects_for``, the link clamp
-as ``min``/``max`` and the normalization bases recomputed per call. The
+topology's range and effect set picked by a conditional expression, bounds
+splatted into ``rng.uniform(*...)``, each derived metric as
+``network.alpha * links * unit``, the link clamp as ``min``/``max`` and the
+normalization bases recomputed per call. The
 library's kernels must return equal values and leave the random stream in
 the same state. The contract tests pin what the step path relies on: the
 records are immutable and ``Monitorables`` is checked on every construction.
@@ -35,25 +36,29 @@ from mirrorsim import (
     run,
     sample_base_monitorables,
 )
-from mirrorsim.network import compute_bandwidth, compute_writing_time, round_half_up
+from mirrorsim.network import round_half_up
 from mirrorsim.scenarios import FACTOR_NAMES
 
 
 def reference_sample_base_monitorables(topology, network, ranges, rng):
-    links = rng.randint(*ranges.range_for(topology))
+    links = rng.randint(
+        *(ranges.mst_active_links_range if topology is Topology.MST
+          else ranges.rt_active_links_range)
+    )
     unit_write_time = rng.uniform(*network.unit_write_time_range)
     bandwidth_per_link = rng.uniform(*network.bandwidth_per_link_range)
     return Monitorables(
         active_links=links,
-        bandwidth_consumption=compute_bandwidth(links, network.alpha, bandwidth_per_link),
-        time_to_write=compute_writing_time(links, network.alpha, unit_write_time),
+        bandwidth_consumption=network.alpha * links * bandwidth_per_link,
+        time_to_write=network.alpha * links * unit_write_time,
     )
 
 
 def reference_apply_disturbance(state, current_topology, base, timestep, rng, network):
     if not state.active_at(timestep):
         return base
-    effects = state.profile.effects_for(current_topology)
+    profile = state.profile
+    effects = profile.mst_effects if current_topology is Topology.MST else profile.rt_effects
     links_factor = rng.uniform(*effects.active_links_factor)
     bandwidth_factor = rng.uniform(*effects.bandwidth_factor)
     write_time_factor = rng.uniform(*effects.write_time_factor)

@@ -39,7 +39,7 @@ def threshold_manager(**kwargs) -> ThresholdRuleManager:
 def test_null_manager_never_acts(make_config):
     manager = NullManager()
     decision = manager.decide(StubProbe(Topology.MST, None))
-    assert not decision.is_switch
+    assert decision.switch_to is None
 
     result = run(NullManager(), make_config(seed=4, timesteps=30))
     assert len(result.command_log) == 0
@@ -113,33 +113,33 @@ def test_threshold_switches_to_mst_on_performance_violation():
 def test_threshold_noop_within_thresholds():
     manager = threshold_manager()
     probe = StubProbe(Topology.MST, Monitorables(120, 3000.0, 2000.0))
-    assert not manager.decide(probe).is_switch
+    assert manager.decide(probe).switch_to is None
 
 
 def test_threshold_noop_without_observations():
     manager = threshold_manager()
-    assert not manager.decide(StubProbe(Topology.MST, None)).is_switch
+    assert manager.decide(StubProbe(Topology.MST, None)).switch_to is None
 
 
 def test_threshold_rule_gating_by_topology():
     # A cost violation while on MST is not this manager's trigger...
     manager = threshold_manager()
     probe = StubProbe(Topology.MST, Monitorables(150, 5000.0, 2000.0))
-    assert not manager.decide(probe).is_switch
+    assert manager.decide(probe).switch_to is None
     # ...and a reliability violation while on RT is not either.
     manager = threshold_manager()
     probe = StubProbe(Topology.RT, Monitorables(60, 2000.0, 1500.0))
-    assert not manager.decide(probe).is_switch
+    assert manager.decide(probe).switch_to is None
 
 
 def test_threshold_cooldown_suppresses_switches():
     manager = threshold_manager(cooldown=3)
     violating = StubProbe(Topology.MST, Monitorables(60, 2000.0, 1500.0))
     first = manager.decide(violating)
-    assert first.is_switch
+    assert first.switch_to is not None
     for _ in range(3):  # ticks 1..3 sit inside the cooldown
-        assert not manager.decide(violating).is_switch
-    assert manager.decide(violating).is_switch
+        assert manager.decide(violating).switch_to is None
+    assert manager.decide(violating).switch_to is not None
 
 
 def test_threshold_switch_gaps_exceed_cooldown(make_config):
@@ -193,6 +193,6 @@ def test_create_manager_registry():
 
 
 def test_decision_constructors():
-    assert not ManagerDecision.no_op().is_switch
+    assert ManagerDecision.no_op().switch_to is None
     switch = ManagerDecision.switch(Topology.RT, "test")
-    assert switch.is_switch and switch.switch_to is Topology.RT
+    assert switch.switch_to is Topology.RT

@@ -11,10 +11,7 @@ from mirrorsim.network import (
     Topology,
     TopologyRanges,
     build_network,
-    compute_bandwidth,
-    compute_writing_time,
     round_half_up,
-    sample_active_links,
     sample_base_monitorables,
     topology_ranges_from_pct,
 )
@@ -97,40 +94,26 @@ def test_round_half_up(value, expected):
     assert round_half_up(value) == expected
 
 
+def exact_monitorables(links, alpha, unit_write_time=15.0, bandwidth_per_link=25.0):
+    """Sample once from single-point ranges, so every value is exact."""
+    network = build_network(
+        25,
+        bandwidth_per_link_range=(bandwidth_per_link, bandwidth_per_link),
+        unit_write_time_range=(unit_write_time, unit_write_time),
+        alpha=alpha,
+    )
+    ranges = TopologyRanges((links, links), (links, links))
+    return sample_base_monitorables(Topology.MST, network, ranges, Random(0))
+
+
 def test_writing_time_examples():
-    assert compute_writing_time(24, 1.0, 15.0) == 360.0
-    assert compute_writing_time(0, 1.0, 15.0) == 0.0
-    assert compute_writing_time(100, 0.5, 10.0) == 500.0
+    assert exact_monitorables(24, 1.0, unit_write_time=15.0).time_to_write == 360.0
+    assert exact_monitorables(100, 0.5, unit_write_time=10.0).time_to_write == 500.0
 
 
 def test_bandwidth_examples():
-    assert compute_bandwidth(105, 1.0, 20.0) == 2100.0
-    assert compute_bandwidth(0, 1.0, 25.0) == 0.0
-    assert compute_bandwidth(300, 1.0, 30.0) == 9000.0
-
-
-def test_formula_preconditions():
-    with pytest.raises(ValueError):
-        compute_writing_time(10, 1.2, 15.0)
-    with pytest.raises(ValueError):
-        compute_bandwidth(10, 0.0, 15.0)
-    with pytest.raises(ValueError):
-        compute_writing_time(-1, 1.0, 15.0)
-    with pytest.raises(ValueError):
-        compute_writing_time(10, 1.0, 0.0)
-
-
-def test_sample_active_links_respects_ranges():
-    ranges = TopologyRanges((105, 150), (180, 270))
-    rng = Random(7)
-    for _ in range(500):
-        assert 105 <= sample_active_links(Topology.MST, ranges, rng) <= 150
-        assert 180 <= sample_active_links(Topology.RT, ranges, rng) <= 270
-
-
-def test_sample_active_links_degenerate_range():
-    ranges = TopologyRanges((120, 120), (150, 150))
-    assert sample_active_links(Topology.MST, ranges, Random(0)) == 120
+    assert exact_monitorables(105, 1.0, bandwidth_per_link=20.0).bandwidth_consumption == 2100.0
+    assert exact_monitorables(300, 1.0, bandwidth_per_link=30.0).bandwidth_consumption == 9000.0
 
 
 def test_degenerate_ranges_force_exact_monitorables():
@@ -207,7 +190,9 @@ def test_sampled_monitorables_match_formulas(
     topology = Topology.RT if use_rt else Topology.MST
     rng, clone = Random(seed), Random(seed)
     sampled = sample_base_monitorables(topology, network, ranges, rng)
-    links = clone.randint(*ranges.range_for(topology))
+    links = clone.randint(
+        *(ranges.rt_active_links_range if use_rt else ranges.mst_active_links_range)
+    )
     unit_write_time = clone.uniform(*network.unit_write_time_range)
     unit_bandwidth = clone.uniform(*network.bandwidth_per_link_range)
     assert sampled.active_links == links
@@ -215,19 +200,6 @@ def test_sampled_monitorables_match_formulas(
     assert math.isclose(
         sampled.bandwidth_consumption, alpha * links * unit_bandwidth, rel_tol=1e-9
     )
-
-
-@given(
-    links=st.integers(min_value=0, max_value=1000),
-    extra=st.integers(min_value=1, max_value=1000),
-    alpha=st.floats(min_value=0.01, max_value=1.0),
-    unit=st.floats(min_value=0.5, max_value=100.0),
-)
-def test_derived_metrics_strictly_increase_with_links(links, extra, alpha, unit):
-    assert compute_writing_time(links + extra, alpha, unit) > compute_writing_time(
-        links, alpha, unit
-    )
-    assert compute_bandwidth(links + extra, alpha, unit) > compute_bandwidth(links, alpha, unit)
 
 
 @given(

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from mirrorsim.config import SatisfactionThresholds
-from mirrorsim.managers import ManagerDecision, NullManager, ThresholdRuleManager
+from mirrorsim.managers import KnowledgeBase, ManagerDecision, NullManager, ThresholdRuleManager
 from mirrorsim.network import Monitorables, Topology, build_network
 from mirrorsim.runner import (
     TRACE_CSV_HEADER,
@@ -14,6 +14,7 @@ from mirrorsim.runner import (
     SimulationError,
     TraceRecord,
     build_simulation,
+    column_means,
     evaluate_satisfaction,
     normalize,
     render_trace_csv,
@@ -95,6 +96,30 @@ def test_evaluate_satisfaction_boundaries():
 def test_evaluate_rejects_empty_trace():
     with pytest.raises(ValueError):
         evaluate_satisfaction([], SatisfactionThresholds())
+
+
+# Ten tenths folded left to right from 0.0 sum to 0.9999999999999999; the
+# compensated ``sum()`` of CPython 3.12+ gives 1.0, so a mean of exactly 0.1
+# means the summation changed.
+TENTHS = [NormalizedMetrics(0.1, 0.1, 0.1)] * 10
+TENTHS_MEAN = 0.9999999999999999 / 10
+
+
+def test_column_means_fold_left_to_right():
+    assert TENTHS_MEAN != 0.1
+    assert column_means(TENTHS) == NormalizedMetrics(TENTHS_MEAN, TENTHS_MEAN, TENTHS_MEAN)
+
+
+def test_summary_and_window_means_use_the_left_fold():
+    trace = [record_with(metrics, t) for t, metrics in enumerate(TENTHS)]
+    summary = evaluate_satisfaction(trace, SatisfactionThresholds())
+    assert summary.mean_active_links_pct == TENTHS_MEAN
+    assert summary.mean_bandwidth_pct == TENTHS_MEAN
+    assert summary.mean_write_time_pct == TENTHS_MEAN
+    knowledge = KnowledgeBase(window_length=len(TENTHS))
+    for metrics in TENTHS:
+        knowledge.observe(metrics)
+    assert knowledge.window_means() == NormalizedMetrics(TENTHS_MEAN, TENTHS_MEAN, TENTHS_MEAN)
 
 
 def test_summary_dict_shape(make_config):

@@ -12,6 +12,7 @@ from mirrorsim.network import Monitorables, Topology, build_network
 from mirrorsim.scenarios import (
     DEFAULT_LINK_REDUCTION,
     DEFAULT_LOAD_INFLATION,
+    FACTOR_NAMES,
     IDENTITY_EFFECTS,
     IDENTITY_INTERVAL,
     EffectSet,
@@ -52,8 +53,8 @@ def test_effect_set_rejects_non_finite_bounds(name, bounds):
 
 def test_s0_is_identity_profile():
     profile = scenario_profile(ScenarioId.S0)
-    assert profile.mst_effects.is_identity
-    assert profile.rt_effects.is_identity
+    assert profile.mst_effects == IDENTITY_EFFECTS
+    assert profile.rt_effects == IDENTITY_EFFECTS
 
 
 def test_s1_reduces_links_under_mst_only():
@@ -61,12 +62,12 @@ def test_s1_reduces_links_under_mst_only():
     assert profile.mst_effects.active_links_factor == DEFAULT_LINK_REDUCTION
     assert profile.mst_effects.bandwidth_factor == IDENTITY_INTERVAL
     assert profile.mst_effects.write_time_factor == IDENTITY_INTERVAL
-    assert profile.rt_effects.is_identity
+    assert profile.rt_effects == IDENTITY_EFFECTS
 
 
 def test_s2_inflates_load_under_rt_only():
     profile = scenario_profile(ScenarioId.S2)
-    assert profile.mst_effects.is_identity
+    assert profile.mst_effects == IDENTITY_EFFECTS
     assert profile.rt_effects.active_links_factor == IDENTITY_INTERVAL
     assert profile.rt_effects.bandwidth_factor == DEFAULT_LOAD_INFLATION
     assert profile.rt_effects.write_time_factor == DEFAULT_LOAD_INFLATION
@@ -103,13 +104,15 @@ def test_effect_set_invariants():
         EffectSet(bandwidth_factor=(-0.1, 0.5))
     with pytest.raises(ValueError):
         EffectSet(write_time_factor=(1.5, 1.2))
-    assert IDENTITY_EFFECTS.is_identity
+    assert all(
+        getattr(IDENTITY_EFFECTS, name) == IDENTITY_INTERVAL for name in FACTOR_NAMES
+    )
 
 
 def test_profile_overrides():
     profile = overridden_profile(ScenarioId.S1, {"mst": {"active_links_factor": [0.5, 0.5]}})
     assert profile.mst_effects.active_links_factor == (0.5, 0.5)
-    assert profile.rt_effects.is_identity
+    assert profile.rt_effects == IDENTITY_EFFECTS
     with pytest.raises(ConfigError):
         overridden_profile(ScenarioId.S1, {"ring": {}})
     with pytest.raises(ConfigError):

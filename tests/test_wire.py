@@ -12,7 +12,7 @@ import mirrorsim.wire
 from mirrorsim.config import default_config_mapping
 from mirrorsim.management import CommandKind, Effector, Probe
 from mirrorsim.managers import NullManager
-from mirrorsim.runner import TRACE_CSV_HEADER, render_trace_csv, run
+from mirrorsim.runner import TRACE_CSV_HEADER, RunResult, render_trace_csv, run
 from mirrorsim.wire import MAX_LINE_CHARS, PROBE_REPLIES, PROTOCOL_VERSION, WireSession
 
 PROTOCOL_DOC = Path(__file__).resolve().parent.parent / "docs" / "protocol.md"
@@ -157,6 +157,14 @@ def test_steps_after_the_final_one_get_no_reply(make_config):
     kinds = [m["kind"] for m in messages]
     assert kinds == ["hello", "step_complete", "step_complete", "run_complete"]
     assert result.completed
+
+
+def test_a_served_run_and_an_in_process_run_give_one_result(make_config):
+    config = make_config(scenario="S2", seed=4, timesteps=3)
+    text = "".join(f'{{"seq": {seq}, "kind": "step"}}\n' for seq in (1, 2, 3))
+    _, result = _serve_lines(config, text)
+    assert type(result) is RunResult
+    assert result == run(NullManager(), config)
 
 
 def test_hello_thresholds_use_the_config_file_keys(make_config):
