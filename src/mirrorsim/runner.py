@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 from random import Random
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .config import ExperimentConfig, SatisfactionThresholds, SimulationProperties
 from .management import Effector, EffectorCommand, Probe
@@ -42,16 +43,20 @@ class NormalizedMetrics(NamedTuple):
     write_time_pct: float
 
 
-def column_means(rows: Sequence[NormalizedMetrics]) -> NormalizedMetrics:
+def column_means(rows: Iterable[tuple[float, float, float]]) -> NormalizedMetrics:
     """Per-column means, summed left to right from 0.0: the same bits on every
     Python, unlike ``sum()``, which is compensated from CPython 3.12 on.
+
+    ``rows`` may be a lazy iterable, so a long trace is folded without a
+    second list of rows.
     """
     links = bandwidth = write_time = 0.0
+    count = 0
     for links_pct, bandwidth_pct, write_time_pct in rows:
         links += links_pct
         bandwidth += bandwidth_pct
         write_time += write_time_pct
-    count = len(rows)
+        count += 1
     return NormalizedMetrics(links / count, bandwidth / count, write_time / count)
 
 
@@ -71,16 +76,39 @@ def normalize(monitorables: Monitorables, network: MirrorNetwork) -> NormalizedM
 
 
 class TraceRecord(NamedTuple):
-    """One timestep's observations, plus the topology switch if one landed.
+    """One timestep's trace row: the topology in effect, the disturbed
+    monitorables, their normalized percentages and the topology switch if one
+    landed.
 
-    An immutable named tuple: derive a changed copy with ``_replace``.
+    A flat, immutable named tuple whose fields are the trace columns, so a
+    retained trace keeps one object per step; derive a changed copy with
+    ``_replace`` (``record._replace(active_links=...)``). ``monitorables`` and
+    ``normalized`` are derived views, built on each access.
     """
 
     timestep: int
     topology: Topology
-    monitorables: Monitorables
-    normalized: NormalizedMetrics
+    active_links: int
+    bandwidth_gbps: float
+    time_to_write_ms: float
+    active_links_pct: float
+    bandwidth_pct: float
+    write_time_pct: float
     adaptation: Optional[Topology] = None
+
+    @property
+    def monitorables(self) -> Monitorables:
+        return Monitorables(self.active_links, self.bandwidth_gbps, self.time_to_write_ms)
+
+    @property
+    def normalized(self) -> NormalizedMetrics:
+        return NormalizedMetrics(self.active_links_pct, self.bandwidth_pct, self.write_time_pct)
+
+
+# The one definition of a trace row: the CSV header and rows, the wire's
+# ``record`` payload and the plot-data columns all follow this order.
+TRACE_FIELDS = TraceRecord._fields
+_NORMALIZED_COLUMNS = itemgetter(*map(TRACE_FIELDS.index, NormalizedMetrics._fields))
 
 
 @dataclass(frozen=True)
@@ -105,7 +133,7 @@ def evaluate_satisfaction(
     if not trace:
         raise ValueError("cannot evaluate an empty trace")
     mean_active_links, mean_bandwidth, mean_write_time = column_means(
-        [r.normalized for r in trace]
+        map(_NORMALIZED_COLUMNS, trace)
     )
     return SatisfactionSummary(
         mean_bandwidth_pct=mean_bandwidth,
@@ -144,15 +172,12 @@ class Simulation:
         self.timestep = 0  # index of the next step to execute
         self.current_topology = initial_topology(scenario_state.scenario, self.rng)
         self.trace: list[TraceRecord] = []
+        self.latest_monitorables: Optional[Monitorables] = None  # set by each step
         self.command_log: list[EffectorCommand] = []
         self._topology_schedule: dict[int, Topology] = {}
         self._pending_overrides: dict[str, float] = {}
         self.probe = Probe(self)
         self.effector = Effector(self)
-
-    @property
-    def latest_monitorables(self) -> Optional[Monitorables]:
-        return self.trace[-1].monitorables if self.trace else None
 
     @property
     def finished(self) -> bool:
@@ -195,7 +220,13 @@ class Simulation:
 
         disturbed = apply_disturbance(self.scenario_state, topology, base, t, rng, network)
 
-        record = TraceRecord(t, topology, disturbed, normalize(disturbed, network), adaptation)
+        self.latest_monitorables = disturbed
+        active_links, bandwidth, write_time = disturbed
+        links_pct, bandwidth_pct, write_time_pct = normalize(disturbed, network)
+        record = TraceRecord._make((
+            t, topology, active_links, bandwidth, write_time,
+            links_pct, bandwidth_pct, write_time_pct, adaptation,
+        ))
         self.trace.append(record)
 
         if overrides:
@@ -284,32 +315,31 @@ def replay(log: Sequence[EffectorCommand], config: ExperimentConfig) -> RunResul
     return RunResult(trace=tuple(sim.trace), summary=summary, command_log=sim.command_log)
 
 
-# The one definition of a trace row: the CSV header and rows, the wire's
-# ``record`` payload and the plot-data columns all follow this order.
-TRACE_FIELDS = (
-    "timestep", "topology", "active_links", "bandwidth_gbps", "time_to_write_ms",
-    "active_links_pct", "bandwidth_pct", "write_time_pct", "adaptation",
-)
 TRACE_CSV_HEADER = ",".join(TRACE_FIELDS)
-_CSV_ROW = "{},{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f},{}".format
+_CSV_ROW = "%s,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%s\n"
 
 
 def record_row(record: TraceRecord) -> tuple:
     """The record's values in ``TRACE_FIELDS`` order; topologies by name, no switch as None."""
-    timestep, topology, monitorables, normalized, adaptation = record
+    timestep, topology, *values, adaptation = record
     return (
-        timestep, topology.value, *monitorables, *normalized,
+        timestep, topology.value, *values,
         adaptation.value if adaptation is not None else None,
     )
 
 
 def render_trace_csv(trace: Sequence[TraceRecord]) -> str:
     """Fixed-format CSV (6 decimal places) so equal traces render byte-equal."""
-    lines = [TRACE_CSV_HEADER]
-    for r in trace:
-        *values, adaptation = record_row(r)
-        lines.append(_CSV_ROW(*values, adaptation or ""))
-    return "\n".join(lines) + "\n"
+    rows = [TRACE_CSV_HEADER + "\n"]
+    append = rows.append
+    for (timestep, topology, links, bandwidth, write_time,
+         links_pct, bandwidth_pct, write_time_pct, adaptation) in trace:
+        append(_CSV_ROW % (
+            timestep, topology.value, links, bandwidth, write_time,
+            links_pct, bandwidth_pct, write_time_pct,
+            adaptation.value if adaptation is not None else "",
+        ))
+    return "".join(rows)
 
 
 def write_trace_csv(trace: Sequence[TraceRecord], path) -> str:

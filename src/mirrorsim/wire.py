@@ -30,6 +30,9 @@ from .runner import (
 
 PROTOCOL_VERSION = 1
 MAX_LINE_CHARS = 64 * 1024  # longest request line accepted, newline included
+# One strict encoder for every outgoing message: the bytes of json.dumps for
+# finite values, and a ValueError instead of a bare NaN or Infinity token.
+_encode = json.JSONEncoder(allow_nan=False).encode
 
 # Probe request kind -> (reply kind, encoder); the reply carries the encoded
 # probe result under a key named like the reply kind.
@@ -65,8 +68,10 @@ class WireSession:
         self._summary: Optional[SatisfactionSummary] = None  # set by the final step
 
     def run(self) -> RunResult:
-        self._send({"kind": "hello", "protocol": PROTOCOL_VERSION, "config": self._config_summary()})
-        while True:
+        open_ = self._send(
+            {"kind": "hello", "protocol": PROTOCOL_VERSION, "config": self._config_summary()}
+        )
+        while open_:
             line = self.rfile.readline(MAX_LINE_CHARS)
             if not line:
                 break  # client disconnected; abort the run
@@ -76,10 +81,8 @@ class WireSession:
                 )
                 break
             line = line.strip()
-            if not line:
-                continue
-            if not self._handle_line(line):
-                break
+            if line:
+                open_ = self._handle_line(line)
         return RunResult(
             trace=tuple(self.sim.trace),
             summary=self._summary,
@@ -122,14 +125,15 @@ class WireSession:
 
     def _handle_step(self, seq: int) -> bool:
         record = self.sim.step()
-        self._reply(
+        sent = self._reply(
             seq,
             {"kind": "step_complete", "timestep": record.timestep, "record": record_payload(record)},
         )
-        if not self.sim.finished:
-            return True
-        self._summary = evaluate_satisfaction(self.sim.trace, self.config.properties.thresholds)
-        self._send({"kind": "run_complete", "summary": self._summary.as_dict()})
+        if not sent or not self.sim.finished:
+            return sent
+        summary = evaluate_satisfaction(self.sim.trace, self.config.properties.thresholds)
+        if self._send({"kind": "run_complete", "summary": summary.as_dict()}):
+            self._summary = summary
         return False  # the session ends with the run
 
     def _handle_probe(self, seq: int, kind: str) -> bool:
@@ -139,8 +143,7 @@ class WireSession:
         except ProbeError as exc:
             self._send_error(seq, "not_observable", str(exc))  # session continues
             return True
-        self._reply(seq, {"kind": reply_kind, reply_kind: encode(value)})
-        return True
+        return self._reply(seq, {"kind": reply_kind, reply_kind: encode(value)})
 
     def _handle_effector(self, seq: int, kind: str, message: dict) -> bool:
         try:
@@ -153,8 +156,7 @@ class WireSession:
         except EffectorError as exc:
             self._send_error(seq, "invalid_value", str(exc))  # session continues
             return True
-        self._reply(seq, {"kind": "ack", "command": kind})
-        return True
+        return self._reply(seq, {"kind": "ack", "command": kind})
 
     def _config_summary(self) -> dict:
         network = self.config.network
@@ -179,8 +181,8 @@ class WireSession:
             "disturbance_window": list(window) if window is not None else None,
         }
 
-    def _reply(self, request_seq: int, payload: dict) -> None:
-        self._send({"re": request_seq, **payload})
+    def _reply(self, request_seq: int, payload: dict) -> bool:
+        return self._send({"re": request_seq, **payload})
 
     def _send_error(self, request_seq: Optional[int], code: str, detail: str) -> None:
         message = {"kind": "error", "code": code, "detail": detail}
@@ -188,14 +190,28 @@ class WireSession:
             message["re"] = request_seq
         self._send(message)
 
-    def _send(self, message: dict) -> None:
-        message = {"seq": self._next_seq, **message}
+    def _send(self, message: dict) -> bool:
+        """Write one message; False ends the session.
+
+        A message holding a NaN or an infinity is not sent: a
+        ``non_finite_value`` error takes its sequence number instead.
+        """
+        try:
+            line = _encode({"seq": self._next_seq, **message})
+        except ValueError:
+            self._send_error(
+                message.get("re"),
+                "non_finite_value",
+                f"the {message['kind']} message holds a number JSON cannot carry (NaN or infinity)",
+            )
+            return False
         self._next_seq += 1
         try:
-            self.wfile.write(json.dumps(message) + "\n")
+            self.wfile.write(line + "\n")
             self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; the read loop will see EOF and abort
+        return True
 
 
 def serve_stdio(config: ExperimentConfig) -> RunResult:

@@ -12,17 +12,20 @@ switches that sit exactly on a threshold, and the run means carry every
 last digit, so a change of summation order (as in ``sum()`` since CPython
 3.12) changes a digest.
 
-To print the table for the current source (only when a change of the trace
-is intended and documented): ``PYTHONPATH=src:tests python tests/test_golden.py``.
+The module needs no pytest outside a pytest run. To recompute every digest
+and list each mismatch (exit status 1 if there is one), on any interpreter:
+``PYTHONPATH=src python tests/test_golden.py --check``. To print the table
+for the current source (only when a change of the trace is intended and
+documented): ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import hashlib
 import json
-
-import pytest
+import sys
 
 from mirrorsim import config_from_mapping, create_manager, render_trace_csv, run
 
@@ -135,9 +138,27 @@ def long_run_digests(scenario: str, seed: int, steps: int) -> tuple[str, str]:
     return _digest(result.trace), hashlib.sha256(summary_text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("manager_name", MANAGERS)
-@pytest.mark.parametrize("scenario", SCENARIOS)
+def recomputed_digests() -> list[tuple[str, str, str]]:
+    """(name, digest of the current source, pinned digest) for every golden."""
+    long_trace, long_summary = long_run_digests(*LONG_CASE)
+    return [
+        *(
+            (f"GOLDEN[{key}]", in_process_digest(*key), digest)
+            for key, digest in GOLDEN.items()
+        ),
+        ("WIRE_GOLDEN", wire_digest(*WIRE_CASE), WIRE_GOLDEN),
+        ("WIRE_STREAM_GOLDEN", wire_stream_digest(*WIRE_CASE), WIRE_STREAM_GOLDEN),
+        ("LONG_TRACE_GOLDEN", long_trace, LONG_TRACE_GOLDEN),
+        ("LONG_SUMMARY_GOLDEN", long_summary, LONG_SUMMARY_GOLDEN),
+    ]
+
+
+def pytest_generate_tests(metafunc):
+    # Parametrized by hook, not by decorator, so the module imports without pytest.
+    if metafunc.definition.name == "test_in_process_trace_digest":
+        metafunc.parametrize(("scenario", "manager_name", "seed"), list(GOLDEN))
+
+
 def test_in_process_trace_digest(scenario, manager_name, seed):
     assert in_process_digest(scenario, manager_name, seed) == GOLDEN[(scenario, manager_name, seed)]
 
@@ -158,7 +179,7 @@ def test_long_threshold_summary_digest():
     assert long_run_digests(*LONG_CASE)[1] == LONG_SUMMARY_GOLDEN
 
 
-if __name__ == "__main__":
+def print_table() -> None:
     print("GOLDEN = {")
     for scenario in SCENARIOS:
         for manager_name in MANAGERS:
@@ -175,3 +196,20 @@ if __name__ == "__main__":
     print(f'LONG_TRACE_GOLDEN = "{long_trace}"')
     print()
     print(f'LONG_SUMMARY_GOLDEN = "{long_summary}"')
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Golden trace digests of the current source.")
+    parser.add_argument(
+        "--check", action="store_true", help="compare every digest with its pinned value"
+    )
+    if not parser.parse_args().check:
+        print_table()
+        sys.exit(0)
+    digests = recomputed_digests()
+    failed = [(name, got, want) for name, got, want in digests if got != want]
+    for name, got, want in failed:
+        print(f"MISMATCH {name}: got {got}, pinned {want}")
+    matched = len(digests) - len(failed)
+    print(f"{matched} of {len(digests)} digests match on Python {sys.version.split()[0]}")
+    sys.exit(1 if failed else 0)

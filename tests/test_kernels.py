@@ -204,7 +204,7 @@ def test_normalization_bases_are_not_fields():
 def test_records_reject_attribute_assignment():
     monitorables = Monitorables(1, 2.0, 3.0)
     normalized = NormalizedMetrics(1.0, 2.0, 3.0)
-    record = TraceRecord(0, Topology.MST, monitorables, normalized)
+    record = TraceRecord(0, Topology.MST, *monitorables, *normalized)
     for obj, name in (
         (monitorables, "active_links"),
         (normalized, "bandwidth_pct"),

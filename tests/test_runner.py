@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import gc
 import math
 
 import pytest
 
+import mirrorsim.runner
 from mirrorsim.config import SatisfactionThresholds
 from mirrorsim.managers import KnowledgeBase, ManagerDecision, NullManager, ThresholdRuleManager
 from mirrorsim.network import Monitorables, Topology, build_network
 from mirrorsim.runner import (
     TRACE_CSV_HEADER,
+    TRACE_FIELDS,
     ManagerError,
     NormalizedMetrics,
     SimulationError,
@@ -21,18 +24,13 @@ from mirrorsim.runner import (
     replay,
     run,
 )
-from mirrorsim.scenarios import ScenarioId
+from mirrorsim.scenarios import ScenarioId, apply_disturbance
 
 NETWORK = build_network(25)
 
 
 def record_with(normalized: NormalizedMetrics, timestep: int = 0) -> TraceRecord:
-    return TraceRecord(
-        timestep=timestep,
-        topology=Topology.MST,
-        monitorables=Monitorables(1, 1.0, 1.0),
-        normalized=normalized,
-    )
+    return TraceRecord(timestep, Topology.MST, *Monitorables(1, 1.0, 1.0), *normalized)
 
 
 def test_normalize_examples():
@@ -259,3 +257,42 @@ def test_ranges_must_fit_the_network(make_config):
             state,
             SimulationProperties(),
         )
+
+
+def test_trace_record_fields_are_the_trace_columns():
+    assert TraceRecord._fields == TRACE_FIELDS
+
+
+def test_a_long_run_retains_one_tracked_object_per_step(make_config):
+    # A record is one flat tuple of numbers and enum members, none of which
+    # the garbage collector tracks, so each retained step costs it one object.
+    steps = 2000
+    config = make_config(timesteps=steps, seed=3)
+    run(NullManager(), make_config(timesteps=10, seed=3))  # warm any lazy caches
+    gc.collect()
+    before = len(gc.get_objects())
+    result = run(NullManager(), config)
+    gc.collect()
+    retained = len(gc.get_objects()) - before
+    assert len(result.trace) == steps
+    assert retained / steps <= 1.05
+
+
+def test_probe_and_record_views_come_from_the_step_monitorables(make_config, monkeypatch):
+    disturbed = []
+
+    def recording_disturbance(*args):
+        disturbed.append(apply_disturbance(*args))
+        return disturbed[-1]
+
+    monkeypatch.setattr(mirrorsim.runner, "apply_disturbance", recording_disturbance)
+    sim = build_simulation(make_config(scenario="S2", seed=8, timesteps=20))
+    while not sim.finished:
+        record = sim.step()
+        own = disturbed[-1]
+        assert sim.probe.get_monitorables() is own
+        assert type(record.monitorables) is Monitorables
+        assert record.monitorables == own
+        assert type(record.normalized) is NormalizedMetrics
+        assert record.normalized == normalize(own, sim.network)
+    assert len(disturbed) == 20

@@ -292,3 +292,29 @@ def test_every_request_gets_exactly_one_reply(make_config):
             reply = harness.request(kind, **fields)
             assert reply["re"] == expected_re
         drive_null_policy_rest(harness, 1)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_a_non_finite_value_ends_the_session_with_strict_json(make_config):
+    # Under S2 the disturbance inflates an acked write-time override of
+    # 1.7e308 past the largest float; that step's reply must not go out.
+    requests = [
+        {"seq": 1, "kind": "set_time_to_write", "time_to_write": 1.7e308},
+        {"seq": 2, "kind": "step"},
+        {"seq": 3, "kind": "step"},
+    ]
+    rfile = io.StringIO("".join(json.dumps(request) + "\n" for request in requests))
+    wfile = io.StringIO()
+    result = WireSession(make_config(scenario="S2", seed=1, timesteps=5), rfile, wfile).run()
+    messages = [
+        json.loads(line, parse_constant=_reject_constant)
+        for line in wfile.getvalue().splitlines()
+    ]
+    assert [message["kind"] for message in messages] == ["hello", "ack", "error"]
+    assert messages[-1]["code"] == "non_finite_value"
+    assert messages[-1]["re"] == 2 and messages[-1]["seq"] == 2
+    assert not result.completed
+    assert len(result.trace) == 1
