@@ -51,6 +51,7 @@ from .runner import (
     SatisfactionSummary,
     Simulation,
     SimulationError,
+    Trace,
     TraceRecord,
     build_simulation,
     evaluate_satisfaction,
@@ -105,6 +106,7 @@ __all__ = [
     "ThresholdRuleManager",
     "Topology",
     "TopologyRanges",
+    "Trace",
     "TraceRecord",
     "apply_disturbance",
     "build_network",

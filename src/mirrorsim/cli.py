@@ -113,7 +113,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2) + "\n")
+    _write_text(path, json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def _cmd_run(args) -> int:

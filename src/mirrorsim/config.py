@@ -8,6 +8,7 @@ for 100 timesteps under the stable scenario S0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional
@@ -218,6 +219,35 @@ def _parse_disturbances(raw: object) -> dict:
     return overrides
 
 
+def _check_worst_step_is_finite(network: MirrorNetwork, profiles: Mapping) -> None:
+    """Reject a network whose largest possible step value overflows.
+
+    A step's bandwidth or write time is at most alpha x total_links (the
+    disturbed link count is clamped to it) x the unit range's upper bound x
+    the largest factor of any scenario, since ``with_updates`` may pick any
+    of them. That value, its normalization basis and its percentage must be
+    finite, so no run of a loaded config meets an infinity or a NaN.
+    """
+    effect_sets = [
+        effects for profile in profiles.values()
+        for effects in (profile.mst_effects, profile.rt_effects)
+    ]
+    for key, unit_range, factor_name, basis in (
+        ("bandwidth_per_link_range", network.bandwidth_per_link_range,
+         "bandwidth_factor", network.bandwidth_basis),
+        ("unit_write_time_range", network.unit_write_time_range,
+         "write_time_factor", network.write_time_basis),
+    ):
+        factor = max(getattr(effects, factor_name)[1] for effects in effect_sets)
+        worst = network.alpha * network.total_links * unit_range[1] * factor
+        if not all(map(math.isfinite, (worst, basis, 100.0 * worst / basis))):
+            raise ConfigInvariantError(
+                f"{key} upper bound {unit_range[1]} with {network.total_links} links,"
+                f" alpha {network.alpha} and a {factor_name} up to {factor} lets a"
+                " step's value or its percentage overflow to a non-finite number"
+            )
+
+
 def config_from_mapping(raw: Mapping) -> ExperimentConfig:
     """Validate a parsed configuration mapping and build the domain objects."""
     if not isinstance(raw, Mapping):
@@ -287,6 +317,7 @@ def config_from_mapping(raw: Mapping) -> ExperimentConfig:
             )
     except ValueError as exc:
         raise ConfigInvariantError(str(exc)) from None
+    _check_worst_step_is_finite(network, profiles)
 
     return ExperimentConfig(
         network=network,

@@ -32,9 +32,10 @@ class CommandKind(enum.Enum):
     SET_CURRENT_TOPOLOGY = "set_current_topology"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EffectorCommand:
-    """One adaptation command as issued, for auditing and replay."""
+    """One adaptation command as issued, for auditing and replay (slotted: a
+    long run logs one per switch)."""
 
     kind: CommandKind
     payload: object

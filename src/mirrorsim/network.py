@@ -208,15 +208,27 @@ def sample_base_monitorables(
     Draw order is part of the replay contract: active links first, then the
     unit write time, then the per-link bandwidth. The inputs were checked at
     construction, so the products ``alpha * links * unit`` are taken unchecked.
+    The draws are ``rng.randint`` and ``rng.uniform`` written out, so they
+    consume the same random stream and give the same values.
     """
     if topology is Topology.MST:
         lower, upper = ranges.mst_active_links_range
     else:
         lower, upper = ranges.rt_active_links_range
-    links = rng.randint(lower, upper)
+    # rng.randint(lower, upper) as CPython 3.10-3.13 computes it: draw
+    # width.bit_length() random bits and redraw while they reach past width.
+    width = upper - lower + 1
+    bits = width.bit_length()
+    offset = rng.getrandbits(bits)
+    while offset >= width:
+        offset = rng.getrandbits(bits)
+    links = lower + offset
+    # Each unit is rng.uniform(lower, upper), written out as its documented
+    # expression.
+    random = rng.random
     lower, upper = network.unit_write_time_range
-    unit_write_time = rng.uniform(lower, upper)
+    unit_write_time = lower + (upper - lower) * random()
     lower, upper = network.bandwidth_per_link_range
-    bandwidth_per_link = rng.uniform(lower, upper)
+    bandwidth_per_link = lower + (upper - lower) * random()
     scale = network.alpha * links
     return Monitorables(links, scale * bandwidth_per_link, scale * unit_write_time)

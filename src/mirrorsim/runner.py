@@ -7,11 +7,14 @@ log and must reproduce the original trace bit for bit.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
-from operator import itemgetter
+from functools import partial
+from operator import eq, itemgetter
 from random import Random
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .config import ExperimentConfig, SatisfactionThresholds, SimulationProperties
 from .management import Effector, EffectorCommand, Probe
@@ -110,6 +113,83 @@ class TraceRecord(NamedTuple):
 TRACE_FIELDS = TraceRecord._fields
 _NORMALIZED_COLUMNS = itemgetter(*map(TRACE_FIELDS.index, NormalizedMetrics._fields))
 
+# A row's topology and adaptation share one byte: bit 0 is the topology
+# (0 MST, 1 RT) and bit 1 is set when a switch landed, which is always a
+# switch to that row's topology.
+_MST = Topology.MST
+_TOPOLOGY_OF_CODE = (Topology.MST, Topology.RT, Topology.MST, Topology.RT)
+_ADAPTATION_OF_CODE = (None, None, Topology.MST, Topology.RT)
+# TraceRecord._make without its Python-level length check, for the step and
+# the trace, which always pass the nine fields.
+_new_record = partial(tuple.__new__, TraceRecord)
+
+
+class Trace(Sequence):
+    """A run's trace: a read-only sequence of :class:`TraceRecord`, row ``i``
+    being timestep ``i``.
+
+    The rows are held as typed columns (``array`` for the numbers, one byte
+    for the topology and adaptation), about 50 bytes a step, and each record
+    is built when it is read. Indexing, slicing (a tuple of records),
+    iteration, ``len`` and pickling behave like a tuple of records; a trace
+    equals another trace with the same columns, and a tuple or list of equal
+    records. Only :meth:`Simulation.step` appends to it.
+    """
+
+    __slots__ = ("_columns",)
+    __hash__ = None
+
+    def __init__(self) -> None:
+        # In TraceRecord field order, timestep (the row index) left out.
+        self._columns = (
+            bytearray(),  # topology and adaptation code
+            array("q"),  # active_links
+            *(array("d") for _ in range(5)),  # bandwidth_gbps ... write_time_pct
+        )
+
+    def _appenders(self) -> tuple:
+        return tuple(column.append for column in self._columns)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        try:
+            row = range(len(self))[index]
+        except IndexError:
+            raise IndexError("trace index out of range") from None
+        codes, *values = self._columns
+        code = codes[row]
+        return _new_record((
+            row, _TOPOLOGY_OF_CODE[code], *[column[row] for column in values],
+            _ADAPTATION_OF_CODE[code],
+        ))
+
+    def __iter__(self):
+        codes, *values = self._columns
+        return map(_new_record, zip(
+            range(len(codes)), map(_TOPOLOGY_OF_CODE.__getitem__, codes), *values,
+            map(_ADAPTATION_OF_CODE.__getitem__, codes),
+        ))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Trace):
+            return self._columns == other._columns
+        if isinstance(other, (tuple, list)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __reduce__(self):
+        return (Trace, (), self._columns)
+
+    def __setstate__(self, columns) -> None:
+        self._columns = columns
+
+    def __repr__(self) -> str:
+        return f"<Trace of {len(self)} records>"
+
 
 @dataclass(frozen=True)
 class SatisfactionSummary:
@@ -129,12 +209,18 @@ class SatisfactionSummary:
 def evaluate_satisfaction(
     trace: Sequence[TraceRecord], thresholds: SatisfactionThresholds
 ) -> SatisfactionSummary:
-    """Arithmetic means over the whole trace, compared inclusively."""
+    """Arithmetic means over the whole trace, compared inclusively.
+
+    A :class:`Trace` is folded straight from its three ``*_pct`` columns, with
+    no record built; any other sequence of records, record by record.
+    """
     if not trace:
         raise ValueError("cannot evaluate an empty trace")
-    mean_active_links, mean_bandwidth, mean_write_time = column_means(
-        map(_NORMALIZED_COLUMNS, trace)
-    )
+    if isinstance(trace, Trace):
+        rows = zip(*trace._columns[-3:])
+    else:
+        rows = map(_NORMALIZED_COLUMNS, trace)
+    mean_active_links, mean_bandwidth, mean_write_time = column_means(rows)
     return SatisfactionSummary(
         mean_bandwidth_pct=mean_bandwidth,
         mean_write_time_pct=mean_write_time,
@@ -171,7 +257,12 @@ class Simulation:
         self.rng = Random(properties.seed)
         self.timestep = 0  # index of the next step to execute
         self.current_topology = initial_topology(scenario_state.scenario, self.rng)
-        self.trace: list[TraceRecord] = []
+        self.trace = Trace()
+        (
+            self._append_code, self._append_links, self._append_bandwidth,
+            self._append_write_time, self._append_links_pct, self._append_bandwidth_pct,
+            self._append_write_time_pct,
+        ) = self.trace._appenders()
         self.latest_monitorables: Optional[Monitorables] = None  # set by each step
         self.command_log: list[EffectorCommand] = []
         self._topology_schedule: dict[int, Topology] = {}
@@ -197,11 +288,11 @@ class Simulation:
         monitorables and apply effector overrides, (3) apply the scenario
         disturbance, (4) normalize and record, (5) advance.
         """
-        if self.finished:
+        t = self.timestep
+        if t >= self.properties.timesteps:  # self.finished, without the property call
             raise SimulationError(
                 f"run already finished after {self.properties.timesteps} timesteps"
             )
-        t = self.timestep
 
         topology = self.current_topology
         adaptation: Optional[Topology] = None
@@ -223,11 +314,18 @@ class Simulation:
         self.latest_monitorables = disturbed
         active_links, bandwidth, write_time = disturbed
         links_pct, bandwidth_pct, write_time_pct = normalize(disturbed, network)
-        record = TraceRecord._make((
+        record = _new_record((
             t, topology, active_links, bandwidth, write_time,
             links_pct, bandwidth_pct, write_time_pct, adaptation,
         ))
-        self.trace.append(record)
+        code = 0 if topology is _MST else 1
+        self._append_code(code if adaptation is None else code | 2)
+        self._append_links(active_links)
+        self._append_bandwidth(bandwidth)
+        self._append_write_time(write_time)
+        self._append_links_pct(links_pct)
+        self._append_bandwidth_pct(bandwidth_pct)
+        self._append_write_time_pct(write_time_pct)
 
         if overrides:
             overrides.clear()  # overrides live for exactly one step
@@ -253,9 +351,12 @@ class Simulation:
 class RunResult:
     """What a run produced, in process or over the wire; ``summary`` is None
     only for a wire session that ended before its final step.
+
+    ``trace`` is the simulation's own :class:`Trace`, handed over without a
+    copy; ``command_log`` is its command list.
     """
 
-    trace: tuple[TraceRecord, ...]
+    trace: Trace
     summary: Optional[SatisfactionSummary]
     command_log: list[EffectorCommand]
 
@@ -292,7 +393,7 @@ def run(manager, config: ExperimentConfig) -> RunResult:
             effector.set_current_topology(decision.switch_to)
         step()
     summary = evaluate_satisfaction(sim.trace, config.properties.thresholds)
-    return RunResult(trace=tuple(sim.trace), summary=summary, command_log=sim.command_log)
+    return RunResult(trace=sim.trace, summary=summary, command_log=sim.command_log)
 
 
 def replay(log: Sequence[EffectorCommand], config: ExperimentConfig) -> RunResult:
@@ -312,7 +413,7 @@ def replay(log: Sequence[EffectorCommand], config: ExperimentConfig) -> RunResul
             getattr(sim.effector, command.kind.value)(*args)
         sim.step()
     summary = evaluate_satisfaction(sim.trace, config.properties.thresholds)
-    return RunResult(trace=tuple(sim.trace), summary=summary, command_log=sim.command_log)
+    return RunResult(trace=sim.trace, summary=summary, command_log=sim.command_log)
 
 
 TRACE_CSV_HEADER = ",".join(TRACE_FIELDS)

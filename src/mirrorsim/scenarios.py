@@ -176,16 +176,20 @@ def apply_disturbance(
     """
     if timestep < 0:
         raise ValueError("timestep must be >= 0")
-    if not state.active_at(timestep):
+    window = state.window  # state.active_at(timestep), without the method call
+    if window is not None and not window[0] <= timestep <= window[1]:
         return base
     profile = state.profile
     effects = profile.mst_effects if current_topology is Topology.MST else profile.rt_effects
+    # Each factor is rng.uniform(lower, upper), written out as its documented
+    # expression: the same draw and the same value.
+    random = rng.random
     lower, upper = effects.active_links_factor
-    links_factor = rng.uniform(lower, upper)
+    links_factor = lower + (upper - lower) * random()
     lower, upper = effects.bandwidth_factor
-    bandwidth_factor = rng.uniform(lower, upper)
+    bandwidth_factor = lower + (upper - lower) * random()
     lower, upper = effects.write_time_factor
-    write_time_factor = rng.uniform(lower, upper)
+    write_time_factor = lower + (upper - lower) * random()
 
     active_links, bandwidth, write_time = base
     links = round_half_up(active_links * links_factor)

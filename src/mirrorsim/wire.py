@@ -84,7 +84,7 @@ class WireSession:
             if line:
                 open_ = self._handle_line(line)
         return RunResult(
-            trace=tuple(self.sim.trace),
+            trace=self.sim.trace,
             summary=self._summary,
             command_log=self.sim.command_log,
         )

@@ -14,6 +14,7 @@ from mirrorsim.cli import (
     EXIT_OK,
     PLOT_CSV_HEADER,
     ROLLUP_CSV_HEADER,
+    _write_json,
     emit_plot_data,
     main,
 )
@@ -249,3 +250,19 @@ def test_serve_stdio_aborted_session_marks_incomplete(tmp_path):
     assert marker == {"status": "incomplete", "timesteps_completed": 1}
     trace = (out / "S0_wire_seed3_trace.csv").read_text()
     assert len(trace.splitlines()) == 2
+
+
+def test_json_artifacts_refuse_non_finite_values(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "summary.json", {"mean_bandwidth_pct": float("nan")})
+
+
+def test_a_config_that_would_overflow_exits_with_config_error(tmp_path):
+    config = tmp_path / "configuration.json"
+    config.write_text(json.dumps({"bandwidth_per_link_range": [1, 1e308], "timesteps": 20}))
+    rc = run_cli(
+        "run", "--config", str(config), "--scenario", "S2", "--manager", "null",
+        "--seeds", "0", "--output-dir", str(tmp_path / "out"),
+    )
+    assert rc == EXIT_CONFIG_ERROR
+    assert not list(tmp_path.glob("out/*_summary.json"))

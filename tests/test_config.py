@@ -196,3 +196,34 @@ def test_properties_direct_validation():
         SimulationProperties(disturbance_window=(50, 120))
     with pytest.raises(ValueError):
         SatisfactionThresholds(max_bandwidth_pct=101.0)
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [
+        {"bandwidth_per_link_range": [1, 1e308], "scenario": "S2"},
+        {"bandwidth_per_link_range": [1, 1e308]},
+        {"unit_write_time_range": [1, 4e306]},
+        # The scenario does not matter: with_updates may pick any of them.
+        {"scenario": "S0", "disturbances": {"S5": {"rt": {"write_time_factor": [1, 1e306]}}}},
+        # Finite value and percentage, but the normalization basis overflows.
+        {"alpha": 0.001, "bandwidth_per_link_range": [1, 1e307]},
+        # Finite value and basis, but the percentage overflows.
+        {
+            "unit_write_time_range": [1e-300, 1e-300],
+            "disturbances": {"S2": {"rt": {"write_time_factor": [1, 1e307]}}},
+        },
+    ],
+)
+def test_configs_whose_worst_step_overflows_are_rejected(mapping):
+    with pytest.raises(ConfigInvariantError, match="non-finite"):
+        config_from_mapping(mapping)
+
+
+def test_the_default_config_and_every_scenario_load():
+    assert default_config() == config_from_mapping({})
+    for scenario in ScenarioId:
+        config = config_from_mapping({"scenario": scenario.value})
+        assert config.properties.scenario is scenario
+    # Large but finite worst steps still load.
+    config_from_mapping({"bandwidth_per_link_range": [1, 1e300], "scenario": "S6"})

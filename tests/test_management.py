@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import math
+import pickle
 from random import Random
 
 import pytest
 
-from mirrorsim.management import CommandKind, EffectorError, ProbeError
+from mirrorsim.management import CommandKind, EffectorCommand, EffectorError, ProbeError
 from mirrorsim.network import Topology
 from mirrorsim.runner import build_simulation, replay
 
@@ -224,3 +225,10 @@ def test_interface_matches_published_tables(make_config):
     effector_surface = {n for n in dir(sim.effector) if n.startswith(("get_", "set_"))}
     assert probe_surface == set(PROBE_NAMES)
     assert effector_surface == set(EFFECTOR_NAMES)
+
+
+def test_commands_are_slotted_and_pickle_equal():
+    command = EffectorCommand(CommandKind.SET_NETWORK_TOPOLOGY, Topology.RT, 3, 5)
+    assert not hasattr(command, "__dict__")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(command, protocol)) == command

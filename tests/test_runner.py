@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import gc
 import math
+import pickle
+import tracemalloc
 
 import pytest
 
@@ -15,6 +17,7 @@ from mirrorsim.runner import (
     ManagerError,
     NormalizedMetrics,
     SimulationError,
+    Trace,
     TraceRecord,
     build_simulation,
     column_means,
@@ -296,3 +299,84 @@ def test_probe_and_record_views_come_from_the_step_monitorables(make_config, mon
         assert type(record.normalized) is NormalizedMetrics
         assert record.normalized == normalize(own, sim.network)
     assert len(disturbed) == 20
+
+
+def test_a_long_run_retains_at_most_64_bytes_per_step(make_config):
+    # The trace is held as typed columns: 5 doubles, one int64 and one code
+    # byte a step, plus the arrays' spare capacity.
+    steps = 20_000
+    config = make_config(timesteps=steps, seed=3)
+    run(NullManager(), make_config(timesteps=10, seed=3))  # warm any lazy caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        result = run(NullManager(), config)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result.trace) == steps
+    assert retained / steps <= 64
+
+
+def stepped_records(make_config):
+    """A simulation and the records its steps returned, with two switches."""
+    sim = build_simulation(make_config(scenario="S3", seed=6, timesteps=12))
+    start = sim.current_topology
+    sim.effector.set_network_topology(3, start.other())
+    sim.effector.set_network_topology(8, start)
+    return sim, [sim.step() for _ in range(12)]
+
+
+def test_trace_rows_are_the_records_the_steps_returned(make_config):
+    sim, records = stepped_records(make_config)
+    trace = sim.trace
+    assert isinstance(trace, Trace)
+    assert len(trace) == 12
+    assert list(trace) == records
+    assert [trace[i] for i in range(12)] == records
+    assert all(type(record) is TraceRecord for record in trace)
+    assert [r.timestep for r in trace if r.adaptation is not None] == [3, 8]
+    assert trace[3].adaptation is trace[3].topology is records[3].topology
+    assert trace[-1] == records[-1]
+    assert trace[-12] == records[0]
+    for index in (12, -13, 10**9):
+        with pytest.raises(IndexError):
+            trace[index]
+    assert trace[2:5] == tuple(records[2:5])
+    assert trace[::-3] == tuple(records[::-3])
+    assert trace[20:] == ()
+    assert repr(trace) == "<Trace of 12 records>"
+
+
+def test_trace_equality_and_pickling(make_config):
+    sim, records = stepped_records(make_config)
+    trace = sim.trace
+    twin, _ = stepped_records(make_config)
+    assert trace == twin.trace
+    assert trace == tuple(records) and trace == records
+    assert trace != tuple(records[:-1])
+    assert trace != records[:-1] + [records[-1]._replace(active_links=1)]
+    assert trace != "not a trace"
+    assert Trace() == () and Trace() == [] and Trace() != trace
+    other = build_simulation(make_config(scenario="S3", seed=7, timesteps=12))
+    for _ in range(12):
+        other.step()
+    assert trace != other.trace
+    with pytest.raises(TypeError):
+        hash(trace)
+    restored = pickle.loads(pickle.dumps(trace))
+    assert type(restored) is Trace
+    assert restored == trace
+    assert list(restored) == records
+
+
+def test_evaluate_satisfaction_folds_a_trace_like_its_records(make_config):
+    config = make_config(scenario="S6", seed=2, timesteps=300)
+    manager = ThresholdRuleManager(config.network, config.properties.thresholds)
+    result = run(manager, config)
+    thresholds = config.properties.thresholds
+    assert evaluate_satisfaction(list(result.trace), thresholds) == result.summary
+    assert evaluate_satisfaction(result.trace, thresholds) == result.summary
