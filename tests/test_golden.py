@@ -1,8 +1,9 @@
 """Golden-trace hashes: the same config and seed must render the same bytes.
 
 Each digest is the SHA-256 of ``render_trace_csv`` for one run. The in-process
-matrix covers every scenario under every reference manager for two seeds;
-one extra threshold-driven session runs over the line-JSON wire. A change
+matrix covers every scenario under every reference manager for two seeds.
+Two threshold runs (S1, S6) disturbed only inside ``WINDOW`` pin the window's
+gating. One extra threshold-driven session runs over the line-JSON wire. A change
 that moves one drawn number, one float operation or one CSV byte changes a
 digest here. For that wire session the server's whole output stream is
 pinned as well, so a change of JSON key order, float formatting or message
@@ -37,6 +38,8 @@ SEEDS = (7, 2021)
 STEPS = 500
 WIRE_CASE = ("S3", 13)
 LONG_CASE = ("S3", 1, 10_000)  # scenario, seed, steps; threshold manager
+WINDOW = (100, 299)  # disturbance_window of the windowed cases; threshold manager
+WINDOW_SEED = 7
 
 GOLDEN = {
     ("S0", "null", 7): "f36fcf9fb78cc4a8d991342fe40d30e9a25ae3e366645167ec9dd8365a479a23",
@@ -83,6 +86,11 @@ GOLDEN = {
     ("S6", "threshold", 2021): "4953f5305254df358f159153289eddc79e558ec5339bdcf42c7eaa87b0afff1d",
 }
 
+WINDOW_GOLDEN = {
+    "S1": "19fd273f6bc2144ba7d8213d1597278d38b44310a9e9923241c6e456e99d9225",
+    "S6": "0989df2258be1f4cf7fcf1efa6fab5466a9658129d1565198fcf75832d986371",
+}
+
 WIRE_GOLDEN = "e007ab30485a153622b96daec7e6e56087108c89a4a2d5930a0c229a1fa8225f"
 
 WIRE_STREAM_GOLDEN = "e2e43bc90857ec1bc8d7aa8f80a494b315f5a16491b1ad50738e79b89e7f5de5"
@@ -92,16 +100,16 @@ LONG_TRACE_GOLDEN = "8586796a0a3ac8c43c8169dedb54c86f21c12eb34922c24f18d5a0204f6
 LONG_SUMMARY_GOLDEN = "f4081fd6e8b6de5b43ce1728231d96afb2df6973ddc912957dd1267b58a10c51"
 
 
-def _config(scenario: str, seed: int):
-    return config_from_mapping({"scenario": scenario, "seed": seed, "timesteps": STEPS})
+def _config(scenario: str, seed: int, **extra):
+    return config_from_mapping({"scenario": scenario, "seed": seed, "timesteps": STEPS, **extra})
 
 
 def _digest(trace) -> str:
     return hashlib.sha256(render_trace_csv(trace).encode("utf-8")).hexdigest()
 
 
-def in_process_digest(scenario: str, manager_name: str, seed: int) -> str:
-    config = _config(scenario, seed)
+def in_process_digest(scenario: str, manager_name: str, seed: int, **extra) -> str:
+    config = _config(scenario, seed, **extra)
     manager = create_manager(
         manager_name,
         network=config.network,
@@ -109,6 +117,11 @@ def in_process_digest(scenario: str, manager_name: str, seed: int) -> str:
         seed=seed,
     )
     return _digest(run(manager, config).trace)
+
+
+def window_digest(scenario: str) -> str:
+    """Digest of a threshold run disturbed only inside ``WINDOW``."""
+    return in_process_digest(scenario, "threshold", WINDOW_SEED, disturbance_window=list(WINDOW))
 
 
 def wire_digest(scenario: str, seed: int) -> str:
@@ -146,6 +159,10 @@ def recomputed_digests() -> list[tuple[str, str, str]]:
             (f"GOLDEN[{key}]", in_process_digest(*key), digest)
             for key, digest in GOLDEN.items()
         ),
+        *(
+            (f"WINDOW_GOLDEN[{scenario!r}]", window_digest(scenario), digest)
+            for scenario, digest in WINDOW_GOLDEN.items()
+        ),
         ("WIRE_GOLDEN", wire_digest(*WIRE_CASE), WIRE_GOLDEN),
         ("WIRE_STREAM_GOLDEN", wire_stream_digest(*WIRE_CASE), WIRE_STREAM_GOLDEN),
         ("LONG_TRACE_GOLDEN", long_trace, LONG_TRACE_GOLDEN),
@@ -157,10 +174,16 @@ def pytest_generate_tests(metafunc):
     # Parametrized by hook, not by decorator, so the module imports without pytest.
     if metafunc.definition.name == "test_in_process_trace_digest":
         metafunc.parametrize(("scenario", "manager_name", "seed"), list(GOLDEN))
+    elif metafunc.definition.name == "test_windowed_trace_digest":
+        metafunc.parametrize("scenario", list(WINDOW_GOLDEN))
 
 
 def test_in_process_trace_digest(scenario, manager_name, seed):
     assert in_process_digest(scenario, manager_name, seed) == GOLDEN[(scenario, manager_name, seed)]
+
+
+def test_windowed_trace_digest(scenario):
+    assert window_digest(scenario) == WINDOW_GOLDEN[scenario]
 
 
 def test_wire_threshold_session_digest():
@@ -186,6 +209,11 @@ def print_table() -> None:
             for seed in SEEDS:
                 digest = in_process_digest(scenario, manager_name, seed)
                 print(f'    ({scenario!r}, {manager_name!r}, {seed}): "{digest}",'.replace("'", '"'))
+    print("}")
+    print()
+    print("WINDOW_GOLDEN = {")
+    for scenario in WINDOW_GOLDEN:
+        print(f'    "{scenario}": "{window_digest(scenario)}",')
     print("}")
     print()
     print(f'WIRE_GOLDEN = "{wire_digest(*WIRE_CASE)}"')
