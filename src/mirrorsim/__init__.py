@@ -65,7 +65,6 @@ from .scenarios import (
     DisturbanceProfile,
     EffectSet,
     ScenarioId,
-    ScenarioState,
     apply_disturbance,
     initial_topology,
     scenario_profile,
@@ -99,7 +98,6 @@ __all__ = [
     "SatisfactionSummary",
     "SatisfactionThresholds",
     "ScenarioId",
-    "ScenarioState",
     "Simulation",
     "SimulationError",
     "SimulationProperties",

@@ -112,7 +112,11 @@ def _default_scenario_profiles() -> dict:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs: network facts, link ranges, properties, and the
-    disturbance profile of every scenario (the defaults unless overridden)."""
+    disturbance profile of every scenario (the defaults unless overridden).
+
+    The run's cross-field checks live here, so a loaded, a derived
+    (``with_updates``) and a hand-built config are all checked once, when built.
+    """
 
     network: MirrorNetwork
     ranges: TopologyRanges
@@ -120,6 +124,41 @@ class ExperimentConfig:
     scenario_profiles: Mapping[ScenarioId, DisturbanceProfile] = field(
         default_factory=_default_scenario_profiles, hash=False
     )
+
+    def __post_init__(self) -> None:
+        network = self.network
+        for name, (_, upper) in (
+            ("mst_active_links_range", self.ranges.mst_active_links_range),
+            ("rt_active_links_range", self.ranges.rt_active_links_range),
+        ):
+            if upper > network.total_links:
+                raise ValueError(
+                    f"{name} upper bound {upper} exceeds the network's"
+                    f" {network.total_links} links"
+                )
+        # A step's bandwidth or write time is at most alpha x total_links (the
+        # disturbed link count is clamped to it) x the unit range's upper bound
+        # x the largest factor of any scenario, since ``with_updates`` may pick
+        # any of them. That value, its normalization basis and its percentage
+        # must be finite, so no run of a config meets an infinity or a NaN.
+        effect_sets = [
+            effects for profile in self.scenario_profiles.values()
+            for effects in (profile.mst_effects, profile.rt_effects)
+        ]
+        for key, unit_range, factor_name, basis in (
+            ("bandwidth_per_link_range", network.bandwidth_per_link_range,
+             "bandwidth_factor", network.bandwidth_basis),
+            ("unit_write_time_range", network.unit_write_time_range,
+             "write_time_factor", network.write_time_basis),
+        ):
+            factor = max(getattr(effects, factor_name)[1] for effects in effect_sets)
+            worst = network.alpha * network.total_links * unit_range[1] * factor
+            if not all(map(math.isfinite, (worst, basis, 100.0 * worst / basis))):
+                raise ValueError(
+                    f"{key} upper bound {unit_range[1]} with {network.total_links} links,"
+                    f" alpha {network.alpha} and a {factor_name} up to {factor} lets a"
+                    " step's value or its percentage overflow to a non-finite number"
+                )
 
     def with_updates(
         self,
@@ -219,35 +258,6 @@ def _parse_disturbances(raw: object) -> dict:
     return overrides
 
 
-def _check_worst_step_is_finite(network: MirrorNetwork, profiles: Mapping) -> None:
-    """Reject a network whose largest possible step value overflows.
-
-    A step's bandwidth or write time is at most alpha x total_links (the
-    disturbed link count is clamped to it) x the unit range's upper bound x
-    the largest factor of any scenario, since ``with_updates`` may pick any
-    of them. That value, its normalization basis and its percentage must be
-    finite, so no run of a loaded config meets an infinity or a NaN.
-    """
-    effect_sets = [
-        effects for profile in profiles.values()
-        for effects in (profile.mst_effects, profile.rt_effects)
-    ]
-    for key, unit_range, factor_name, basis in (
-        ("bandwidth_per_link_range", network.bandwidth_per_link_range,
-         "bandwidth_factor", network.bandwidth_basis),
-        ("unit_write_time_range", network.unit_write_time_range,
-         "write_time_factor", network.write_time_basis),
-    ):
-        factor = max(getattr(effects, factor_name)[1] for effects in effect_sets)
-        worst = network.alpha * network.total_links * unit_range[1] * factor
-        if not all(map(math.isfinite, (worst, basis, 100.0 * worst / basis))):
-            raise ConfigInvariantError(
-                f"{key} upper bound {unit_range[1]} with {network.total_links} links,"
-                f" alpha {network.alpha} and a {factor_name} up to {factor} lets a"
-                " step's value or its percentage overflow to a non-finite number"
-            )
-
-
 def config_from_mapping(raw: Mapping) -> ExperimentConfig:
     """Validate a parsed configuration mapping and build the domain objects."""
     if not isinstance(raw, Mapping):
@@ -315,16 +325,14 @@ def config_from_mapping(raw: Mapping) -> ExperimentConfig:
                 mst_effects=replace(default.mst_effects, **sides.get("mst", {})),
                 rt_effects=replace(default.rt_effects, **sides.get("rt", {})),
             )
+        return ExperimentConfig(
+            network=network,
+            ranges=ranges,
+            properties=properties,
+            scenario_profiles=profiles,
+        )
     except ValueError as exc:
         raise ConfigInvariantError(str(exc)) from None
-    _check_worst_step_is_finite(network, profiles)
-
-    return ExperimentConfig(
-        network=network,
-        ranges=ranges,
-        properties=properties,
-        scenario_profiles=profiles,
-    )
 
 
 def default_config() -> ExperimentConfig:

@@ -16,16 +16,10 @@ from operator import eq, itemgetter
 from random import Random
 from typing import NamedTuple, Optional
 
-from .config import ExperimentConfig, SatisfactionThresholds, SimulationProperties
+from .config import ExperimentConfig, SatisfactionThresholds
 from .management import Effector, EffectorCommand, Probe
-from .network import (
-    MirrorNetwork,
-    Monitorables,
-    Topology,
-    TopologyRanges,
-    sample_base_monitorables,
-)
-from .scenarios import ScenarioState, apply_disturbance, initial_topology
+from .network import MirrorNetwork, Monitorables, Topology, sample_base_monitorables
+from .scenarios import apply_disturbance, initial_topology
 
 
 class SimulationError(RuntimeError):
@@ -234,29 +228,14 @@ def evaluate_satisfaction(
 class Simulation:
     """One run's mutable state: topology, pending commands, timestep, rng."""
 
-    def __init__(
-        self,
-        network: MirrorNetwork,
-        ranges: TopologyRanges,
-        scenario_state: ScenarioState,
-        properties: SimulationProperties,
-    ) -> None:
-        for name, (_, upper) in (
-            ("mst_active_links_range", ranges.mst_active_links_range),
-            ("rt_active_links_range", ranges.rt_active_links_range),
-        ):
-            if upper > network.total_links:
-                raise ValueError(
-                    f"{name} upper bound {upper} exceeds the network's"
-                    f" {network.total_links} links"
-                )
-        self.network = network
-        self.ranges = ranges
-        self.scenario_state = scenario_state
-        self.properties = properties
+    def __init__(self, config: ExperimentConfig) -> None:
+        self.network = config.network
+        self.ranges = config.ranges
+        self.properties = properties = config.properties
+        self.profile = config.scenario_profiles[properties.scenario]
         self.rng = Random(properties.seed)
         self.timestep = 0  # index of the next step to execute
-        self.current_topology = initial_topology(scenario_state.scenario, self.rng)
+        self.current_topology = initial_topology(properties.scenario, self.rng)
         self.trace = Trace()
         (
             self._append_code, self._append_links, self._append_bandwidth,
@@ -309,7 +288,13 @@ class Simulation:
         if overrides:
             base = self._with_overrides(base)
 
-        disturbed = apply_disturbance(self.scenario_state, topology, base, t, rng, network)
+        window = self.properties.disturbance_window  # inclusive [start, end]; None = whole run
+        if window is None or window[0] <= t <= window[1]:
+            profile = self.profile
+            effects = profile.mst_effects if topology is _MST else profile.rt_effects
+            disturbed = apply_disturbance(effects, base, rng, network)
+        else:
+            disturbed = base  # outside the window no factor is drawn
 
         self.latest_monitorables = disturbed
         active_links, bandwidth, write_time = disturbed
@@ -366,13 +351,7 @@ class RunResult:
 
 
 def build_simulation(config: ExperimentConfig) -> Simulation:
-    props = config.properties
-    state = ScenarioState(
-        scenario=props.scenario,
-        profile=config.scenario_profiles[props.scenario],
-        window=props.disturbance_window,
-    )
-    return Simulation(config.network, config.ranges, state, props)
+    return Simulation(config)
 
 
 def run(manager, config: ExperimentConfig) -> RunResult:

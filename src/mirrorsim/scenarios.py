@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from random import Random
-from typing import Optional
 
 from .network import (
     MirrorNetwork,
@@ -119,27 +118,6 @@ def scenario_profile(scenario: ScenarioId) -> DisturbanceProfile:
     return _DEFAULT_PROFILES[ScenarioId.parse(scenario)]
 
 
-@dataclass(frozen=True)
-class ScenarioState:
-    """A scenario plus the timestep window during which it disturbs the run."""
-
-    scenario: ScenarioId
-    profile: DisturbanceProfile
-    window: Optional[tuple[int, int]] = None  # inclusive [start, end]; None = whole run
-
-    def __post_init__(self) -> None:
-        if self.window is not None:
-            start, end = self.window
-            if start < 0 or start > end:
-                raise ValueError(f"invalid disturbance window: [{start}, {end}]")
-
-    def active_at(self, timestep: int) -> bool:
-        if self.window is None:
-            return True
-        start, end = self.window
-        return start <= timestep <= end
-
-
 _FIXED_INITIAL_TOPOLOGY = {
     ScenarioId.S0: Topology.MST,
     ScenarioId.S1: Topology.MST,
@@ -158,29 +136,17 @@ def initial_topology(scenario: ScenarioId, rng: Random) -> Topology:
 
 
 def apply_disturbance(
-    state: ScenarioState,
-    current_topology: Topology,
-    base: Monitorables,
-    timestep: int,
-    rng: Random,
-    network: MirrorNetwork,
+    effects: EffectSet, base: Monitorables, rng: Random, network: MirrorNetwork
 ) -> Monitorables:
-    """Disturb one timestep's base monitorables.
+    """Disturb one timestep's base monitorables with one topology's effect set.
 
-    Outside the window the base passes through untouched (and the rng is not
-    consumed). Inside it, one factor per interval is drawn, identity effect
-    sets included, so the rng stream stays aligned across scenarios. The link
-    factor is applied first (rounded half-up, clamped to [0, total_links]);
-    the derived metrics are rescaled to the disturbed link count before their
-    own factors apply, keeping them consistent with the closed-form products.
+    One factor per interval is drawn, identity intervals included, so the rng
+    stream stays aligned across scenarios. The link factor is applied first
+    (rounded half-up, clamped to [0, total_links]); the derived metrics are
+    rescaled to the disturbed link count before their own factors apply,
+    keeping them consistent with the closed-form products. The step decides
+    whether the disturbance window is open and which topology's set applies.
     """
-    if timestep < 0:
-        raise ValueError("timestep must be >= 0")
-    window = state.window  # state.active_at(timestep), without the method call
-    if window is not None and not window[0] <= timestep <= window[1]:
-        return base
-    profile = state.profile
-    effects = profile.mst_effects if current_topology is Topology.MST else profile.rt_effects
     # Each factor is rng.uniform(lower, upper), written out as its documented
     # expression: the same draw and the same value.
     random = rng.random

@@ -9,6 +9,7 @@ from mirrorsim.config import (
     ConfigInvariantError,
     ConfigSchemaError,
     ConfigSyntaxError,
+    ExperimentConfig,
     SatisfactionThresholds,
     SimulationProperties,
     config_from_mapping,
@@ -16,6 +17,7 @@ from mirrorsim.config import (
     default_config_mapping,
     load_config,
 )
+from mirrorsim.network import build_network, topology_ranges_from_pct
 from mirrorsim.scenarios import DisturbanceProfile, EffectSet, ScenarioId, scenario_profile
 
 
@@ -227,3 +229,12 @@ def test_the_default_config_and_every_scenario_load():
         assert config.properties.scenario is scenario
     # Large but finite worst steps still load.
     config_from_mapping({"bandwidth_per_link_range": [1, 1e300], "scenario": "S6"})
+
+
+def test_a_hand_built_config_is_checked_like_a_loaded_one():
+    network = build_network(25, bandwidth_per_link_range=(1, 1e308))
+    properties = SimulationProperties(scenario=ScenarioId.S2)
+    with pytest.raises(ValueError, match=r"bandwidth_per_link_range upper bound 1e\+308 .*non-finite"):
+        ExperimentConfig(network, topology_ranges_from_pct(network), properties)
+    sound = build_network(25)
+    ExperimentConfig(sound, topology_ranges_from_pct(sound), properties)

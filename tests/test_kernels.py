@@ -1,7 +1,7 @@
 """The step kernels against their straightforward reference formulations.
 
 The references below are the plain versions of the per-step kernels: the
-topology's range and effect set picked by a conditional expression, bounds
+topology's range picked by a conditional expression, bounds
 splatted into ``rng.uniform(*...)``, each derived metric as
 ``network.alpha * links * unit``, the link clamp as ``min``/``max`` and the
 normalization bases recomputed per call. The
@@ -24,7 +24,6 @@ from mirrorsim import (
     Monitorables,
     NormalizedMetrics,
     ScenarioId,
-    ScenarioState,
     Topology,
     TopologyRanges,
     TraceRecord,
@@ -54,11 +53,7 @@ def reference_sample_base_monitorables(topology, network, ranges, rng):
     )
 
 
-def reference_apply_disturbance(state, current_topology, base, timestep, rng, network):
-    if not state.active_at(timestep):
-        return base
-    profile = state.profile
-    effects = profile.mst_effects if current_topology is Topology.MST else profile.rt_effects
+def reference_apply_disturbance(effects, base, rng, network):
     links_factor = rng.uniform(*effects.active_links_factor)
     bandwidth_factor = rng.uniform(*effects.bandwidth_factor)
     write_time_factor = rng.uniform(*effects.write_time_factor)
@@ -116,7 +111,8 @@ def topology_ranges(draw, network):
 
 
 @st.composite
-def scenario_states(draw):
+def effect_sets(draw):
+    """One side of a scenario's profile, the defaults or drawn overrides."""
     scenario = draw(st.sampled_from(list(ScenarioId)))
     factor = bounds(0.05, 4.0)
     overrides = draw(
@@ -129,15 +125,9 @@ def scenario_states(draw):
             ),
         )
     )
-    window = draw(
-        st.one_of(
-            st.none(),
-            st.tuples(st.integers(0, 20), st.integers(0, 20)).map(lambda w: (w[0], w[0] + w[1])),
-        )
-    )
     disturbances = {scenario.value: overrides or {}}
-    profiles = config_from_mapping({"disturbances": disturbances}).scenario_profiles
-    return ScenarioState(scenario, profiles[scenario], window)
+    profile = config_from_mapping({"disturbances": disturbances}).scenario_profiles[scenario]
+    return draw(st.sampled_from([profile.mst_effects, profile.rt_effects]))
 
 
 topologies = st.sampled_from([Topology.MST, Topology.RT])
@@ -155,23 +145,16 @@ def test_sample_base_monitorables_matches_reference(data, network, topology, see
     assert rng.getstate() == reference_rng.getstate()
 
 
-@given(
-    data=st.data(),
-    network=networks(),
-    state=scenario_states(),
-    topology=topologies,
-    timestep=st.integers(min_value=0, max_value=50),
-    seed=seeds,
-)
-def test_apply_disturbance_matches_reference(data, network, state, topology, timestep, seed):
+@given(data=st.data(), network=networks(), effects=effect_sets(), seed=seeds)
+def test_apply_disturbance_matches_reference(data, network, effects, seed):
     base = Monitorables(
         data.draw(st.integers(0, network.total_links)),
         data.draw(st.floats(min_value=0.0, max_value=1e6)),
         data.draw(st.floats(min_value=0.0, max_value=1e6)),
     )
     rng, reference_rng = Random(seed), Random(seed)
-    disturbed = apply_disturbance(state, topology, base, timestep, rng, network)
-    expected = reference_apply_disturbance(state, topology, base, timestep, reference_rng, network)
+    disturbed = apply_disturbance(effects, base, rng, network)
+    expected = reference_apply_disturbance(effects, base, reference_rng, network)
     assert type(disturbed) is Monitorables
     assert disturbed == expected
     assert rng.getstate() == reference_rng.getstate()

@@ -179,8 +179,8 @@ def test_runs_share_the_configured_override_profile(make_config):
     )
     profile = config.scenario_profiles[ScenarioId.S1]
     assert profile.mst_effects.active_links_factor == (0.5, 0.6)
-    assert build_simulation(config).scenario_state.profile is profile
-    assert build_simulation(config).scenario_state.profile is profile
+    assert build_simulation(config).profile is profile
+    assert build_simulation(config).profile is profile
 
 
 def test_replay_reproduces_manager_run(make_config):
@@ -246,18 +246,14 @@ def test_summary_recomputable_from_emitted_csv(make_config):
     assert (links_mean >= thresholds.min_active_links_pct) == result.summary.mr_satisfied
 
 
-def test_ranges_must_fit_the_network(make_config):
-    from mirrorsim.config import SimulationProperties
+def test_ranges_must_fit_the_network():
+    from mirrorsim.config import ExperimentConfig, SimulationProperties
     from mirrorsim.network import TopologyRanges
-    from mirrorsim.runner import Simulation
-    from mirrorsim.scenarios import ScenarioId, ScenarioState, scenario_profile
 
-    state = ScenarioState(ScenarioId.S0, scenario_profile(ScenarioId.S0))
-    with pytest.raises(ValueError):
-        Simulation(
+    with pytest.raises(ValueError, match="rt_active_links_range upper bound 400 exceeds"):
+        ExperimentConfig(
             NETWORK,
             TopologyRanges((105, 150), (180, 400)),  # 400 > 300 links
-            state,
             SimulationProperties(),
         )
 

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mirrorsim.config import ConfigError, config_from_mapping
-from mirrorsim.network import Monitorables, Topology, build_network
+from mirrorsim.config import ConfigError, SimulationProperties, config_from_mapping
+from mirrorsim.network import Monitorables, Topology, build_network, sample_base_monitorables
+from mirrorsim.managers import NullManager
+from mirrorsim.runner import run
 from mirrorsim.scenarios import (
     DEFAULT_LINK_REDUCTION,
     DEFAULT_LOAD_INFLATION,
@@ -17,7 +19,6 @@ from mirrorsim.scenarios import (
     IDENTITY_INTERVAL,
     EffectSet,
     ScenarioId,
-    ScenarioState,
     apply_disturbance,
     initial_topology,
     scenario_profile,
@@ -32,9 +33,10 @@ def overridden_profile(scenario, overrides):
     return config.scenario_profiles[scenario]
 
 
-def make_state(scenario, overrides=None, window=None):
-    scenario = ScenarioId.parse(scenario)
-    return ScenarioState(scenario, overridden_profile(scenario, overrides or {}), window)
+def effects_of(scenario, topology, overrides=None):
+    """The effect set a run of ``scenario`` applies while ``topology`` is selected."""
+    profile = overridden_profile(scenario, overrides or {})
+    return profile.mst_effects if topology is Topology.MST else profile.rt_effects
 
 
 def test_scenario_parse():
@@ -153,127 +155,125 @@ def test_random_initial_topology_is_seed_deterministic_and_varies():
 
 
 def test_s0_is_fixed_point():
-    state = make_state("S0")
+    mst, rt = effects_of("S0", Topology.MST), effects_of("S0", Topology.RT)
     rng = Random(3)
     for seed in range(50):
         base = Monitorables(100 + seed, 2500.0 + seed, 1500.0 + seed)
-        assert apply_disturbance(state, Topology.MST, base, seed, rng, NETWORK) == base
-        assert apply_disturbance(state, Topology.RT, base, seed, rng, NETWORK) == base
+        assert apply_disturbance(mst, base, rng, NETWORK) == base
+        assert apply_disturbance(rt, base, rng, NETWORK) == base
 
 
 def test_s1_leaves_rt_untouched():
-    state = make_state("S1")
+    effects = effects_of("S1", Topology.RT)
     rng = Random(11)
     base = Monitorables(200, 5000.0, 3000.0)
-    for timestep in range(50):
-        assert apply_disturbance(state, Topology.RT, base, timestep, rng, NETWORK) == base
+    for _ in range(50):
+        assert apply_disturbance(effects, base, rng, NETWORK) == base
 
 
 def test_s2_leaves_mst_untouched():
-    state = make_state("S2")
+    effects = effects_of("S2", Topology.MST)
     rng = Random(11)
     base = Monitorables(120, 3000.0, 1800.0)
-    for timestep in range(50):
-        assert apply_disturbance(state, Topology.MST, base, timestep, rng, NETWORK) == base
+    for _ in range(50):
+        assert apply_disturbance(effects, base, rng, NETWORK) == base
 
 
 def test_pinned_reduction_factor():
     # With the link factor pinned to 0.5, the link count halves and both
     # derived metrics rescale with it before their own (identity) factors.
-    state = make_state("S1", {"mst": {"active_links_factor": [0.5, 0.5]}})
+    effects = effects_of("S1", Topology.MST, {"mst": {"active_links_factor": [0.5, 0.5]}})
     base = Monitorables(120, 2400.0, 1440.0)
-    disturbed = apply_disturbance(state, Topology.MST, base, 0, Random(1), NETWORK)
+    disturbed = apply_disturbance(effects, base, Random(1), NETWORK)
     assert disturbed == Monitorables(60, 1200.0, 720.0)
 
 
 def test_reduction_direction_under_s1_mst():
-    state = make_state("S1")
+    effects = effects_of("S1", Topology.MST)
     rng = Random(2)
     for _ in range(500):
         base = Monitorables(150, 3750.0, 2250.0)
-        disturbed = apply_disturbance(state, Topology.MST, base, 0, rng, NETWORK)
+        disturbed = apply_disturbance(effects, base, rng, NETWORK)
         assert disturbed.active_links <= base.active_links
         assert disturbed.bandwidth_consumption <= base.bandwidth_consumption
         assert disturbed.time_to_write <= base.time_to_write
 
 
 def test_inflation_direction_under_s2_rt():
-    state = make_state("S2")
+    effects = effects_of("S2", Topology.RT)
     rng = Random(2)
     for _ in range(500):
         base = Monitorables(225, 5625.0, 3375.0)
-        disturbed = apply_disturbance(state, Topology.RT, base, 0, rng, NETWORK)
+        disturbed = apply_disturbance(effects, base, rng, NETWORK)
         assert disturbed.active_links == base.active_links
         assert disturbed.bandwidth_consumption >= base.bandwidth_consumption
         assert disturbed.time_to_write >= base.time_to_write
 
 
 def test_s4_gates_on_mst_and_s5_on_rt():
-    s4 = make_state("S4")
-    s5 = make_state("S5")
+    s4_rt = effects_of("S4", Topology.RT)
+    s5_mst = effects_of("S5", Topology.MST)
     rng = Random(8)
     base = Monitorables(150, 3750.0, 2250.0)
-    for timestep in range(20):
-        assert apply_disturbance(s4, Topology.RT, base, timestep, rng, NETWORK) == base
-        assert apply_disturbance(s5, Topology.MST, base, timestep, rng, NETWORK) == base
+    for _ in range(20):
+        assert apply_disturbance(s4_rt, base, rng, NETWORK) == base
+        assert apply_disturbance(s5_mst, base, rng, NETWORK) == base
 
 
 def test_window_gates_disturbance_and_preserves_rng():
-    state = make_state("S1", window=(5, 10))
+    # An S1 run stays on MST (no initial coin). Outside its inclusive window
+    # a step is the base sample and draws no factor; inside it, the MST
+    # effect set draws its three factors after the base sample.
+    config = config_from_mapping(
+        {"scenario": "S1", "seed": 42, "timesteps": 15, "disturbance_window": [5, 10]}
+    )
+    trace = run(NullManager(), config).trace
     rng = Random(42)
-    base = Monitorables(120, 3000.0, 1800.0)
-    before = rng.getstate()
-    result = apply_disturbance(state, Topology.MST, base, 0, rng, NETWORK)
-    assert result is base
-    assert rng.getstate() == before  # inactive steps must not consume the stream
-    assert state.active_at(5) and state.active_at(10)
-    assert not state.active_at(4) and not state.active_at(11)
-    disturbed = apply_disturbance(state, Topology.MST, base, 5, rng, NETWORK)
-    assert disturbed.active_links < base.active_links
+    effects = config.scenario_profiles[ScenarioId.S1].mst_effects
+    expected = []
+    for timestep in range(15):
+        base = sample_base_monitorables(Topology.MST, config.network, config.ranges, rng)
+        if 5 <= timestep <= 10:
+            base = apply_disturbance(effects, base, rng, config.network)
+        expected.append(base)
+    assert [record.monitorables for record in trace] == expected
 
 
 def test_disturbed_links_clamp_to_total():
-    state = make_state("S1", {"mst": {"active_links_factor": [2.0, 2.0]}})
+    effects = effects_of("S1", Topology.MST, {"mst": {"active_links_factor": [2.0, 2.0]}})
     base = Monitorables(200, 4000.0, 3000.0)
-    disturbed = apply_disturbance(state, Topology.MST, base, 0, Random(0), NETWORK)
+    disturbed = apply_disturbance(effects, base, Random(0), NETWORK)
     assert disturbed.active_links == NETWORK.total_links
     assert math.isclose(disturbed.bandwidth_consumption, 4000.0 * 300 / 200, rel_tol=1e-12)
 
 
 def test_disturbance_is_deterministic():
-    state = make_state("S6")
+    effects = effects_of("S6", Topology.MST)
     base = Monitorables(140, 3500.0, 2100.0)
-    first = apply_disturbance(state, Topology.MST, base, 7, Random(99), NETWORK)
-    second = apply_disturbance(state, Topology.MST, base, 7, Random(99), NETWORK)
+    first = apply_disturbance(effects, base, Random(99), NETWORK)
+    second = apply_disturbance(effects, base, Random(99), NETWORK)
     assert first == second
 
 
-def test_invalid_window_and_timestep_rejected():
+def test_invalid_window_rejected():
     with pytest.raises(ValueError):
-        make_state("S1", window=(-1, 5))
+        SimulationProperties(disturbance_window=(-1, 5))
     with pytest.raises(ValueError):
-        make_state("S1", window=(9, 3))
-    state = make_state("S1")
-    with pytest.raises(ValueError):
-        apply_disturbance(state, Topology.MST, Monitorables(1, 1.0, 1.0), -1, Random(0), NETWORK)
+        SimulationProperties(disturbance_window=(9, 3))
 
 
 @given(
     links=st.integers(min_value=0, max_value=300),
     bandwidth=st.floats(min_value=0.0, max_value=10_000.0),
     write_time=st.floats(min_value=0.0, max_value=10_000.0),
-    timestep=st.integers(min_value=0, max_value=99),
     seed=st.integers(min_value=0, max_value=2**32),
     scenario=st.sampled_from(list(ScenarioId)),
     use_rt=st.booleans(),
 )
-def test_disturbed_monitorables_stay_valid(
-    links, bandwidth, write_time, timestep, seed, scenario, use_rt
-):
-    state = make_state(scenario)
+def test_disturbed_monitorables_stay_valid(links, bandwidth, write_time, seed, scenario, use_rt):
+    effects = effects_of(scenario, Topology.RT if use_rt else Topology.MST)
     base = Monitorables(links, bandwidth, write_time)
-    topology = Topology.RT if use_rt else Topology.MST
-    disturbed = apply_disturbance(state, topology, base, timestep, Random(seed), NETWORK)
+    disturbed = apply_disturbance(effects, base, Random(seed), NETWORK)
     assert 0 <= disturbed.active_links <= NETWORK.total_links
     assert disturbed.bandwidth_consumption >= 0
     assert disturbed.time_to_write >= 0
