@@ -105,6 +105,22 @@ class SimulationProperties:
                 )
 
 
+def step_overflow(worst: float, basis: float, timesteps: int) -> Optional[str]:
+    """Name what a step value of ``worst`` overflows, or None if nothing does.
+
+    The value, its normalization ``basis`` and its percentage must be finite,
+    and so must the run's left-to-right sum of ``timesteps`` such percentages;
+    that sum is bounded by twice their product, the factor 2 a margin for the
+    rounding of each addition.
+    """
+    percentage = 100.0 * worst / basis
+    if not all(map(math.isfinite, (worst, basis, percentage))):
+        return "a step's value or its percentage"
+    if not math.isfinite(2.0 * percentage * timesteps):
+        return f"the sum of {timesteps} step percentages"
+    return None
+
+
 def _default_scenario_profiles() -> dict:
     return {scenario: scenario_profile(scenario) for scenario in ScenarioId}
 
@@ -139,8 +155,7 @@ class ExperimentConfig:
         # A step's bandwidth or write time is at most alpha x total_links (the
         # disturbed link count is clamped to it) x the unit range's upper bound
         # x the largest factor of any scenario, since ``with_updates`` may pick
-        # any of them. That value, its normalization basis and its percentage
-        # must be finite, so no run of a config meets an infinity or a NaN.
+        # any of them. No run of a config may meet an infinity or a NaN.
         effect_sets = [
             effects for profile in self.scenario_profiles.values()
             for effects in (profile.mst_effects, profile.rt_effects)
@@ -153,11 +168,12 @@ class ExperimentConfig:
         ):
             factor = max(getattr(effects, factor_name)[1] for effects in effect_sets)
             worst = network.alpha * network.total_links * unit_range[1] * factor
-            if not all(map(math.isfinite, (worst, basis, 100.0 * worst / basis))):
+            overflow = step_overflow(worst, basis, self.properties.timesteps)
+            if overflow is not None:
                 raise ValueError(
                     f"{key} upper bound {unit_range[1]} with {network.total_links} links,"
-                    f" alpha {network.alpha} and a {factor_name} up to {factor} lets a"
-                    " step's value or its percentage overflow to a non-finite number"
+                    f" alpha {network.alpha} and a {factor_name} up to {factor} lets"
+                    f" {overflow} overflow to a non-finite number"
                 )
 
     def with_updates(

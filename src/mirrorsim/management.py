@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .config import step_overflow
 from .network import Monitorables, Topology, round_half_up
 
 
@@ -83,6 +84,22 @@ class Effector:
 
     def __init__(self, sim) -> None:
         self._sim = sim
+        profile, network = sim.profile, sim.network
+        effect_sets = (profile.mst_effects, profile.rt_effects)
+        # Load override -> (its factor's name, the run profile's largest
+        # factor, its normalization basis), for the bound in _checked_load.
+        self._load_bounds = {
+            "bandwidth_consumption": (
+                "bandwidth_factor",
+                max(effects.bandwidth_factor[1] for effects in effect_sets),
+                network.bandwidth_basis,
+            ),
+            "time_to_write": (
+                "write_time_factor",
+                max(effects.write_time_factor[1] for effects in effect_sets),
+                network.write_time_basis,
+            ),
+        }
 
     def set_network_topology(self, timestep: int, topology: object) -> None:
         """Switch topology when the simulation advances into ``timestep``.
@@ -135,14 +152,14 @@ class Effector:
     def set_time_to_write(self, time_to_write: float) -> None:
         """Override the next step's write time in ms (one step only)."""
         self._check_running()
-        value = self._checked_scalar("time_to_write", time_to_write)
+        value = self._checked_load("time_to_write", time_to_write)
         self._sim.queue_override("time_to_write", value)
         self._log(CommandKind.SET_TIME_TO_WRITE, value)
 
     def set_bandwidth_consumption(self, bandwidth_consumption: float) -> None:
         """Override the next step's bandwidth in GBps (one step only)."""
         self._check_running()
-        value = self._checked_scalar("bandwidth_consumption", bandwidth_consumption)
+        value = self._checked_load("bandwidth_consumption", bandwidth_consumption)
         self._sim.queue_override("bandwidth_consumption", value)
         self._log(CommandKind.SET_BANDWIDTH_CONSUMPTION, value)
 
@@ -157,13 +174,24 @@ class Effector:
         except ValueError as exc:
             raise EffectorError(str(exc)) from None
 
-    @staticmethod
-    def _checked_scalar(name: str, value: object) -> float:
+    def _checked_load(self, name: str, value: object) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise EffectorError(f"{name} must be a number, got {value!r}")
         value = float(value)
         if math.isnan(value) or math.isinf(value) or value < 0:
             raise EffectorError(f"{name} must be a finite value >= 0, got {value}")
+        # The override replaces the step's base value; the disturbance then
+        # rescales it by the link ratio (at most total_links) and a factor.
+        factor_name, factor, basis = self._load_bounds[name]
+        total_links = self._sim.network.total_links
+        overflow = step_overflow(
+            value * total_links * factor, basis, self._sim.properties.timesteps
+        )
+        if overflow is not None:
+            raise EffectorError(
+                f"{name} {value} with {total_links} links and a {factor_name} up to"
+                f" {factor} lets {overflow} overflow to a non-finite number"
+            )
         return value
 
     def _log(self, kind: CommandKind, payload: object, target_timestep: Optional[int] = None) -> None:

@@ -266,3 +266,16 @@ def test_a_config_that_would_overflow_exits_with_config_error(tmp_path):
     )
     assert rc == EXIT_CONFIG_ERROR
     assert not list(tmp_path.glob("out/*_summary.json"))
+
+
+def test_a_run_whose_summary_would_overflow_exits_with_config_error(tmp_path):
+    config = tmp_path / "configuration.json"
+    config.write_text(json.dumps(
+        {"scenario": "S2", "disturbances": {"S2": {"rt": {"bandwidth_factor": [1e302, 1e302]}}}}
+    ))
+    rc = run_cli(
+        "run", "--config", str(config), "--manager", "null", "--seeds", "0",
+        "--timesteps", "50000", "--output-dir", str(tmp_path / "out"),
+    )
+    assert rc == EXIT_CONFIG_ERROR
+    assert not list(tmp_path.glob("out/*_summary.json"))

@@ -238,3 +238,17 @@ def test_a_hand_built_config_is_checked_like_a_loaded_one():
         ExperimentConfig(network, topology_ranges_from_pct(network), properties)
     sound = build_network(25)
     ExperimentConfig(sound, topology_ranges_from_pct(sound), properties)
+
+
+def test_a_run_whose_summary_sum_overflows_is_rejected():
+    # Every step value and percentage is finite (at most 1e304 %), and so is
+    # the sum of 100 steps, but not the sum of 50,000 steps.
+    mapping = {
+        "scenario": "S2",
+        "disturbances": {"S2": {"rt": {"bandwidth_factor": [1e302, 1e302]}}},
+    }
+    config = config_from_mapping(mapping)
+    with pytest.raises(ValueError, match="the sum of 50000 step percentages .*non-finite"):
+        config.with_updates(timesteps=50000)
+    with pytest.raises(ConfigInvariantError, match="the sum of 50000 step percentages"):
+        config_from_mapping({**mapping, "timesteps": 50000})

@@ -196,6 +196,27 @@ def test_scalar_override_rejections(make_config):
         sim.effector.set_active_links(True)
 
 
+def test_load_overrides_whose_worst_step_overflows_are_refused(make_config):
+    # Under S2 the disturbance could rescale an override by up to 300 links
+    # and inflate it by up to 1.6: 1.7e308 would overflow, 1e300 stays finite.
+    sim = build_simulation(make_config(scenario="S2", seed=1, timesteps=5))
+    for name in ("time_to_write", "bandwidth_consumption"):
+        with pytest.raises(EffectorError, match="non-finite"):
+            getattr(sim.effector, f"set_{name}")(1.7e308)
+    assert sim.command_log == []
+    sim.step()
+    assert sim.probe.get_time_to_write() >= 0  # no OverflowError from an acked override
+    sim.effector.set_time_to_write(1e300)
+    sim.effector.set_bandwidth_consumption(1e300)
+    record = sim.step()
+    assert all(map(math.isfinite, record[2:8]))
+    # The run's sum of percentages counts too: 1e300 per step over 10**8 steps
+    # would reach it.
+    long_run = build_simulation(make_config(scenario="S2", seed=1, timesteps=10**8))
+    with pytest.raises(EffectorError, match="the sum of 100000000 step percentages"):
+        long_run.effector.set_time_to_write(1e300)
+
+
 def test_command_log_orders_by_issue(make_config):
     sim = build_simulation(make_config(seed=6))
     sim.effector.set_active_links(150)

@@ -3,16 +3,24 @@ from __future__ import annotations
 import inspect
 import io
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
 
+import mirrorsim.runner
 import mirrorsim.wire
 from mirrorsim.config import default_config_mapping
 from mirrorsim.management import CommandKind, Effector, Probe
 from mirrorsim.managers import NullManager
-from mirrorsim.runner import TRACE_CSV_HEADER, RunResult, render_trace_csv, run
+from mirrorsim.runner import (
+    TRACE_CSV_HEADER,
+    NormalizedMetrics,
+    RunResult,
+    render_trace_csv,
+    run,
+)
 from mirrorsim.wire import MAX_LINE_CHARS, PROBE_REPLIES, PROTOCOL_VERSION, WireSession
 
 PROTOCOL_DOC = Path(__file__).resolve().parent.parent / "docs" / "protocol.md"
@@ -114,6 +122,21 @@ def test_invalid_effector_value_keeps_session_alive(make_config):
         assert reply["kind"] == "error" and reply["code"] == "invalid_value"
         assert harness.request("get_current_topology")["kind"] == "topology"
         drive_null_policy_rest(harness, 1)
+
+
+def test_an_override_whose_worst_step_overflows_is_invalid_value(make_config):
+    # Under S2 the disturbance could inflate a write time of 1.7e308 past the
+    # largest float: the override is refused, logged nowhere, and the run goes on.
+    with WireHarness(make_config(scenario="S2", seed=1, timesteps=2)) as harness:
+        harness.recv()
+        reply = harness.request("set_time_to_write", time_to_write=1.7e308)
+        assert reply["kind"] == "error" and reply["code"] == "invalid_value"
+        assert "non-finite" in reply["detail"]
+        assert harness.request("step")["kind"] == "step_complete"
+        assert harness.request("get_time_to_write")["kind"] == "value"
+        drive_null_policy_rest(harness, 1)
+    assert harness.result is not None and harness.result.completed
+    assert harness.result.command_log == []
 
 
 def test_unreachable_topology_target_is_invalid_value(make_config):
@@ -298,11 +321,16 @@ def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
-def test_a_non_finite_value_ends_the_session_with_strict_json(make_config):
-    # Under S2 the disturbance inflates an acked write-time override of
-    # 1.7e308 past the largest float; that step's reply must not go out.
+def test_a_non_finite_value_ends_the_session_with_strict_json(make_config, monkeypatch):
+    # No loaded config and no acked override reaches an infinity, so a fault
+    # injected into the step's normalization stands in for one: that step's
+    # reply must not go out.
+    def infinite_normalize(monitorables, network):
+        return NormalizedMetrics(math.inf, 0.0, 0.0)
+
+    monkeypatch.setattr(mirrorsim.runner, "normalize", infinite_normalize)
     requests = [
-        {"seq": 1, "kind": "set_time_to_write", "time_to_write": 1.7e308},
+        {"seq": 1, "kind": "set_time_to_write", "time_to_write": 500.0},
         {"seq": 2, "kind": "step"},
         {"seq": 3, "kind": "step"},
     ]
