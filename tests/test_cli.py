@@ -196,7 +196,7 @@ def test_init_config_writes_loadable_defaults(tmp_path):
 
 def test_serve_stdio_session(tmp_path):
     out = tmp_path / "wire"
-    process = subprocess.Popen(
+    with subprocess.Popen(
         [
             sys.executable, "-m", "mirrorsim", "serve", "--stdio",
             "--scenario", "S0", "--seed", "3", "--timesteps", "3",
@@ -205,21 +205,21 @@ def test_serve_stdio_session(tmp_path):
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         text=True,
-    )
-    try:
-        hello = json.loads(process.stdout.readline())
-        assert hello["kind"] == "hello"
-        for seq in range(1, 4):
-            process.stdin.write(json.dumps({"seq": seq, "kind": "step"}) + "\n")
-            process.stdin.flush()
-            reply = json.loads(process.stdout.readline())
-            assert reply["kind"] == "step_complete"
-        final = json.loads(process.stdout.readline())
-        assert final["kind"] == "run_complete"
-        process.stdin.close()
-        assert process.wait(timeout=30) == EXIT_OK
-    finally:
-        process.kill()
+    ) as process:
+        try:
+            hello = json.loads(process.stdout.readline())
+            assert hello["kind"] == "hello"
+            for seq in range(1, 4):
+                process.stdin.write(json.dumps({"seq": seq, "kind": "step"}) + "\n")
+                process.stdin.flush()
+                reply = json.loads(process.stdout.readline())
+                assert reply["kind"] == "step_complete"
+            final = json.loads(process.stdout.readline())
+            assert final["kind"] == "run_complete"
+            process.stdin.close()
+            assert process.wait(timeout=30) == EXIT_OK
+        finally:
+            process.kill()
     trace = (out / "S0_wire_seed3_trace.csv").read_text()
     assert len(trace.splitlines()) == 4
     summary = json.loads((out / "S0_wire_seed3_summary.json").read_text())
@@ -228,7 +228,7 @@ def test_serve_stdio_session(tmp_path):
 
 def test_serve_stdio_aborted_session_marks_incomplete(tmp_path):
     out = tmp_path / "wire"
-    process = subprocess.Popen(
+    with subprocess.Popen(
         [
             sys.executable, "-m", "mirrorsim", "serve", "--stdio",
             "--seed", "3", "--timesteps", "5", "--output-dir", str(out),
@@ -236,16 +236,16 @@ def test_serve_stdio_aborted_session_marks_incomplete(tmp_path):
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         text=True,
-    )
-    try:
-        json.loads(process.stdout.readline())  # hello
-        process.stdin.write(json.dumps({"seq": 1, "kind": "step"}) + "\n")
-        process.stdin.flush()
-        json.loads(process.stdout.readline())
-        process.stdin.close()  # walk away mid-run
-        assert process.wait(timeout=30) == 1
-    finally:
-        process.kill()
+    ) as process:
+        try:
+            json.loads(process.stdout.readline())  # hello
+            process.stdin.write(json.dumps({"seq": 1, "kind": "step"}) + "\n")
+            process.stdin.flush()
+            json.loads(process.stdout.readline())
+            process.stdin.close()  # walk away mid-run
+            assert process.wait(timeout=30) == 1
+        finally:
+            process.kill()
     marker = json.loads((out / "S0_wire_seed3_incomplete.json").read_text())
     assert marker == {"status": "incomplete", "timesteps_completed": 1}
     trace = (out / "S0_wire_seed3_trace.csv").read_text()
