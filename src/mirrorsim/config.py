@@ -114,7 +114,7 @@ def step_overflow(worst: float, basis: float, timesteps: int) -> Optional[str]:
     rounding of each addition.
     """
     percentage = 100.0 * worst / basis
-    if not all(map(math.isfinite, (worst, basis, percentage))):
+    if not (math.isfinite(worst) and math.isfinite(basis) and math.isfinite(percentage)):
         return "a step's value or its percentage"
     if not math.isfinite(2.0 * percentage * timesteps):
         return f"the sum of {timesteps} step percentages"

@@ -226,7 +226,11 @@ def evaluate_satisfaction(
 
 
 class Simulation:
-    """One run's mutable state: topology, pending commands, timestep, rng."""
+    """One run's mutable state: topology, pending commands, timestep, rng.
+
+    Built from one :class:`ExperimentConfig`, which checked every cross-field
+    invariant of the run when it was built; the step checks none of them again.
+    """
 
     def __init__(self, config: ExperimentConfig) -> None:
         self.network = config.network

@@ -215,6 +215,11 @@ def test_properties_direct_validation():
             "unit_write_time_range": [1e-300, 1e-300],
             "disturbances": {"S2": {"rt": {"write_time_factor": [1, 1e307]}}},
         },
+        # Finite steps and percentages, but their sum over the run overflows.
+        {
+            "timesteps": 50000,
+            "disturbances": {"S2": {"rt": {"bandwidth_factor": [1e302, 1e302]}}},
+        },
     ],
 )
 def test_configs_whose_worst_step_overflows_are_rejected(mapping):
@@ -234,21 +239,17 @@ def test_the_default_config_and_every_scenario_load():
 def test_a_hand_built_config_is_checked_like_a_loaded_one():
     network = build_network(25, bandwidth_per_link_range=(1, 1e308))
     properties = SimulationProperties(scenario=ScenarioId.S2)
-    with pytest.raises(ValueError, match=r"bandwidth_per_link_range upper bound 1e\+308 .*non-finite"):
+    with pytest.raises(ValueError, match=r"bandwidth_per_link_range upper bound 1e\+308"):
         ExperimentConfig(network, topology_ranges_from_pct(network), properties)
     sound = build_network(25)
     ExperimentConfig(sound, topology_ranges_from_pct(sound), properties)
 
 
-def test_a_run_whose_summary_sum_overflows_is_rejected():
+def test_with_updates_rejects_a_run_whose_summary_sum_overflows():
     # Every step value and percentage is finite (at most 1e304 %), and so is
     # the sum of 100 steps, but not the sum of 50,000 steps.
-    mapping = {
-        "scenario": "S2",
-        "disturbances": {"S2": {"rt": {"bandwidth_factor": [1e302, 1e302]}}},
-    }
-    config = config_from_mapping(mapping)
+    config = config_from_mapping(
+        {"scenario": "S2", "disturbances": {"S2": {"rt": {"bandwidth_factor": [1e302, 1e302]}}}}
+    )
     with pytest.raises(ValueError, match="the sum of 50000 step percentages .*non-finite"):
         config.with_updates(timesteps=50000)
-    with pytest.raises(ConfigInvariantError, match="the sum of 50000 step percentages"):
-        config_from_mapping({**mapping, "timesteps": 50000})
