@@ -152,6 +152,10 @@ class ExperimentConfig:
                     f"{name} upper bound {upper} exceeds the network's"
                     f" {network.total_links} links"
                 )
+        missing = [scenario.value for scenario in ScenarioId
+                   if scenario not in self.scenario_profiles]
+        if missing:
+            raise ValueError(f"scenario_profiles has no profile for {', '.join(missing)}")
         # A step's bandwidth or write time is at most alpha x total_links (the
         # disturbed link count is clamped to it) x the unit range's upper bound
         # x the largest factor of any scenario, since ``with_updates`` may pick

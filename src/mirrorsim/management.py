@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import NamedTuple, Optional
 
 from .config import step_overflow
 from .network import Monitorables, Topology, round_half_up
@@ -33,15 +33,19 @@ class CommandKind(enum.Enum):
     SET_CURRENT_TOPOLOGY = "set_current_topology"
 
 
-@dataclass(frozen=True, slots=True)
-class EffectorCommand:
-    """One adaptation command as issued, for auditing and replay (slotted: a
-    long run logs one per switch)."""
+class EffectorCommand(NamedTuple):
+    """One adaptation command as issued, for auditing and replay: an immutable
+    named tuple, since a long run logs one per switch."""
 
     kind: CommandKind
     payload: object
     issued_at: int
     target_timestep: Optional[int] = None  # SET_NETWORK_TOPOLOGY only
+
+
+# EffectorCommand._make without its Python-level length check, for the
+# effector, which always passes the four fields.
+_new_command = partial(tuple.__new__, EffectorCommand)
 
 
 class Probe:
@@ -196,10 +200,5 @@ class Effector:
 
     def _log(self, kind: CommandKind, payload: object, target_timestep: Optional[int] = None) -> None:
         self._sim.command_log.append(
-            EffectorCommand(
-                kind=kind,
-                payload=payload,
-                issued_at=self._sim.timestep,
-                target_timestep=target_timestep,
-            )
+            _new_command((kind, payload, self._sim.timestep, target_timestep))
         )

@@ -12,6 +12,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import chain, islice
 from operator import eq, itemgetter
 from random import Random
 from typing import NamedTuple, Optional
@@ -40,6 +41,10 @@ class NormalizedMetrics(NamedTuple):
     write_time_pct: float
 
 
+# NormalizedMetrics._make without its Python-level length check.
+_new_normalized = partial(tuple.__new__, NormalizedMetrics)
+
+
 def column_means(rows: Iterable[tuple[float, float, float]]) -> NormalizedMetrics:
     """Per-column means, summed left to right from 0.0: the same bits on every
     Python, unlike ``sum()``, which is compensated from CPython 3.12 on.
@@ -54,7 +59,7 @@ def column_means(rows: Iterable[tuple[float, float, float]]) -> NormalizedMetric
         bandwidth += bandwidth_pct
         write_time += write_time_pct
         count += 1
-    return NormalizedMetrics(links / count, bandwidth / count, write_time / count)
+    return _new_normalized((links / count, bandwidth / count, write_time / count))
 
 
 def normalize(monitorables: Monitorables, network: MirrorNetwork) -> NormalizedMetrics:
@@ -65,11 +70,11 @@ def normalize(monitorables: Monitorables, network: MirrorNetwork) -> NormalizedM
     inflation scenarios can push the load percentages above 100.
     """
     active_links, bandwidth, write_time = monitorables
-    return NormalizedMetrics(
+    return _new_normalized((
         100.0 * active_links / network.total_links,
         100.0 * bandwidth / network.bandwidth_basis,
         100.0 * write_time / network.write_time_basis,
-    )
+    ))
 
 
 class TraceRecord(NamedTuple):
@@ -122,9 +127,10 @@ class Trace(Sequence):
     """A run's trace: a read-only sequence of :class:`TraceRecord`, row ``i``
     being timestep ``i``.
 
-    The rows are held as typed columns (``array`` for the numbers, one byte
-    for the topology and adaptation), about 50 bytes a step, and each record
-    is built when it is read. Indexing, slicing (a tuple of records),
+    The rows are held in three typed columns, about 50 bytes a step: one byte
+    for the topology and adaptation, an ``array`` of the active-link counts
+    and one ``array`` of the five float fields, interleaved row by row. Each
+    record is built when it is read. Indexing, slicing (a tuple of records),
     iteration, ``len`` and pickling behave like a tuple of records; a trace
     equals another trace with the same columns, and a tuple or list of equal
     records. Only :meth:`Simulation.step` appends to it.
@@ -138,11 +144,14 @@ class Trace(Sequence):
         self._columns = (
             bytearray(),  # topology and adaptation code
             array("q"),  # active_links
-            *(array("d") for _ in range(5)),  # bandwidth_gbps ... write_time_pct
+            array("d"),  # bandwidth_gbps ... write_time_pct, five per row
         )
 
-    def _appenders(self) -> tuple:
-        return tuple(column.append for column in self._columns)
+    def _writers(self) -> tuple:
+        """The step's row writers: append a code, append a link count, extend
+        the floats by a row's five values."""
+        codes, links, floats = self._columns
+        return codes.append, links.append, floats.extend
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -154,17 +163,23 @@ class Trace(Sequence):
             row = range(len(self))[index]
         except IndexError:
             raise IndexError("trace index out of range") from None
-        codes, *values = self._columns
+        codes, links, floats = self._columns
         code = codes[row]
         return _new_record((
-            row, _TOPOLOGY_OF_CODE[code], *[column[row] for column in values],
+            row, _TOPOLOGY_OF_CODE[code], links[row], *floats[5 * row:5 * row + 5],
             _ADAPTATION_OF_CODE[code],
         ))
 
     def __iter__(self):
-        codes, *values = self._columns
+        codes, links, floats = self._columns
+        # zip draws its arguments in order for each row, so one iterator over
+        # the interleaved floats, passed five times, yields a row's five
+        # fields in turn. The row range comes first and ends the zip before
+        # a sixth draw.
+        values = iter(floats)
         return map(_new_record, zip(
-            range(len(codes)), map(_TOPOLOGY_OF_CODE.__getitem__, codes), *values,
+            range(len(codes)), map(_TOPOLOGY_OF_CODE.__getitem__, codes), links,
+            values, values, values, values, values,
             map(_ADAPTATION_OF_CODE.__getitem__, codes),
         ))
 
@@ -205,13 +220,17 @@ def evaluate_satisfaction(
 ) -> SatisfactionSummary:
     """Arithmetic means over the whole trace, compared inclusively.
 
-    A :class:`Trace` is folded straight from its three ``*_pct`` columns, with
-    no record built; any other sequence of records, record by record.
+    A :class:`Trace` is folded straight from the three ``*_pct`` fields of its
+    float column, with no record built; any other sequence of records, record
+    by record.
     """
     if not trace:
         raise ValueError("cannot evaluate an empty trace")
     if isinstance(trace, Trace):
-        rows = zip(*trace._columns[-3:])
+        # Strided views: no copy, and only the three percentages are boxed.
+        # They die with the fold, so the trace can grow again after it.
+        floats = memoryview(trace._columns[2])
+        rows = zip(floats[2::5], floats[3::5], floats[4::5])
     else:
         rows = map(_NORMALIZED_COLUMNS, trace)
     mean_active_links, mean_bandwidth, mean_write_time = column_means(rows)
@@ -241,11 +260,7 @@ class Simulation:
         self.timestep = 0  # index of the next step to execute
         self.current_topology = initial_topology(properties.scenario, self.rng)
         self.trace = Trace()
-        (
-            self._append_code, self._append_links, self._append_bandwidth,
-            self._append_write_time, self._append_links_pct, self._append_bandwidth_pct,
-            self._append_write_time_pct,
-        ) = self.trace._appenders()
+        self._append_code, self._append_links, self._extend_floats = self.trace._writers()
         self.latest_monitorables: Optional[Monitorables] = None  # set by each step
         self.command_log: list[EffectorCommand] = []
         self._topology_schedule: dict[int, Topology] = {}
@@ -310,11 +325,7 @@ class Simulation:
         code = 0 if topology is _MST else 1
         self._append_code(code if adaptation is None else code | 2)
         self._append_links(active_links)
-        self._append_bandwidth(bandwidth)
-        self._append_write_time(write_time)
-        self._append_links_pct(links_pct)
-        self._append_bandwidth_pct(bandwidth_pct)
-        self._append_write_time_pct(write_time_pct)
+        self._extend_floats((bandwidth, write_time, links_pct, bandwidth_pct, write_time_pct))
 
         if overrides:
             overrides.clear()  # overrides live for exactly one step
@@ -401,6 +412,9 @@ def replay(log: Sequence[EffectorCommand], config: ExperimentConfig) -> RunResul
 
 TRACE_CSV_HEADER = ",".join(TRACE_FIELDS)
 _CSV_ROW = "%s,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%s\n"
+_CSV_CHUNK = 1024  # records formatted by one % call
+# The cell of a topology or adaptation field; no switch is an empty cell.
+_CELL_OF = {None: "", **{topology: topology.value for topology in Topology}}
 
 
 def record_row(record: TraceRecord) -> tuple:
@@ -413,17 +427,20 @@ def record_row(record: TraceRecord) -> tuple:
 
 
 def render_trace_csv(trace: Sequence[TraceRecord]) -> str:
-    """Fixed-format CSV (6 decimal places) so equal traces render byte-equal."""
-    rows = [TRACE_CSV_HEADER + "\n"]
-    append = rows.append
-    for (timestep, topology, links, bandwidth, write_time,
-         links_pct, bandwidth_pct, write_time_pct, adaptation) in trace:
-        append(_CSV_ROW % (
-            timestep, topology.value, links, bandwidth, write_time,
-            links_pct, bandwidth_pct, write_time_pct,
-            adaptation.value if adaptation is not None else "",
-        ))
-    return "".join(rows)
+    """Fixed-format CSV (6 decimal places) so equal traces render byte-equal.
+
+    Records are formatted a chunk at a time, so a long trace holds one string
+    per chunk, not one per row, until the text is joined.
+    """
+    parts = [TRACE_CSV_HEADER + "\n"]
+    width = len(TRACE_FIELDS)
+    records = iter(trace)
+    while chunk := tuple(islice(records, _CSV_CHUNK)):
+        cells = list(chain.from_iterable(chunk))
+        cells[1::width] = map(_CELL_OF.__getitem__, cells[1::width])
+        cells[width - 1::width] = map(_CELL_OF.__getitem__, cells[width - 1::width])
+        parts.append((_CSV_ROW * len(chunk)) % tuple(cells))
+    return "".join(parts)
 
 
 def write_trace_csv(trace: Sequence[TraceRecord], path) -> str:

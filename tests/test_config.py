@@ -253,3 +253,20 @@ def test_with_updates_rejects_a_run_whose_summary_sum_overflows():
     )
     with pytest.raises(ValueError, match="the sum of 50000 step percentages .*non-finite"):
         config.with_updates(timesteps=50000)
+
+
+def test_a_config_must_hold_a_profile_for_every_scenario():
+    network = build_network(25)
+    ranges = topology_ranges_from_pct(network)
+    properties = SimulationProperties(scenario=ScenarioId.S1)
+    profiles = {scenario: scenario_profile(scenario) for scenario in ScenarioId}
+    del profiles[ScenarioId.S1]
+    with pytest.raises(ValueError, match=r"no profile for S1$"):
+        ExperimentConfig(network, ranges, properties, profiles)
+
+
+def test_a_config_with_no_profiles_names_every_scenario():
+    network = build_network(25)
+    ranges = topology_ranges_from_pct(network)
+    with pytest.raises(ValueError, match="no profile for S0, S1, S2, S3, S4, S5, S6"):
+        ExperimentConfig(network, ranges, SimulationProperties(), {})

@@ -4,9 +4,10 @@ The references below are the plain versions of the per-step kernels: the
 topology's range picked by a conditional expression, bounds
 splatted into ``rng.uniform(*...)``, each derived metric as
 ``network.alpha * links * unit``, the link clamp as ``min``/``max`` and the
-normalization bases recomputed per call. The
+normalization bases recomputed per call, and the trace CSV formatted one
+row at a time. The
 library's kernels must return equal values and leave the random stream in
-the same state. The contract tests pin what the step path relies on: the
+the same state; the CSV renderer must write the same bytes. The contract tests pin what the step path relies on: the
 records are immutable and ``Monitorables`` is checked on every construction.
 """
 
@@ -26,12 +27,15 @@ from mirrorsim import (
     ScenarioId,
     Topology,
     TopologyRanges,
+    Trace,
     TraceRecord,
     apply_disturbance,
     build_network,
+    build_simulation,
     config_from_mapping,
     create_manager,
     normalize,
+    render_trace_csv,
     run,
     sample_base_monitorables,
 )
@@ -78,6 +82,21 @@ def reference_normalize(monitorables, network):
         * monitorables.time_to_write
         / (network.total_links * network.unit_write_time_range[1]),
     )
+
+
+def reference_render_trace_csv(trace):
+    rows = [
+        "timestep,topology,active_links,bandwidth_gbps,time_to_write_ms,"
+        "active_links_pct,bandwidth_pct,write_time_pct,adaptation\n"
+    ]
+    for (timestep, topology, links, bandwidth, write_time,
+         links_pct, bandwidth_pct, write_time_pct, adaptation) in trace:
+        rows.append("%s,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%s\n" % (
+            timestep, topology.value, links, bandwidth, write_time,
+            links_pct, bandwidth_pct, write_time_pct,
+            adaptation.value if adaptation is not None else "",
+        ))
+    return "".join(rows)
 
 
 def bounds(low, high):
@@ -220,3 +239,31 @@ def test_run_result_pickles_equal():
     restored = pickle.loads(pickle.dumps(result))
     assert restored == result
     assert type(restored.trace[0].monitorables) is Monitorables
+
+
+# Lengths around the renderer's 1,024-record chunks: none, one, one short of
+# a chunk, a whole chunk, one over, and two chunks and one row.
+RENDER_LENGTHS = (0, 1, 1023, 1024, 1025, 2049)
+
+
+def test_render_trace_csv_matches_reference_across_chunk_edges():
+    config = config_from_mapping(
+        {"scenario": "S3", "seed": 9, "timesteps": max(RENDER_LENGTHS)}
+    )
+    manager = create_manager(
+        "threshold", network=config.network, thresholds=config.properties.thresholds, seed=9
+    )
+    sim = build_simulation(config)
+    for length in RENDER_LENGTHS:
+        while len(sim.trace) < length:
+            decision = manager.decide(sim.probe)
+            if decision.switch_to is not None:
+                sim.effector.set_current_topology(decision.switch_to)
+            sim.step()
+        assert isinstance(sim.trace, Trace) and len(sim.trace) == length
+        expected = reference_render_trace_csv(sim.trace)
+        assert render_trace_csv(sim.trace) == expected
+        assert render_trace_csv(list(sim.trace)) == expected
+    # Both topologies and both kinds of adaptation cell were rendered.
+    assert {record.topology for record in sim.trace} == set(Topology)
+    assert {record.adaptation for record in sim.trace} == {None, *Topology}

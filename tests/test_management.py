@@ -253,3 +253,39 @@ def test_commands_are_slotted_and_pickle_equal():
     assert not hasattr(command, "__dict__")
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(command, protocol)) == command
+
+
+def test_commands_are_immutable_hashable_named_tuples():
+    command = EffectorCommand(CommandKind.SET_ACTIVE_LINKS, 120, 4)
+    assert EffectorCommand._fields == ("kind", "payload", "issued_at", "target_timestep")
+    assert command.target_timestep is None
+    for name in (*EffectorCommand._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(command, name, 0)
+    assert hash(command) == hash(EffectorCommand(CommandKind.SET_ACTIVE_LINKS, 120, 4))
+    assert not hasattr(command, "__dict__")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(command, protocol)) == command
+
+
+def test_every_effector_logs_a_command_that_replays_equal(make_config):
+    config = make_config(scenario="S2", seed=6, timesteps=6)
+    sim = build_simulation(config)
+    effector = sim.effector
+    effector.set_network_topology(2, "mst")
+    effector.set_active_links(200)
+    sim.step()
+    effector.set_current_topology("rt")
+    effector.set_time_to_write(80)
+    effector.set_bandwidth_consumption(40.5)
+    for _ in range(5):
+        sim.step()
+    assert sim.command_log == [
+        EffectorCommand(CommandKind.SET_NETWORK_TOPOLOGY, Topology.MST, 0, 2),
+        EffectorCommand(CommandKind.SET_ACTIVE_LINKS, 200, 0),
+        EffectorCommand(CommandKind.SET_CURRENT_TOPOLOGY, Topology.RT, 1),
+        EffectorCommand(CommandKind.SET_TIME_TO_WRITE, 80.0, 1),
+        EffectorCommand(CommandKind.SET_BANDWIDTH_CONSUMPTION, 40.5, 1),
+    ]
+    assert all(type(command) is EffectorCommand for command in sim.command_log)
+    assert replay(sim.command_log, config).command_log == sim.command_log

@@ -376,3 +376,20 @@ def test_evaluate_satisfaction_folds_a_trace_like_its_records(make_config):
     thresholds = config.properties.thresholds
     assert evaluate_satisfaction(list(result.trace), thresholds) == result.summary
     assert evaluate_satisfaction(result.trace, thresholds) == result.summary
+
+
+def test_a_trace_keeps_growing_after_a_mid_run_evaluation(make_config):
+    config = make_config(scenario="S2", seed=3, timesteps=40)
+    sim = build_simulation(config)
+    thresholds = config.properties.thresholds
+    for _ in range(20):
+        sim.step()
+    halfway = evaluate_satisfaction(sim.trace, thresholds)
+    assert halfway == evaluate_satisfaction(list(sim.trace), thresholds)
+    for _ in range(20):
+        sim.step()
+    assert len(sim.trace) == 40
+    assert evaluate_satisfaction(sim.trace, thresholds) != halfway
+    assert evaluate_satisfaction(sim.trace, thresholds) == evaluate_satisfaction(
+        list(sim.trace), thresholds
+    )
