@@ -134,15 +134,15 @@ def _cmd_run(args) -> int:
         for seed in seeds:
             try:
                 cfg = config.with_updates(scenario=scenario, seed=seed, timesteps=args.timesteps)
+                manager = create_manager(
+                    args.manager,
+                    network=cfg.network,
+                    thresholds=cfg.properties.thresholds,
+                    seed=seed,
+                    switch_probability=args.switch_probability,
+                )
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-            manager = create_manager(
-                args.manager,
-                network=cfg.network,
-                thresholds=cfg.properties.thresholds,
-                seed=seed,
-                switch_probability=args.switch_probability,
-            )
             result = run(manager, cfg)
             stem = f"{scenario.value}_{args.manager}_seed{seed}"
             trace_text = write_trace_csv(result.trace, output_dir / f"{stem}_trace.csv")

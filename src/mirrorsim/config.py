@@ -116,7 +116,11 @@ def step_overflow(worst: float, basis: float, timesteps: int) -> Optional[str]:
     percentage = 100.0 * worst / basis
     if not (math.isfinite(worst) and math.isfinite(basis) and math.isfinite(percentage)):
         return "a step's value or its percentage"
-    if not math.isfinite(2.0 * percentage * timesteps):
+    try:
+        summed = 2.0 * percentage * timesteps
+    except OverflowError:  # timesteps past the float range
+        summed = math.inf
+    if not math.isfinite(summed):
         return f"the sum of {timesteps} step percentages"
     return None
 
@@ -227,7 +231,10 @@ def _as_int(value: object, path: str) -> int:
 def _as_number(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigSchemaError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise ConfigInvariantError(f"{path}: {value} overflows to a non-finite number") from None
 
 
 def _as_number_pair(value: object, path: str) -> tuple[float, float]:

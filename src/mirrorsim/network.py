@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from random import Random
 from typing import NamedTuple
@@ -65,14 +66,14 @@ def check_positive_range(name: str, bounds: tuple[float, float]) -> None:
 class MirrorNetwork:
     """Static facts about a fully connected network of data mirrors.
 
+    ``total_links`` (m(m-1)/2 for m mirrors) and the normalization bases
     ``bandwidth_basis`` and ``write_time_basis`` (total_links times the upper
-    bound of the per-link bandwidth and unit write time ranges) are the
-    normalization bases. They are derived at construction and are not
-    fields, so equality, hashing, repr and ``dataclasses.replace`` ignore them.
+    bound of the per-link bandwidth and unit write time ranges) are derived at
+    construction and are not fields, so equality, hashing, repr and
+    ``dataclasses.replace`` ignore them.
     """
 
     num_mirrors: int
-    total_links: int
     bandwidth_per_link_range: tuple[float, float]  # GBps
     unit_write_time_range: tuple[float, float]  # ms
     alpha: float
@@ -80,21 +81,24 @@ class MirrorNetwork:
     def __post_init__(self) -> None:
         if self.num_mirrors < 2:
             raise ValueError(f"need at least 2 mirrors, got {self.num_mirrors}")
-        expected = self.num_mirrors * (self.num_mirrors - 1) // 2
-        if self.total_links != expected:
+        total_links = self.num_mirrors * (self.num_mirrors - 1) // 2
+        # Compared exactly: a link count past the float range cannot be
+        # converted into the float bases at all.
+        if total_links > sys.float_info.max:
             raise ValueError(
-                f"total_links must be {expected} for {self.num_mirrors} mirrors,"
-                f" got {self.total_links}"
+                f"{self.num_mirrors} mirrors give more links than a float holds,"
+                " so the normalization bases would be non-finite"
             )
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         check_positive_range("bandwidth_per_link_range", self.bandwidth_per_link_range)
         check_positive_range("unit_write_time_range", self.unit_write_time_range)
+        object.__setattr__(self, "total_links", total_links)
         object.__setattr__(
-            self, "bandwidth_basis", self.total_links * self.bandwidth_per_link_range[1]
+            self, "bandwidth_basis", total_links * self.bandwidth_per_link_range[1]
         )
         object.__setattr__(
-            self, "write_time_basis", self.total_links * self.unit_write_time_range[1]
+            self, "write_time_basis", total_links * self.unit_write_time_range[1]
         )
 
 
@@ -164,7 +168,6 @@ def build_network(
     """
     return MirrorNetwork(
         num_mirrors=num_mirrors,
-        total_links=num_mirrors * (num_mirrors - 1) // 2,
         bandwidth_per_link_range=tuple(bandwidth_per_link_range),
         unit_write_time_range=tuple(unit_write_time_range),
         alpha=alpha,

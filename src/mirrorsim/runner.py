@@ -82,10 +82,8 @@ class TraceRecord(NamedTuple):
     monitorables, their normalized percentages and the topology switch if one
     landed.
 
-    A flat, immutable named tuple whose fields are the trace columns, so a
-    retained trace keeps one object per step; derive a changed copy with
-    ``_replace`` (``record._replace(active_links=...)``). ``monitorables`` and
-    ``normalized`` are derived views, built on each access.
+    A flat, immutable named tuple whose fields are the trace columns; derive
+    a changed copy with ``_replace`` (``record._replace(active_links=...)``).
     """
 
     timestep: int
@@ -97,14 +95,6 @@ class TraceRecord(NamedTuple):
     bandwidth_pct: float
     write_time_pct: float
     adaptation: Optional[Topology] = None
-
-    @property
-    def monitorables(self) -> Monitorables:
-        return Monitorables(self.active_links, self.bandwidth_gbps, self.time_to_write_ms)
-
-    @property
-    def normalized(self) -> NormalizedMetrics:
-        return NormalizedMetrics(self.active_links_pct, self.bandwidth_pct, self.write_time_pct)
 
 
 # The one definition of a trace row: the CSV header and rows, the wire's
@@ -118,8 +108,8 @@ _NORMALIZED_COLUMNS = itemgetter(*map(TRACE_FIELDS.index, NormalizedMetrics._fie
 _MST = Topology.MST
 _TOPOLOGY_OF_CODE = (Topology.MST, Topology.RT, Topology.MST, Topology.RT)
 _ADAPTATION_OF_CODE = (None, None, Topology.MST, Topology.RT)
-# TraceRecord._make without its Python-level length check, for the step and
-# the trace, which always pass the nine fields.
+# TraceRecord._make without its Python-level length check, for the trace,
+# which always passes the nine fields.
 _new_record = partial(tuple.__new__, TraceRecord)
 
 
@@ -279,8 +269,8 @@ class Simulation:
     def queue_override(self, field: str, value) -> None:
         self._pending_overrides[field] = value
 
-    def step(self) -> TraceRecord:
-        """Execute one timestep.
+    def step(self) -> None:
+        """Execute one timestep; its record is then ``self.trace[-1]``.
 
         Fixed order: (1) apply due topology commands, (2) sample base
         monitorables and apply effector overrides, (3) apply the scenario
@@ -318,10 +308,6 @@ class Simulation:
         self.latest_monitorables = disturbed
         active_links, bandwidth, write_time = disturbed
         links_pct, bandwidth_pct, write_time_pct = normalize(disturbed, network)
-        record = _new_record((
-            t, topology, active_links, bandwidth, write_time,
-            links_pct, bandwidth_pct, write_time_pct, adaptation,
-        ))
         code = 0 if topology is _MST else 1
         self._append_code(code if adaptation is None else code | 2)
         self._append_links(active_links)
@@ -330,7 +316,6 @@ class Simulation:
         if overrides:
             overrides.clear()  # overrides live for exactly one step
         self.timestep = t + 1
-        return record
 
     def _with_overrides(self, base: Monitorables) -> Monitorables:
         overrides = self._pending_overrides
@@ -415,15 +400,6 @@ _CSV_ROW = "%s,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%s\n"
 _CSV_CHUNK = 1024  # records formatted by one % call
 # The cell of a topology or adaptation field; no switch is an empty cell.
 _CELL_OF = {None: "", **{topology: topology.value for topology in Topology}}
-
-
-def record_row(record: TraceRecord) -> tuple:
-    """The record's values in ``TRACE_FIELDS`` order; topologies by name, no switch as None."""
-    timestep, topology, *values, adaptation = record
-    return (
-        timestep, topology.value, *values,
-        adaptation.value if adaptation is not None else None,
-    )
 
 
 def render_trace_csv(trace: Sequence[TraceRecord]) -> str:

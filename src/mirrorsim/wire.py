@@ -25,7 +25,6 @@ from .runner import (
     TraceRecord,
     build_simulation,
     evaluate_satisfaction,
-    record_row,
 )
 
 PROTOCOL_VERSION = 1
@@ -52,7 +51,12 @@ EFFECTOR_FIELDS = {
 
 
 def record_payload(record: TraceRecord) -> dict:
-    return dict(zip(TRACE_FIELDS, record_row(record)))
+    """The record's fields by name; topologies by value, no switch as None."""
+    timestep, topology, *values, adaptation = record
+    return dict(zip(TRACE_FIELDS, (
+        timestep, topology.value, *values,
+        adaptation.value if adaptation is not None else None,
+    )))
 
 
 class WireSession:
@@ -124,7 +128,8 @@ class WireSession:
         return False
 
     def _handle_step(self, seq: int) -> bool:
-        record = self.sim.step()
+        self.sim.step()
+        record = self.sim.trace[-1]
         sent = self._reply(
             seq,
             {"kind": "step_complete", "timestep": record.timestep, "record": record_payload(record)},

@@ -88,6 +88,16 @@ def test_bad_config_file_exits_with_config_error(tmp_path):
     assert rc == EXIT_CONFIG_ERROR
 
 
+@pytest.mark.parametrize("probability", ["2", "-0.5", "nan"])
+def test_a_bad_switch_probability_exits_with_config_error(tmp_path, capsys, probability):
+    rc = run_cli(
+        "run", "--manager", "random", "--switch-probability", probability,
+        "--output-dir", str(tmp_path / "out"),
+    )
+    assert rc == EXIT_CONFIG_ERROR
+    assert "switch_probability must be in [0, 1]" in capsys.readouterr().err
+
+
 def test_empty_batch_lists_are_config_errors(tmp_path):
     assert run_cli("run", "--seeds", ",", "--output-dir", str(tmp_path / "a")) == EXIT_CONFIG_ERROR
     assert run_cli("run", "--scenario", " ", "--output-dir", str(tmp_path / "b")) == EXIT_CONFIG_ERROR
@@ -259,13 +269,18 @@ def test_json_artifacts_refuse_non_finite_values(tmp_path):
 
 def test_a_config_that_would_overflow_exits_with_config_error(tmp_path):
     config = tmp_path / "configuration.json"
-    config.write_text(json.dumps({"bandwidth_per_link_range": [1, 1e308], "timesteps": 20}))
-    rc = run_cli(
-        "run", "--config", str(config), "--scenario", "S2", "--manager", "null",
-        "--seeds", "0", "--output-dir", str(tmp_path / "out"),
-    )
-    assert rc == EXIT_CONFIG_ERROR
-    assert not list(tmp_path.glob("out/*_summary.json"))
+    # The second has more links than a float holds.
+    for mapping in (
+        {"bandwidth_per_link_range": [1, 1e308], "timesteps": 20},
+        {"number_of_mirrors": 10**200},
+    ):
+        config.write_text(json.dumps(mapping))
+        rc = run_cli(
+            "run", "--config", str(config), "--scenario", "S2", "--manager", "null",
+            "--seeds", "0", "--output-dir", str(tmp_path / "out"),
+        )
+        assert rc == EXIT_CONFIG_ERROR
+        assert not list(tmp_path.glob("out/*_summary.json"))
 
 
 def test_a_run_whose_summary_would_overflow_exits_with_config_error(tmp_path):
@@ -279,3 +294,9 @@ def test_a_run_whose_summary_would_overflow_exits_with_config_error(tmp_path):
     )
     assert rc == EXIT_CONFIG_ERROR
     assert not list(tmp_path.glob("out/*_summary.json"))
+    # A run length past the float range overflows the sum with any config.
+    huge = str(10**400)
+    assert run_cli("run", "--timesteps", huge, "--output-dir", str(tmp_path / "out")) == (
+        EXIT_CONFIG_ERROR
+    )
+    assert run_cli("serve", "--stdio", "--timesteps", huge) == EXIT_CONFIG_ERROR

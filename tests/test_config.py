@@ -220,6 +220,11 @@ def test_properties_direct_validation():
             "timesteps": 50000,
             "disturbances": {"S2": {"rt": {"bandwidth_factor": [1e302, 1e302]}}},
         },
+        # Integers past the float range: the run length, the link count and a
+        # number the schema reads as a float.
+        {"timesteps": 10**400},
+        {"number_of_mirrors": 10**200},
+        {"bandwidth_per_link_range": [1, 10**400]},
     ],
 )
 def test_configs_whose_worst_step_overflows_are_rejected(mapping):
@@ -253,6 +258,9 @@ def test_with_updates_rejects_a_run_whose_summary_sum_overflows():
     )
     with pytest.raises(ValueError, match="the sum of 50000 step percentages .*non-finite"):
         config.with_updates(timesteps=50000)
+    # A run length past the float range overflows the sum with any config.
+    with pytest.raises(ValueError, match="non-finite"):
+        default_config().with_updates(timesteps=10**400)
 
 
 def test_a_config_must_hold_a_profile_for_every_scenario():

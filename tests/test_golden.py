@@ -28,7 +28,8 @@ import hashlib
 import json
 import sys
 
-from mirrorsim import config_from_mapping, create_manager, render_trace_csv, run
+from mirrorsim import create_manager, render_trace_csv, run
+from mirrorsim.config import config_from_mapping
 
 from wire_helpers import WireHarness, drive_threshold_policy
 

@@ -21,26 +21,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mirrorsim import (
+from mirrorsim.config import config_from_mapping
+from mirrorsim.managers import create_manager
+from mirrorsim.network import (
     Monitorables,
-    NormalizedMetrics,
-    ScenarioId,
     Topology,
     TopologyRanges,
+    build_network,
+    round_half_up,
+    sample_base_monitorables,
+)
+from mirrorsim.runner import (
+    NormalizedMetrics,
     Trace,
     TraceRecord,
-    apply_disturbance,
-    build_network,
     build_simulation,
-    config_from_mapping,
-    create_manager,
     normalize,
     render_trace_csv,
     run,
-    sample_base_monitorables,
 )
-from mirrorsim.network import round_half_up
-from mirrorsim.scenarios import FACTOR_NAMES
+from mirrorsim.scenarios import FACTOR_NAMES, ScenarioId, apply_disturbance
 
 
 def reference_sample_base_monitorables(topology, network, ranges, rng):
@@ -189,16 +189,17 @@ def test_normalize_matches_reference(data, network, topology, seed):
 def test_normalization_bases_are_not_fields():
     network = build_network(25)
     assert (network.bandwidth_basis, network.write_time_basis) == (300 * 30.0, 300 * 20.0)
-    assert "basis" not in repr(network)
+    assert network.total_links == 300
+    assert "basis" not in repr(network) and "total_links" not in repr(network)
     assert [f.name for f in dataclasses.fields(network)] == [
         "num_mirrors",
-        "total_links",
         "bandwidth_per_link_range",
         "unit_write_time_range",
         "alpha",
     ]
     widened = dataclasses.replace(network, bandwidth_per_link_range=(20.0, 40.0))
     assert widened.bandwidth_basis == 300 * 40.0
+    assert dataclasses.replace(network, num_mirrors=4).total_links == 6
     assert widened != network
     assert build_network(25) == network and hash(build_network(25)) == hash(network)
 
@@ -238,7 +239,7 @@ def test_run_result_pickles_equal():
     assert len(result.command_log) > 0
     restored = pickle.loads(pickle.dumps(result))
     assert restored == result
-    assert type(restored.trace[0].monitorables) is Monitorables
+    assert type(restored.trace[0]) is TraceRecord
 
 
 # Lengths around the renderer's 1,024-record chunks: none, one, one short of

@@ -37,11 +37,12 @@ def test_probe_before_first_step(make_config):
 
 def test_probe_projects_latest_record(make_config):
     sim = build_simulation(make_config(seed=3))
-    record = sim.step()
+    sim.step()
+    record = sim.trace[-1]
     monitorables = sim.probe.get_monitorables()
-    assert monitorables == record.monitorables
-    assert sim.probe.get_active_links() == record.monitorables.active_links
-    assert sim.probe.get_time_to_write() == math.floor(record.monitorables.time_to_write + 0.5)
+    assert monitorables == (record.active_links, record.bandwidth_gbps, record.time_to_write_ms)
+    assert sim.probe.get_active_links() == record.active_links
+    assert sim.probe.get_time_to_write() == math.floor(record.time_to_write_ms + 0.5)
     # repeated probes with no intervening step agree
     assert sim.probe.get_monitorables() == monitorables
     assert sim.probe.get_current_topology() is record.topology
@@ -73,7 +74,9 @@ def test_probe_purity(make_config):
 def test_set_network_topology_switches_at_target(make_config):
     sim = build_simulation(make_config(seed=1))
     sim.effector.set_network_topology(3, "rt")
-    records = [sim.step() for _ in range(5)]
+    for _ in range(5):
+        sim.step()
+    records = sim.trace
     assert [r.topology for r in records[:3]] == [Topology.MST] * 3
     assert records[3].topology is Topology.RT
     assert records[3].adaptation is Topology.RT
@@ -84,7 +87,8 @@ def test_set_network_topology_switches_at_target(make_config):
 def test_set_network_topology_same_value_logs_without_marker(make_config):
     sim = build_simulation(make_config(seed=1))
     sim.effector.set_network_topology(0, Topology.MST)  # already MST
-    record = sim.step()
+    sim.step()
+    record = sim.trace[-1]
     assert record.topology is Topology.MST
     assert record.adaptation is None
     assert len(sim.command_log) == 1
@@ -108,7 +112,9 @@ def test_set_network_topology_rejects_targets_past_the_end(make_config):
             sim.effector.set_network_topology(timestep, "rt")
     assert len(sim.command_log) == 0
     sim.effector.set_network_topology(4, "rt")  # the last step is still reachable
-    records = [sim.step() for _ in range(5)]
+    for _ in range(5):
+        sim.step()
+    records = sim.trace
     assert records[4].adaptation is Topology.RT
 
 
@@ -137,7 +143,9 @@ def test_last_command_for_a_target_wins(make_config):
     sim = build_simulation(make_config(seed=2))
     sim.effector.set_network_topology(1, "rt")
     sim.effector.set_network_topology(1, "mst")
-    records = [sim.step() for _ in range(2)]
+    for _ in range(2):
+        sim.step()
+    records = sim.trace
     assert records[1].topology is Topology.MST
     assert len(sim.command_log) == 2  # both issues are on the record
 
@@ -146,7 +154,8 @@ def test_set_current_topology_takes_effect_next_step(make_config):
     sim = build_simulation(make_config(seed=2))
     sim.step()
     sim.effector.set_current_topology("rt")
-    record = sim.step()
+    sim.step()
+    record = sim.trace[-1]
     assert record.topology is Topology.RT
     assert record.adaptation is Topology.RT
 
@@ -155,8 +164,9 @@ def test_scalar_override_applies_once(make_config):
     config = make_config(seed=7)
     sim = build_simulation(config)
     sim.effector.set_active_links(200)
-    first = sim.step()
-    assert first.monitorables.active_links == 200
+    sim.step()
+    first = sim.trace[-1]
+    assert first.active_links == 200
 
     # The derived metrics follow the overridden link count: with the clone
     # rng we recover the units drawn for this step and check the products.
@@ -164,20 +174,20 @@ def test_scalar_override_applies_once(make_config):
     clone.randint(105, 150)
     unit_write_time = clone.uniform(10.0, 20.0)
     unit_bandwidth = clone.uniform(20.0, 30.0)
-    assert math.isclose(first.monitorables.time_to_write, 200 * unit_write_time, rel_tol=1e-9)
-    assert math.isclose(
-        first.monitorables.bandwidth_consumption, 200 * unit_bandwidth, rel_tol=1e-9
-    )
+    assert math.isclose(first.time_to_write_ms, 200 * unit_write_time, rel_tol=1e-9)
+    assert math.isclose(first.bandwidth_gbps, 200 * unit_bandwidth, rel_tol=1e-9)
 
-    second = sim.step()  # override expired; sampling resumes inside the MST range
-    assert 105 <= second.monitorables.active_links <= 150
+    sim.step()  # override expired; sampling resumes inside the MST range
+    second = sim.trace[-1]
+    assert 105 <= second.active_links <= 150
 
 
 def test_direct_scalar_overrides_survive_s0(make_config):
     sim = build_simulation(make_config(seed=4))
     sim.effector.set_time_to_write(500.0)
-    record = sim.step()
-    assert record.monitorables.time_to_write == 500.0
+    sim.step()
+    record = sim.trace[-1]
+    assert record.time_to_write_ms == 500.0
 
 
 def test_scalar_override_rejections(make_config):
@@ -208,7 +218,8 @@ def test_load_overrides_whose_worst_step_overflows_are_refused(make_config):
     assert sim.probe.get_time_to_write() >= 0  # no OverflowError from an acked override
     sim.effector.set_time_to_write(1e300)
     sim.effector.set_bandwidth_consumption(1e300)
-    record = sim.step()
+    sim.step()
+    record = sim.trace[-1]
     assert all(map(math.isfinite, record[2:8]))
     # The run's sum of percentages counts too: 1e300 per step over 10**8 steps
     # would reach it.

@@ -15,6 +15,12 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_every_exported_name_is_documented_in_the_readme():
+    text = README.read_text(encoding="utf-8")
+    undocumented = [name for name in mirrorsim.__all__ if not re.search(rf"`{name}\b", text)]
+    assert undocumented == []
+
+
 def test_readme_python_blocks_run(tmp_path, monkeypatch):
     blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
                         flags=re.MULTILINE | re.DOTALL)
@@ -26,3 +32,4 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     assert (tmp_path / "trace.csv").is_file()
     assert namespace["replayed"].trace == namespace["result"].trace
     assert namespace["sim"].finished
+    assert namespace["record"] == namespace["sim"].trace[-1]

@@ -48,7 +48,7 @@ def test_trace_has_consecutive_timesteps(make_config):
     result = run(NullManager(), make_config(timesteps=50, seed=13))
     assert len(result.trace) == 50
     assert [r.timestep for r in result.trace] == list(range(50))
-    assert all(0.0 <= r.normalized.active_links_pct <= 100.0 for r in result.trace)
+    assert all(0.0 <= r.active_links_pct <= 100.0 for r in result.trace)
 
 
 def test_step_past_end_rejected(make_config):
@@ -153,7 +153,9 @@ def test_lockstep_states_match(make_config):
     sim_a = build_simulation(make_config(seed=31))
     sim_b = build_simulation(make_config(seed=31))
     for _ in range(20):
-        assert sim_a.step() == sim_b.step()
+        sim_a.step()
+        sim_b.step()
+        assert sim_a.trace[-1] == sim_b.trace[-1]
 
 
 def test_replay_reproduces_mixed_commands(make_config):
@@ -213,7 +215,7 @@ def test_manager_error_carries_timestep(make_config):
 def test_s0_defaults_stay_in_expected_bands(make_config):
     result = run(NullManager(), make_config(seed=2))
     for record in result.trace:
-        assert 35.0 <= record.normalized.active_links_pct <= 50.0
+        assert 35.0 <= record.active_links_pct <= 50.0
         assert record.topology is Topology.MST
         assert record.adaptation is None
     assert result.summary.mc_satisfied
@@ -287,13 +289,12 @@ def test_probe_and_record_views_come_from_the_step_monitorables(make_config, mon
     monkeypatch.setattr(mirrorsim.runner, "apply_disturbance", recording_disturbance)
     sim = build_simulation(make_config(scenario="S2", seed=8, timesteps=20))
     while not sim.finished:
-        record = sim.step()
+        assert sim.step() is None
+        record = sim.trace[-1]
         own = disturbed[-1]
         assert sim.probe.get_monitorables() is own
-        assert type(record.monitorables) is Monitorables
-        assert record.monitorables == own
-        assert type(record.normalized) is NormalizedMetrics
-        assert record.normalized == normalize(own, sim.network)
+        assert (record.active_links, record.bandwidth_gbps, record.time_to_write_ms) == own
+        assert record[5:8] == normalize(own, sim.network)
     assert len(disturbed) == 20
 
 
@@ -318,15 +319,19 @@ def test_a_long_run_retains_at_most_64_bytes_per_step(make_config):
 
 
 def stepped_records(make_config):
-    """A simulation and the records its steps returned, with two switches."""
+    """A simulation with two switches and its last record read after each step."""
     sim = build_simulation(make_config(scenario="S3", seed=6, timesteps=12))
     start = sim.current_topology
     sim.effector.set_network_topology(3, start.other())
     sim.effector.set_network_topology(8, start)
-    return sim, [sim.step() for _ in range(12)]
+    records = []
+    for _ in range(12):
+        sim.step()
+        records.append(sim.trace[-1])
+    return sim, records
 
 
-def test_trace_rows_are_the_records_the_steps_returned(make_config):
+def test_trace_rows_are_the_rows_read_after_each_step(make_config):
     sim, records = stepped_records(make_config)
     trace = sim.trace
     assert isinstance(trace, Trace)

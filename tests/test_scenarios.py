@@ -236,7 +236,7 @@ def test_window_gates_disturbance_and_preserves_rng():
         if 5 <= timestep <= 10:
             base = apply_disturbance(effects, base, rng, config.network)
         expected.append(base)
-    assert [record.monitorables for record in trace] == expected
+    assert [record[2:5] for record in trace] == expected
 
 
 def test_disturbed_links_clamp_to_total():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import inspect
 import io
 import json
@@ -83,9 +84,9 @@ def test_wire_monitorables_match_in_process_probe(make_config):
                 seen.append(harness.request("get_monitorables")["monitorables"])
         harness.recv()  # run_complete
     for record, payload in zip(in_process.trace, seen):
-        assert payload["active_links"] == record.monitorables.active_links
-        assert payload["bandwidth_consumption"] == record.monitorables.bandwidth_consumption
-        assert payload["time_to_write"] == record.monitorables.time_to_write
+        assert payload["active_links"] == record.active_links
+        assert payload["bandwidth_consumption"] == record.bandwidth_gbps
+        assert payload["time_to_write"] == record.time_to_write_ms
 
 
 def test_effector_requests_ack_and_apply(make_config):
@@ -243,6 +244,31 @@ def test_protocol_doc_matches_the_surface(make_config):
         live_record = harness.request("step")["record"]
         harness.recv()  # run_complete
     assert list(live_record) == columns
+
+
+def doc_table_keys(heading: str) -> list[str]:
+    """The backticked first cells of the protocol doc's table after ``heading``."""
+    section = PROTOCOL_DOC.read_text(encoding="utf-8").split(heading, 1)[1].lstrip("\n")
+    table = section.split("\n\n", 1)[0]
+    return re.findall(r"^\| `(\w+)`", table, flags=re.MULTILINE)
+
+
+def test_protocol_doc_lists_every_reply_kind():
+    expected = {reply_kind for reply_kind, _ in PROBE_REPLIES.values()}
+    expected |= {"ack", "step_complete", "error"}
+    assert sorted(doc_table_keys("Reply kinds:")) == sorted(expected)
+
+
+def test_protocol_doc_lists_every_error_code():
+    tree = ast.parse(Path(mirrorsim.wire.__file__).read_text(encoding="utf-8"))
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "_send_error"
+    ]
+    codes = [call.args[1] for call in calls]
+    assert codes and all(isinstance(code, ast.Constant) for code in codes)
+    assert set(doc_table_keys("## Errors")) == {code.value for code in codes}
 
 
 def test_malformed_json_terminates_session(make_config):
