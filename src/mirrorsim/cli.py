@@ -123,51 +123,58 @@ def _cmd_run(args) -> int:
             _parse_scenarios(args.scenario) if args.scenario else [config.properties.scenario]
         )
         seeds = _parse_seeds(args.seeds) if args.seeds else [config.properties.seed]
+        # Every run's config is checked before the first file is written.
+        batch = [
+            config.with_updates(scenario=scenario, seed=seed, timesteps=args.timesteps)
+            for scenario in scenarios
+            for seed in seeds
+        ]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
     output_dir = Path(args.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-
     rollup = [ROLLUP_CSV_HEADER]
-    for scenario in scenarios:
-        for seed in seeds:
-            try:
-                cfg = config.with_updates(scenario=scenario, seed=seed, timesteps=args.timesteps)
-                manager = create_manager(
-                    args.manager,
-                    network=cfg.network,
-                    thresholds=cfg.properties.thresholds,
-                    seed=seed,
-                    switch_probability=args.switch_probability,
-                )
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-            result = run(manager, cfg)
-            stem = f"{scenario.value}_{args.manager}_seed{seed}"
-            trace_text = write_trace_csv(result.trace, output_dir / f"{stem}_trace.csv")
-            _write_json(output_dir / f"{stem}_summary.json", result.summary.as_dict())
-            if args.plot_data:
-                _write_text(
-                    output_dir / f"{stem}_plot.csv",
-                    emit_plot_data(trace_text, cfg.properties.thresholds),
-                )
-            summary = result.summary
-            rollup.append(
-                f"{scenario.value},{seed},{args.manager},"
-                f"{summary.mean_active_links_pct:.6f},{summary.mean_bandwidth_pct:.6f},"
-                f"{summary.mean_write_time_pct:.6f},{_bool_cell(summary.mr_satisfied)},"
-                f"{_bool_cell(summary.mc_satisfied)},{_bool_cell(summary.mp_satisfied)}"
+    for cfg in batch:
+        scenario, seed = cfg.properties.scenario, cfg.properties.seed
+        try:
+            manager = create_manager(
+                args.manager,
+                network=cfg.network,
+                thresholds=cfg.properties.thresholds,
+                seed=seed,
+                switch_probability=args.switch_probability,
             )
-            print(
-                f"{scenario.value} seed={seed} manager={args.manager}:"
-                f" mr={_bool_cell(summary.mr_satisfied)}"
-                f" mc={_bool_cell(summary.mc_satisfied)}"
-                f" mp={_bool_cell(summary.mp_satisfied)}"
-                f" (links {summary.mean_active_links_pct:.1f}%,"
-                f" bw {summary.mean_bandwidth_pct:.1f}%,"
-                f" wt {summary.mean_write_time_pct:.1f}%)"
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        # create_manager checks no per-run value: once the first run's manager
+        # is built, no run of the batch can fail its config, so the directory
+        # is made only now.
+        output_dir.mkdir(parents=True, exist_ok=True)
+        result = run(manager, cfg)
+        stem = f"{scenario.value}_{args.manager}_seed{seed}"
+        trace_text = write_trace_csv(result.trace, output_dir / f"{stem}_trace.csv")
+        _write_json(output_dir / f"{stem}_summary.json", result.summary.as_dict())
+        if args.plot_data:
+            _write_text(
+                output_dir / f"{stem}_plot.csv",
+                emit_plot_data(trace_text, cfg.properties.thresholds),
             )
+        summary = result.summary
+        rollup.append(
+            f"{scenario.value},{seed},{args.manager},"
+            f"{summary.mean_active_links_pct:.6f},{summary.mean_bandwidth_pct:.6f},"
+            f"{summary.mean_write_time_pct:.6f},{_bool_cell(summary.mr_satisfied)},"
+            f"{_bool_cell(summary.mc_satisfied)},{_bool_cell(summary.mp_satisfied)}"
+        )
+        print(
+            f"{scenario.value} seed={seed} manager={args.manager}:"
+            f" mr={_bool_cell(summary.mr_satisfied)}"
+            f" mc={_bool_cell(summary.mc_satisfied)}"
+            f" mp={_bool_cell(summary.mp_satisfied)}"
+            f" (links {summary.mean_active_links_pct:.1f}%,"
+            f" bw {summary.mean_bandwidth_pct:.1f}%,"
+            f" wt {summary.mean_write_time_pct:.1f}%)"
+        )
     _write_text(output_dir / "rollup.csv", "\n".join(rollup) + "\n")
     print(f"wrote {len(rollup) - 1} run(s) to {output_dir}")
     return EXIT_OK

@@ -354,6 +354,20 @@ def build_simulation(config: ExperimentConfig) -> Simulation:
     return Simulation(config)
 
 
+def _drive(manager, probe, effector, step, timesteps: int) -> None:
+    """The manager loop of ``run`` and ``wire.run_remote``; a raise in
+    ``decide`` becomes ManagerError carrying the timestep."""
+    decide = manager.decide
+    for t in range(timesteps):
+        try:
+            decision = decide(probe)
+        except Exception as exc:
+            raise ManagerError(t, str(exc)) from exc
+        if decision is not None and decision.switch_to is not None:
+            effector.set_current_topology(decision.switch_to)
+        step()
+
+
 def run(manager, config: ExperimentConfig) -> RunResult:
     """Drive a full run with an in-process manager.
 
@@ -362,15 +376,7 @@ def run(manager, config: ExperimentConfig) -> RunResult:
     topology switch (if any) is executed through the effector.
     """
     sim = build_simulation(config)
-    decide, probe, effector, step = manager.decide, sim.probe, sim.effector, sim.step
-    for t in range(config.properties.timesteps):
-        try:
-            decision = decide(probe)
-        except Exception as exc:
-            raise ManagerError(t, str(exc)) from exc
-        if decision is not None and decision.switch_to is not None:
-            effector.set_current_topology(decision.switch_to)
-        step()
+    _drive(manager, sim.probe, sim.effector, sim.step, config.properties.timesteps)
     summary = evaluate_satisfaction(sim.trace, config.properties.thresholds)
     return RunResult(trace=sim.trace, summary=summary, command_log=sim.command_log)
 

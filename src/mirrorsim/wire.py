@@ -5,6 +5,8 @@ config summary; the client then probes, issues effector commands, and paces
 the run with explicit ``step`` directives. Each request gets exactly one
 reply; after the final step the server additionally emits ``run_complete``
 and ends the session. See docs/protocol.md for the full grammar.
+
+:class:`WireSession` serves a session; :func:`run_remote` is the client.
 """
 
 from __future__ import annotations
@@ -13,22 +15,30 @@ import inspect
 import json
 import socket
 import sys
+from functools import partial
+from itertools import count
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 from .config import THRESHOLD_FIELDS, ExperimentConfig
 from .management import CommandKind, Effector, EffectorError, ProbeError
+from .network import Monitorables, Topology
 from .runner import (
     TRACE_FIELDS,
     RunResult,
     SatisfactionSummary,
     Simulation,
     TraceRecord,
+    _drive,
     build_simulation,
     evaluate_satisfaction,
 )
 
 PROTOCOL_VERSION = 1
 MAX_LINE_CHARS = 64 * 1024  # longest request line accepted, newline included
+# How every transport decodes request bytes: an invalid UTF-8 byte becomes a
+# lone surrogate, which _handle_line answers with malformed_message.
+DECODE_ERRORS = "surrogateescape"
 # One strict encoder for every outgoing message: the bytes of json.dumps for
 # finite values, and a ValueError instead of a bare NaN or Infinity token.
 _encode = json.JSONEncoder(allow_nan=False).encode
@@ -96,7 +106,12 @@ class WireSession:
     def _handle_line(self, line: str) -> bool:
         """Process one request line; False terminates the session."""
         try:
+            if not line.isascii():
+                line.encode("utf-8")  # fails on a byte that DECODE_ERRORS escaped
             message = json.loads(line)
+        except UnicodeEncodeError:
+            self._send_error(None, "malformed_message", "not valid UTF-8")
+            return False
         except json.JSONDecodeError as exc:
             self._send_error(None, "malformed_message", f"not valid JSON: {exc}")
             return False
@@ -221,6 +236,7 @@ class WireSession:
 
 def serve_stdio(config: ExperimentConfig) -> RunResult:
     """Run one session over stdio (stdout carries only protocol messages)."""
+    sys.stdin.reconfigure(encoding="utf-8", errors=DECODE_ERRORS)
     return WireSession(config, sys.stdin, sys.stdout).run()
 
 
@@ -237,10 +253,78 @@ def serve_tcp(
             ready_callback(server.getsockname()[1])
         conn, _ = server.accept()
         with conn:
-            rfile = conn.makefile("r", encoding="utf-8", newline="\n")
+            rfile = conn.makefile("r", encoding="utf-8", errors=DECODE_ERRORS, newline="\n")
             wfile = conn.makefile("w", encoding="utf-8", newline="\n")
             try:
                 return WireSession(config, rfile, wfile).run()
             finally:
                 rfile.close()
                 wfile.close()
+
+
+class WireError(RuntimeError):
+    """The server ended the session, or broke the protocol."""
+
+
+# Error codes after which the session goes on -> the in-process exception.
+_RECOVERABLE = {"not_observable": ProbeError, "invalid_value": EffectorError}
+# Probe reply kind -> the in-process type of its value.
+_DECODE = {
+    "topology": Topology,
+    "value": int,
+    "monitorables": lambda m: None if m is None else Monitorables(**m),
+}
+
+
+def _read(rfile, kind: Optional[str] = None) -> dict:
+    line = rfile.readline()
+    if not line:
+        raise WireError("the server ended the session")
+    message = json.loads(line)
+    if kind is not None and message["kind"] != kind:
+        raise WireError(f"expected {kind}, got {line.strip()}")
+    return message
+
+
+def connect(rfile, wfile) -> tuple[SimpleNamespace, SimpleNamespace, Callable[[], dict]]:
+    """The probe, effector and step of a client session past its hello.
+
+    Each call is one request; the methods are built from ``PROBE_REPLIES`` and
+    ``EFFECTOR_FIELDS``. An error reply the session survives raises as in
+    process (``_RECOVERABLE``), any other raises WireError.
+    """
+    seqs = count(1)
+
+    def request(kind: str, **fields) -> dict:
+        seq = next(seqs)
+        # Not the strict encoder: the server's effector refuses a NaN, as in process.
+        wfile.write(json.dumps({"seq": seq, "kind": kind, **fields}) + "\n")
+        wfile.flush()
+        reply = _read(rfile)
+        if reply.get("re") != seq:
+            raise WireError(f"expected the reply to request {seq}, got {reply}")
+        if reply["kind"] == "error":
+            code = reply["code"]
+            raise _RECOVERABLE.get(code, WireError)(f"{code}: {reply['detail']}")
+        return reply
+
+    def probe(kind: str, reply_kind: str):
+        return lambda: _DECODE[reply_kind](request(kind)[reply_kind])
+
+    def effector(kind: str, names: tuple):
+        return lambda *args: request(kind, **{
+            name: arg.value if isinstance(arg, Topology) else arg for name, arg in zip(names, args)
+        })
+
+    probes = {kind: probe(kind, reply) for kind, (reply, _) in PROBE_REPLIES.items()}
+    effectors = {kind: effector(kind, names) for kind, names in EFFECTOR_FIELDS.items()}
+    return SimpleNamespace(**probes), SimpleNamespace(**effectors), partial(request, "step")
+
+
+def run_remote(manager, rfile, wfile) -> SatisfactionSummary:
+    """Drive a new session with an in-process manager under ``run``'s contract;
+    return its ``run_complete`` summary (the server keeps trace and log). An
+    early end raises WireError, or a ManagerError it caused inside ``decide``."""
+    hello = _read(rfile, "hello")
+    _drive(manager, *connect(rfile, wfile), hello["config"]["timesteps"])
+    return SatisfactionSummary(**_read(rfile, "run_complete")["summary"])

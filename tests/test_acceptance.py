@@ -12,7 +12,7 @@ import time
 from random import Random
 
 from mirrorsim.config import config_from_mapping
-from mirrorsim.managers import ManagerDecision, NullManager, ThresholdRuleManager
+from mirrorsim.managers import ManagerDecision, NullManager, ThresholdRuleManager, create_manager
 from mirrorsim.network import (
     Topology,
     build_network,
@@ -20,8 +20,9 @@ from mirrorsim.network import (
     topology_ranges_from_pct,
 )
 from mirrorsim.runner import build_simulation, render_trace_csv, replay, run
+from mirrorsim.wire import run_remote
 
-from wire_helpers import WireHarness, drive_threshold_policy
+from wire_helpers import WireHarness
 
 SEEDS = range(30)
 
@@ -190,11 +191,13 @@ def test_a10_wire_equivalence():
         config = make_config(scenario="S1", seed=seed)
         manager = ThresholdRuleManager(config.network, config.properties.thresholds)
         in_process = run(manager, config)
+        remote = create_manager("threshold", network=config.network,
+                                thresholds=config.properties.thresholds, seed=seed)
         with WireHarness(make_config(scenario="S1", seed=seed)) as harness:
-            drive_threshold_policy(harness)
+            summary = run_remote(remote, harness, harness.wfile)
         assert harness.result is not None and harness.result.completed
         assert render_trace_csv(harness.result.trace) == render_trace_csv(in_process.trace)
-        assert harness.result.summary == in_process.summary
+        assert harness.result.summary == summary == in_process.summary
     report("A10", time.monotonic() - start, 10.0,
            "remote threshold client is byte-identical to in-process for 5 shared seeds")
 

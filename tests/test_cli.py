@@ -19,7 +19,9 @@ from mirrorsim.cli import (
     main,
 )
 from mirrorsim.config import SatisfactionThresholds, default_config_mapping
+from mirrorsim.managers import NullManager
 from mirrorsim.runner import ManagerError
+from mirrorsim.wire import run_remote
 
 
 def run_cli(*argv) -> int:
@@ -96,6 +98,17 @@ def test_a_bad_switch_probability_exits_with_config_error(tmp_path, capsys, prob
     )
     assert rc == EXIT_CONFIG_ERROR
     assert "switch_probability must be in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--manager", "random", "--switch-probability", "2"),
+    ("--seeds", f"0,{2**64}", "--timesteps", "5"),  # the second seed is out of range
+])
+def test_a_config_error_anywhere_in_the_batch_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_cli("run", *argv, "--output-dir", str(out)) == EXIT_CONFIG_ERROR
+    assert not out.exists()
+    assert capsys.readouterr().out == ""  # no run was reported either
 
 
 def test_empty_batch_lists_are_config_errors(tmp_path):
@@ -217,23 +230,14 @@ def test_serve_stdio_session(tmp_path):
         text=True,
     ) as process:
         try:
-            hello = json.loads(process.stdout.readline())
-            assert hello["kind"] == "hello"
-            for seq in range(1, 4):
-                process.stdin.write(json.dumps({"seq": seq, "kind": "step"}) + "\n")
-                process.stdin.flush()
-                reply = json.loads(process.stdout.readline())
-                assert reply["kind"] == "step_complete"
-            final = json.loads(process.stdout.readline())
-            assert final["kind"] == "run_complete"
+            summary = run_remote(NullManager(), process.stdout, process.stdin)
             process.stdin.close()
             assert process.wait(timeout=30) == EXIT_OK
         finally:
             process.kill()
     trace = (out / "S0_wire_seed3_trace.csv").read_text()
     assert len(trace.splitlines()) == 4
-    summary = json.loads((out / "S0_wire_seed3_summary.json").read_text())
-    assert "mc_satisfied" in summary
+    assert json.loads((out / "S0_wire_seed3_summary.json").read_text()) == summary.as_dict()
 
 
 def test_serve_stdio_aborted_session_marks_incomplete(tmp_path):

@@ -3,7 +3,7 @@
 Each digest is the SHA-256 of ``render_trace_csv`` for one run. The in-process
 matrix covers every scenario under every reference manager for two seeds.
 Two threshold runs (S1, S6) disturbed only inside ``WINDOW`` pin the window's
-gating. One extra threshold-driven session runs over the line-JSON wire. A change
+gating. One extra session runs the threshold manager over the line-JSON wire. A change
 that moves one drawn number, one float operation or one CSV byte changes a
 digest here. For that wire session the server's whole output stream is
 pinned as well, so a change of JSON key order, float formatting or message
@@ -30,8 +30,9 @@ import sys
 
 from mirrorsim import create_manager, render_trace_csv, run
 from mirrorsim.config import config_from_mapping
+from mirrorsim.wire import run_remote
 
-from wire_helpers import WireHarness, drive_threshold_policy
+from wire_helpers import WireHarness
 
 SCENARIOS = ("S0", "S1", "S2", "S3", "S4", "S5", "S6")
 MANAGERS = ("null", "random", "threshold")
@@ -125,9 +126,17 @@ def window_digest(scenario: str) -> str:
     return in_process_digest(scenario, "threshold", WINDOW_SEED, disturbance_window=list(WINDOW))
 
 
+def run_threshold_remotely(harness: WireHarness, scenario: str, seed: int) -> None:
+    config = _config(scenario, seed)
+    manager = create_manager(
+        "threshold", network=config.network, thresholds=config.properties.thresholds, seed=seed
+    )
+    run_remote(manager, harness, harness.wfile)
+
+
 def wire_digest(scenario: str, seed: int) -> str:
     with WireHarness(_config(scenario, seed)) as harness:
-        drive_threshold_policy(harness)
+        run_threshold_remotely(harness, scenario, seed)
     assert harness.result is not None and harness.result.completed
     return _digest(harness.result.trace)
 
@@ -135,7 +144,7 @@ def wire_digest(scenario: str, seed: int) -> str:
 def wire_stream_digest(scenario: str, seed: int) -> str:
     """SHA-256 of every line the server wrote, from ``hello`` to ``run_complete``."""
     with WireHarness(_config(scenario, seed)) as harness:
-        drive_threshold_policy(harness)
+        run_threshold_remotely(harness, scenario, seed)
         assert harness.recv_eof()
     return hashlib.sha256("".join(harness.received).encode("utf-8")).hexdigest()
 

@@ -1,0 +1,126 @@
+"""The client half of the wire: a manager run through ``run_remote`` against a
+``WireSession`` serves the run that ``run()`` makes in process."""
+
+from __future__ import annotations
+
+import io
+import math
+
+import pytest
+
+import mirrorsim.runner
+from mirrorsim.config import config_from_mapping
+from mirrorsim.management import CommandKind, EffectorCommand, EffectorError, ProbeError
+from mirrorsim.managers import MANAGER_NAMES, NullManager, ThresholdRuleManager, create_manager
+from mirrorsim.network import Topology
+from mirrorsim.runner import (
+    ManagerError,
+    NormalizedMetrics,
+    build_simulation,
+    render_trace_csv,
+    replay,
+    run,
+)
+from mirrorsim.scenarios import ScenarioId
+from mirrorsim.wire import WireError, WireSession, connect, run_remote
+
+from wire_helpers import WireHarness
+
+CASES = [
+    (name, scenario.value, seed)
+    for name in MANAGER_NAMES
+    for scenario in ScenarioId
+    for seed in (7, 2021)
+]
+
+
+def _manager(name: str, config):
+    return create_manager(
+        name,
+        network=config.network,
+        thresholds=config.properties.thresholds,
+        seed=config.properties.seed,
+    )
+
+
+@pytest.mark.parametrize(("manager_name", "scenario", "seed"), CASES)
+def test_a_remote_run_serves_the_in_process_run(manager_name, scenario, seed):
+    config = config_from_mapping({"scenario": scenario, "seed": seed, "timesteps": 200})
+    in_process = run(_manager(manager_name, config), config)
+    with WireHarness(config) as harness:
+        summary = run_remote(_manager(manager_name, config), harness, harness.wfile)
+    served = harness.result
+    assert render_trace_csv(served.trace) == render_trace_csv(in_process.trace)
+    assert served.command_log == in_process.command_log
+    assert served.summary == summary == in_process.summary
+    assert replay(served.command_log, config).trace == served.trace
+
+
+def test_remote_probes_return_the_in_process_values(make_config):
+    config = make_config(scenario="S3", seed=4, timesteps=2)
+    sim = build_simulation(config)
+    with WireHarness(config) as harness:
+        harness.recv()  # hello
+        probe, _, step = connect(harness, harness.wfile)
+        for name in ("get_active_links", "get_bandwidth_consumption", "get_time_to_write"):
+            with pytest.raises(ProbeError, match="no completed timestep"):
+                getattr(probe, name)()
+        assert probe.get_monitorables() is None
+        assert probe.get_current_topology() is sim.probe.get_current_topology()
+        step()
+        sim.step()
+        for name in ("get_current_topology", "get_active_links", "get_bandwidth_consumption",
+                     "get_time_to_write", "get_monitorables"):
+            remote, local = getattr(probe, name)(), getattr(sim.probe, name)()
+            assert type(remote) is type(local) and remote == local
+
+
+def test_a_refused_override_raises_effector_error_and_the_session_goes_on(make_config):
+    with WireHarness(make_config(scenario="S2", seed=1, timesteps=2)) as harness:
+        harness.recv()  # hello
+        _, effector, step = connect(harness, harness.wfile)
+        with pytest.raises(EffectorError, match="non-finite"):
+            effector.set_time_to_write(1.7e308)
+        with pytest.raises(EffectorError, match="unknown topology"):
+            effector.set_network_topology(0, "star")
+        effector.set_network_topology(1, Topology.MST)  # S2 starts under RT
+        step()
+        step()
+        assert harness.recv()["kind"] == "run_complete"
+    assert harness.result.completed
+    assert harness.result.command_log == [
+        EffectorCommand(CommandKind.SET_NETWORK_TOPOLOGY, Topology.MST, 0, 1)
+    ]
+    assert harness.result.trace[1].adaptation is Topology.MST
+
+
+def _hello_only(config) -> io.StringIO:
+    """A server stream that ends right after its hello."""
+    out = io.StringIO()
+    WireSession(config, io.StringIO(""), out).run()
+    return io.StringIO(out.getvalue())
+
+
+def test_a_session_that_ends_after_hello_raises(make_config):
+    config = make_config(timesteps=3)
+    with pytest.raises(WireError, match="ended the session"):
+        run_remote(NullManager(), _hello_only(config), io.StringIO())
+    # A probe in decide meets the end first: the manager's failure, caused by it.
+    manager = ThresholdRuleManager(config.network, config.properties.thresholds)
+    with pytest.raises(ManagerError) as caught:
+        run_remote(manager, _hello_only(config), io.StringIO())
+    assert caught.value.timestep == 0
+    assert isinstance(caught.value.__cause__, WireError)
+
+
+def test_a_session_the_server_ends_mid_run_raises(make_config, monkeypatch):
+    # A fault in the server's step normalization stands in for a step whose
+    # values JSON cannot carry: the server answers with an error and ends.
+    def infinite_normalize(monitorables, network):
+        return NormalizedMetrics(math.inf, 0.0, 0.0)
+
+    monkeypatch.setattr(mirrorsim.runner, "normalize", infinite_normalize)
+    with WireHarness(make_config(seed=1, timesteps=5)) as harness:
+        with pytest.raises(WireError, match="non_finite_value"):
+            run_remote(NullManager(), harness, harness.wfile)
+    assert not harness.result.completed

@@ -5,7 +5,13 @@ import inspect
 import io
 import json
 import math
+import os
+import queue
 import re
+import socket
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -22,11 +28,18 @@ from mirrorsim.runner import (
     render_trace_csv,
     run,
 )
-from mirrorsim.wire import MAX_LINE_CHARS, PROBE_REPLIES, PROTOCOL_VERSION, WireSession
+from mirrorsim.wire import (
+    MAX_LINE_CHARS,
+    PROBE_REPLIES,
+    PROTOCOL_VERSION,
+    WireSession,
+    run_remote,
+    serve_tcp,
+)
 
 PROTOCOL_DOC = Path(__file__).resolve().parent.parent / "docs" / "protocol.md"
 
-from wire_helpers import WireHarness, drive_null_policy
+from wire_helpers import WireHarness
 
 
 def test_hello_opens_the_session(make_config):
@@ -41,13 +54,6 @@ def test_hello_opens_the_session(make_config):
         assert config["initial_topology"] == "mst"
         assert config["mst_active_links_range"] == [105, 150]
         assert config["thresholds"]["bandwidth_pct"] == 40.0
-        drive_null_policy_rest(harness, config["timesteps"])
-
-
-def drive_null_policy_rest(harness, timesteps):
-    for _ in range(timesteps):
-        harness.request("step")
-    harness.recv()  # run_complete
 
 
 def test_probe_requests_over_the_wire(make_config):
@@ -68,7 +74,6 @@ def test_probe_requests_over_the_wire(make_config):
         assert monitorables["bandwidth_consumption"] == record["bandwidth_gbps"]
         links = harness.request("get_active_links")["value"]
         assert links == record["active_links"]
-        drive_null_policy_rest(harness, 2)
 
 
 def test_wire_monitorables_match_in_process_probe(make_config):
@@ -101,14 +106,14 @@ def test_effector_requests_ack_and_apply(make_config):
         second = harness.request("step")["record"]
         assert second["topology"] == "rt"
         assert second["adaptation"] == "rt"
-        drive_null_policy_rest(harness, 2)
 
 
 def test_run_complete_reports_summary(make_config):
     in_process = run(NullManager(), make_config(seed=7, timesteps=6))
     with WireHarness(make_config(seed=7, timesteps=6)) as harness:
-        final = drive_null_policy(harness)
-    assert final["summary"] == in_process.summary.as_dict()
+        summary = run_remote(NullManager(), harness, harness.wfile)
+    assert json.loads(harness.received[-1])["summary"] == in_process.summary.as_dict()
+    assert summary == in_process.summary
     harness._thread.join(timeout=5)
     assert harness.result is not None and harness.result.completed
     assert render_trace_csv(harness.result.trace) == render_trace_csv(in_process.trace)
@@ -122,7 +127,6 @@ def test_invalid_effector_value_keeps_session_alive(make_config):
         reply = harness.request("set_network_topology", timestep=0, topology="star")
         assert reply["kind"] == "error" and reply["code"] == "invalid_value"
         assert harness.request("get_current_topology")["kind"] == "topology"
-        drive_null_policy_rest(harness, 1)
 
 
 def test_an_override_whose_worst_step_overflows_is_invalid_value(make_config):
@@ -135,7 +139,8 @@ def test_an_override_whose_worst_step_overflows_is_invalid_value(make_config):
         assert "non-finite" in reply["detail"]
         assert harness.request("step")["kind"] == "step_complete"
         assert harness.request("get_time_to_write")["kind"] == "value"
-        drive_null_policy_rest(harness, 1)
+        assert harness.request("step")["kind"] == "step_complete"
+        assert harness.recv()["kind"] == "run_complete"
     assert harness.result is not None and harness.result.completed
     assert harness.result.command_log == []
 
@@ -147,7 +152,9 @@ def test_unreachable_topology_target_is_invalid_value(make_config):
         assert reply["kind"] == "error" and reply["code"] == "invalid_value"
         reply = harness.request("set_network_topology", timestep=3, topology="rt")
         assert reply["kind"] == "error" and reply["code"] == "invalid_value"
-        drive_null_policy_rest(harness, 3)
+        for _ in range(3):
+            harness.request("step")
+        assert harness.recv()["kind"] == "run_complete"
     assert harness.result is not None and harness.result.completed
     assert len(harness.result.command_log) == 0
 
@@ -340,7 +347,6 @@ def test_every_request_gets_exactly_one_reply(make_config):
             fields = {"active_links": 120} if kind == "set_active_links" else {}
             reply = harness.request(kind, **fields)
             assert reply["re"] == expected_re
-        drive_null_policy_rest(harness, 1)
 
 
 def _reject_constant(token):
@@ -372,3 +378,40 @@ def test_a_non_finite_value_ends_the_session_with_strict_json(make_config, monke
     assert messages[-1]["re"] == 2 and messages[-1]["seq"] == 2
     assert not result.completed
     assert len(result.trace) == 1
+
+
+def test_a_request_line_that_is_not_utf8_is_malformed_over_tcp(make_config):
+    ports = queue.Queue()
+    results = []
+    server = threading.Thread(target=lambda: results.append(
+        serve_tcp(make_config(timesteps=3), ready_callback=ports.put)
+    ))
+    server.start()
+    try:
+        address = ("127.0.0.1", ports.get(timeout=30))
+        with socket.create_connection(address, timeout=30) as conn, conn.makefile("rb") as rfile:
+            assert json.loads(rfile.readline())["kind"] == "hello"
+            conn.sendall(b'\xff\xfe{"seq": 2}\n')
+            reply = json.loads(rfile.readline())
+            assert reply["kind"] == "error" and reply["code"] == "malformed_message"
+            assert reply["detail"] == "not valid UTF-8"
+            assert rfile.readline() == b""
+    finally:
+        server.join(timeout=30)
+    assert len(results) == 1 and not results[0].completed
+
+
+def test_a_request_line_that_is_not_utf8_is_malformed_over_stdio():
+    # PYTHONIOENCODING gives the child the strict stdin decoder of a UTF-8
+    # locale; the server must decode with its own error handler all the same.
+    served = subprocess.run(
+        [sys.executable, "-m", "mirrorsim", "serve", "--stdio", "--timesteps", "3"],
+        input=b'{"seq": 1, "kind": "step"}\n\xff\xfe{"seq": 2}\n',
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+        timeout=60,
+    )
+    messages = [json.loads(line) for line in served.stdout.splitlines()]
+    assert [message["kind"] for message in messages] == ["hello", "step_complete", "error"]
+    assert messages[-1]["code"] == "malformed_message"
+    assert served.returncode == 1  # an aborted session
