@@ -201,6 +201,8 @@ def _cmd_plot_data(args) -> int:
 def _cmd_serve(args) -> int:
     config = _load_base_config(args.config)
     try:
+        if args.port is not None and not 0 <= args.port <= 65535:
+            raise ValueError(f"--port must be in 0..65535, got {args.port}")
         config = config.with_updates(
             scenario=ScenarioId.parse(args.scenario) if args.scenario else None,
             seed=args.seed,

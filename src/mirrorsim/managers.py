@@ -18,8 +18,8 @@ from .config import SatisfactionThresholds
 from .network import MirrorNetwork, Topology
 from .runner import NormalizedMetrics, column_means, normalize
 
-DEFAULT_WINDOW_LENGTH = 5
-DEFAULT_COOLDOWN = 3
+WINDOW_LENGTH = 5
+COOLDOWN = 3
 DEFAULT_SWITCH_PROBABILITY = 0.1
 
 MANAGER_NAMES = ("null", "random", "threshold")
@@ -79,73 +79,54 @@ class RandomManager:
         return _NO_OP
 
 
-class KnowledgeBase:
-    """Sliding window of recent normalized monitorables plus switch history."""
-
-    def __init__(self, window_length: int = DEFAULT_WINDOW_LENGTH) -> None:
-        if window_length < 1:
-            raise ValueError("window_length must be >= 1")
-        self.window: deque[NormalizedMetrics] = deque(maxlen=window_length)
-        self.last_adaptation_timestep: Optional[int] = None
-
-    def observe(self, metrics: NormalizedMetrics) -> None:
-        self.window.append(metrics)
-
-    def window_means(self) -> NormalizedMetrics:
-        return column_means(self.window)
-
-
 class ThresholdRuleManager:
-    """Rule-based MAPE loop over a sliding-window knowledge base.
+    """Rule-based MAPE-K loop over a sliding window of normalized monitorables.
 
-    Analyze compares window means against the thresholds. Plan follows the
-    topology trade-off: a reliability violation under MST switches to RT
-    (reliability outranks the other objectives); a cost or performance
-    violation under RT switches to MST. A cooldown suppresses switches for
-    ``cooldown`` timesteps after each one. Under scenarios where both
-    topologies violate some objective this manager oscillates by design.
+    The loop's knowledge is two attributes: ``window``, the last
+    ``WINDOW_LENGTH`` normalized observations, and ``last_adaptation_timestep``,
+    the tick of the last switch (None before the first). Analyze compares
+    window means against the thresholds. Plan follows the topology trade-off:
+    a reliability violation under MST switches to RT (reliability outranks the
+    other objectives); a cost or performance violation under RT switches to
+    MST. A cooldown suppresses switches for ``COOLDOWN`` timesteps after each
+    one. Under scenarios where both topologies violate some objective this
+    manager oscillates by design.
     """
 
-    def __init__(
-        self,
-        network: MirrorNetwork,
-        thresholds: SatisfactionThresholds,
-        window_length: int = DEFAULT_WINDOW_LENGTH,
-        cooldown: int = DEFAULT_COOLDOWN,
-    ) -> None:
+    def __init__(self, network: MirrorNetwork, thresholds: SatisfactionThresholds) -> None:
         self.network = network
         self.thresholds = thresholds
-        self.cooldown = cooldown
-        self.knowledge = KnowledgeBase(window_length)
+        self.window: deque[NormalizedMetrics] = deque(maxlen=WINDOW_LENGTH)
+        self.last_adaptation_timestep: Optional[int] = None
         self._tick = 0  # one decide() per timestep, so ticks count timesteps
 
     def decide(self, probe) -> ManagerDecision:
         tick = self._tick
         self._tick = tick + 1
-        knowledge = self.knowledge
+        window = self.window
 
         monitorables = probe.get_monitorables()
         if monitorables is not None:
-            knowledge.observe(normalize(monitorables, self.network))
-        if not knowledge.window:
+            window.append(normalize(monitorables, self.network))
+        if not window:
             return _NO_OBSERVATIONS
 
-        last_switch = knowledge.last_adaptation_timestep
-        if last_switch is not None and tick - last_switch <= self.cooldown:
+        last_switch = self.last_adaptation_timestep
+        if last_switch is not None and tick - last_switch <= COOLDOWN:
             return _COOLDOWN
 
-        means = knowledge.window_means()
+        means = column_means(window)
         current = probe.get_current_topology()
         thresholds = self.thresholds
         if means.active_links_pct < thresholds.min_active_links_pct and current is Topology.MST:
-            knowledge.last_adaptation_timestep = tick
+            self.last_adaptation_timestep = tick
             return _SWITCH_FOR_RELIABILITY
         if current is Topology.RT:
             if means.bandwidth_pct > thresholds.max_bandwidth_pct:
-                knowledge.last_adaptation_timestep = tick
+                self.last_adaptation_timestep = tick
                 return _SWITCH_FOR_COST
             if means.write_time_pct > thresholds.max_write_time_pct:
-                knowledge.last_adaptation_timestep = tick
+                self.last_adaptation_timestep = tick
                 return _SWITCH_FOR_PERFORMANCE
         return _WITHIN_THRESHOLDS
 

@@ -21,6 +21,7 @@ DEFAULT_UNIT_WRITE_TIME_RANGE = (10.0, 20.0)  # milliseconds
 DEFAULT_ALPHA = 1.0
 DEFAULT_MST_ACTIVE_LINKS_RANGE_PCT = (35.0, 50.0)
 DEFAULT_RT_ACTIVE_LINKS_RANGE_PCT = (60.0, 90.0)
+MAX_TOTAL_LINKS = 2**63 - 1  # 2**32 mirrors is the most that fit
 
 
 def round_half_up(value: float) -> int:
@@ -88,6 +89,12 @@ class MirrorNetwork:
             raise ValueError(
                 f"{self.num_mirrors} mirrors give more links than a float holds,"
                 " so the normalization bases would be non-finite"
+            )
+        # The trace stores link counts as signed 64-bit integers.
+        if total_links > MAX_TOTAL_LINKS:
+            raise ValueError(
+                f"{self.num_mirrors} mirrors give {total_links} links, more than"
+                f" the trace's link column holds ({MAX_TOTAL_LINKS})"
             )
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")

@@ -266,6 +266,15 @@ def test_serve_stdio_aborted_session_marks_incomplete(tmp_path):
     assert len(trace.splitlines()) == 2
 
 
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_serve_rejects_a_port_outside_the_tcp_range(tmp_path, capsys, port):
+    out = tmp_path / "served"
+    rc = run_cli("serve", "--port", port, "--output-dir", str(out))
+    assert rc == EXIT_CONFIG_ERROR
+    assert "--port must be in 0..65535" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_json_artifacts_refuse_non_finite_values(tmp_path):
     with pytest.raises(ValueError):
         _write_json(tmp_path / "summary.json", {"mean_bandwidth_pct": float("nan")})
@@ -273,10 +282,12 @@ def test_json_artifacts_refuse_non_finite_values(tmp_path):
 
 def test_a_config_that_would_overflow_exits_with_config_error(tmp_path):
     config = tmp_path / "configuration.json"
-    # The second has more links than a float holds.
+    # The second has more links than a float holds, the third more than the
+    # trace's 64-bit link column holds.
     for mapping in (
         {"bandwidth_per_link_range": [1, 1e308], "timesteps": 20},
         {"number_of_mirrors": 10**200},
+        {"number_of_mirrors": 5_000_000_000},
     ):
         config.write_text(json.dumps(mapping))
         rc = run_cli(
@@ -284,7 +295,7 @@ def test_a_config_that_would_overflow_exits_with_config_error(tmp_path):
             "--seeds", "0", "--output-dir", str(tmp_path / "out"),
         )
         assert rc == EXIT_CONFIG_ERROR
-        assert not list(tmp_path.glob("out/*_summary.json"))
+        assert not (tmp_path / "out").exists()
 
 
 def test_a_run_whose_summary_would_overflow_exits_with_config_error(tmp_path):

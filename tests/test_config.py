@@ -17,7 +17,8 @@ from mirrorsim.config import (
     default_config_mapping,
     load_config,
 )
-from mirrorsim.network import build_network, topology_ranges_from_pct
+from mirrorsim.network import Topology, build_network, topology_ranges_from_pct
+from mirrorsim.runner import build_simulation
 from mirrorsim.scenarios import DisturbanceProfile, EffectSet, ScenarioId, scenario_profile
 
 
@@ -230,6 +231,27 @@ def test_properties_direct_validation():
 def test_configs_whose_worst_step_overflows_are_rejected(mapping):
     with pytest.raises(ConfigInvariantError, match="non-finite"):
         config_from_mapping(mapping)
+
+
+def test_a_link_count_past_the_trace_column_is_rejected():
+    # 5e9 mirrors give about 1.25e19 links: a finite float, but no int64.
+    with pytest.raises(ConfigInvariantError, match="link column"):
+        config_from_mapping({"number_of_mirrors": 5_000_000_000, "scenario": "S2"})
+    with pytest.raises(ConfigInvariantError, match="link column"):
+        config_from_mapping({"number_of_mirrors": 2**32 + 1})
+
+
+def test_the_largest_network_loads_and_steps():
+    config = config_from_mapping({"number_of_mirrors": 2**32, "scenario": "S2", "timesteps": 3})
+    total_links = config.network.total_links
+    sim = build_simulation(config)
+    sim.effector.set_active_links(total_links)
+    sim.step()
+    sim.effector.set_current_topology(Topology.RT)
+    sim.step()
+    sim.step()
+    assert sim.trace[0].active_links == total_links
+    assert all(0 <= record.active_links <= total_links for record in sim.trace)
 
 
 def test_the_default_config_and_every_scenario_load():

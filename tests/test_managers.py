@@ -6,7 +6,8 @@ import pytest
 
 from mirrorsim.config import SatisfactionThresholds
 from mirrorsim.managers import (
-    KnowledgeBase,
+    COOLDOWN,
+    WINDOW_LENGTH,
     ManagerDecision,
     NullManager,
     RandomManager,
@@ -32,8 +33,8 @@ class StubProbe:
         return self.monitorables
 
 
-def threshold_manager(**kwargs) -> ThresholdRuleManager:
-    return ThresholdRuleManager(NETWORK, THRESHOLDS, **kwargs)
+def threshold_manager() -> ThresholdRuleManager:
+    return ThresholdRuleManager(NETWORK, THRESHOLDS)
 
 
 def test_null_manager_never_acts(make_config):
@@ -133,12 +134,12 @@ def test_threshold_rule_gating_by_topology():
 
 
 def test_threshold_cooldown_suppresses_switches():
-    manager = threshold_manager(cooldown=3)
+    manager = threshold_manager()
     violating = StubProbe(Topology.MST, Monitorables(60, 2000.0, 1500.0))
     first = manager.decide(violating)
     assert first.switch_to is not None
-    for _ in range(3):  # ticks 1..3 sit inside the cooldown
-        assert manager.decide(violating).switch_to is None
+    for _ in range(COOLDOWN):  # ticks 1..COOLDOWN sit inside the cooldown
+        assert manager.decide(violating).rationale == "cooldown"
     assert manager.decide(violating).switch_to is not None
 
 
@@ -149,7 +150,7 @@ def test_threshold_switch_gaps_exceed_cooldown(make_config):
     switch_steps = [record.timestep for record in result.trace if record.adaptation]
     assert switch_steps, "S3 should force at least one switch"
     gaps = [b - a for a, b in zip(switch_steps, switch_steps[1:])]
-    assert all(gap > 3 for gap in gaps)
+    assert all(gap > COOLDOWN for gap in gaps)
 
 
 def test_threshold_reacts_to_s1_quickly(make_config):
@@ -168,16 +169,17 @@ def test_threshold_quiet_under_s0(make_config):
         assert len(result.command_log) == 0
 
 
-def test_knowledge_base_window_caps():
-    knowledge = KnowledgeBase(window_length=3)
-    from mirrorsim.runner import NormalizedMetrics
-
-    for value in range(5):
-        knowledge.observe(NormalizedMetrics(float(value), 0.0, 0.0))
-    assert len(knowledge.window) == 3
-    assert knowledge.window_means().active_links_pct == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        KnowledgeBase(window_length=0)
+def test_threshold_window_caps():
+    manager = threshold_manager()
+    probe = StubProbe(Topology.MST, None)
+    for links in range(150, 157):  # 50% .. 52% of 300 links, all within thresholds
+        probe.monitorables = Monitorables(links, 2000.0, 1500.0)
+        assert manager.decide(probe).rationale == "within thresholds"
+    assert len(manager.window) == WINDOW_LENGTH
+    # The window holds the newest observations, oldest first.
+    assert [metrics.active_links_pct for metrics in manager.window] == [
+        100.0 * links / NETWORK.total_links for links in range(152, 157)
+    ]
 
 
 def test_create_manager_registry():

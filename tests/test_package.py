@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import mirrorsim
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -33,3 +36,20 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     assert namespace["replayed"].trace == namespace["result"].trace
     assert namespace["sim"].finished
     assert namespace["record"] == namespace["sim"].trace[-1]
+
+
+def test_every_benchmark_tracer_target_exists(monkeypatch):
+    # The benchmark's tracer patches these names in place; a refactor that
+    # drops one breaks the traced benchmark run, which only CI runs.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attribute}"
+        for owner, attribute, *_ in tracing.targets()
+        if attribute not in owner.__dict__
+    ]
+    assert missing == []

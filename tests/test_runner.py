@@ -9,7 +9,7 @@ import pytest
 
 import mirrorsim.runner
 from mirrorsim.config import SatisfactionThresholds
-from mirrorsim.managers import KnowledgeBase, ManagerDecision, NullManager, ThresholdRuleManager
+from mirrorsim.managers import WINDOW_LENGTH, ManagerDecision, NullManager, ThresholdRuleManager
 from mirrorsim.network import Monitorables, Topology, build_network
 from mirrorsim.runner import (
     TRACE_CSV_HEADER,
@@ -28,6 +28,7 @@ from mirrorsim.runner import (
     run,
 )
 from mirrorsim.scenarios import ScenarioId, apply_disturbance
+from test_managers import StubProbe
 
 NETWORK = build_network(25)
 
@@ -117,10 +118,31 @@ def test_summary_and_window_means_use_the_left_fold():
     assert summary.mean_active_links_pct == TENTHS_MEAN
     assert summary.mean_bandwidth_pct == TENTHS_MEAN
     assert summary.mean_write_time_pct == TENTHS_MEAN
-    knowledge = KnowledgeBase(window_length=len(TENTHS))
-    for metrics in TENTHS:
-        knowledge.observe(metrics)
-    assert knowledge.window_means() == NormalizedMetrics(TENTHS_MEAN, TENTHS_MEAN, TENTHS_MEAN)
+
+    # 100, 100, 149, 100 and 100 of 300 links fold left to right to a mean of
+    # 36.60000000000001; the correctly rounded sum gives 36.6.
+    links = (100, 100, 149, 100, 100)
+    assert len(links) == WINDOW_LENGTH
+    left_fold_mean = 36.60000000000001
+    assert math.fsum(100.0 * count / NETWORK.total_links for count in links) / len(links) == 36.6
+
+    def decide_on_mst(min_active_links_pct: float) -> ManagerDecision:
+        thresholds = SatisfactionThresholds(min_active_links_pct=min_active_links_pct)
+        manager = ThresholdRuleManager(NETWORK, thresholds)
+        # Under RT the reliability rule does not apply, and low loads keep the
+        # cost and performance rules quiet while the window fills.
+        probe = StubProbe(Topology.RT, None)
+        for count in links:
+            probe.monitorables = Monitorables(count, 1.0, 1.0)
+            assert manager.decide(probe).rationale == "within thresholds"
+        # On MST with no new observation, the rule reads the full window.
+        probe.topology, probe.monitorables = Topology.MST, None
+        return manager.decide(probe)
+
+    # The left-fold mean equals the bound, so the manager stays quiet; a
+    # compensated sum would put the mean below it and switch to RT.
+    assert decide_on_mst(left_fold_mean).switch_to is None
+    assert decide_on_mst(math.nextafter(left_fold_mean, math.inf)).switch_to is Topology.RT
 
 
 def test_summary_dict_shape(make_config):
