@@ -169,7 +169,7 @@ def test_threshold_quiet_under_s0(make_config):
         assert len(result.command_log) == 0
 
 
-def test_threshold_window_caps():
+def test_knowledge_base_window_caps():
     manager = threshold_manager()
     probe = StubProbe(Topology.MST, None)
     for links in range(150, 157):  # 50% .. 52% of 300 links, all within thresholds
