@@ -22,7 +22,7 @@ from .config import (
     default_config_mapping,
     load_config,
 )
-from .managers import DEFAULT_SWITCH_PROBABILITY, MANAGER_NAMES, create_manager
+from .managers import MANAGER_NAMES, create_manager
 from .runner import (
     TRACE_CSV_HEADER,
     TRACE_FIELDS,
@@ -133,23 +133,13 @@ def _cmd_run(args) -> int:
         raise ConfigError(str(exc)) from None
 
     output_dir = Path(args.output_dir)
+    output_dir.mkdir(parents=True, exist_ok=True)
     rollup = [ROLLUP_CSV_HEADER]
     for cfg in batch:
         scenario, seed = cfg.properties.scenario, cfg.properties.seed
-        try:
-            manager = create_manager(
-                args.manager,
-                network=cfg.network,
-                thresholds=cfg.properties.thresholds,
-                seed=seed,
-                switch_probability=args.switch_probability,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        # create_manager checks no per-run value: once the first run's manager
-        # is built, no run of the batch can fail its config, so the directory
-        # is made only now.
-        output_dir.mkdir(parents=True, exist_ok=True)
+        manager = create_manager(
+            args.manager, network=cfg.network, thresholds=cfg.properties.thresholds, seed=seed
+        )
         result = run(manager, cfg)
         stem = f"{scenario.value}_{args.manager}_seed{seed}"
         trace_text = write_trace_csv(result.trace, output_dir / f"{stem}_trace.csv")
@@ -266,12 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--seeds", help='seed list, e.g. "7", "1,2,9", or "0..29"')
     run_parser.add_argument("--timesteps", type=int, help="override the configured run length")
     run_parser.add_argument("--output-dir", default="results", help="artifact directory")
-    run_parser.add_argument(
-        "--switch-probability",
-        type=float,
-        default=DEFAULT_SWITCH_PROBABILITY,
-        help="per-step switch probability for the random manager",
-    )
     run_parser.add_argument(
         "--plot-data", action="store_true", help="also emit a long-format plot table per run"
     )

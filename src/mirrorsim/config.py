@@ -43,7 +43,7 @@ class ConfigError(Exception):
 
 
 class ConfigSyntaxError(ConfigError):
-    """The configuration file is not valid JSON."""
+    """The configuration file is not UTF-8 or not JSON that can be decoded."""
 
 
 class ConfigSchemaError(ConfigError):
@@ -369,9 +369,10 @@ def default_config() -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Load and validate a configuration file.
 
-    Raises ConfigError for a missing file, ConfigSyntaxError for invalid
-    JSON, ConfigSchemaError for shape problems (with the field path), and
-    ConfigInvariantError for values that violate domain invariants.
+    Raises ConfigError for a missing file, ConfigSyntaxError for a file that
+    is not UTF-8 or that JSON cannot decode, ConfigSchemaError for shape
+    problems (with the field path), and ConfigInvariantError for values that
+    violate domain invariants.
     """
     path = Path(path)
     try:
@@ -380,8 +381,12 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"configuration file not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read configuration file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigSyntaxError(f"{path} is not valid UTF-8: {exc}") from None
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: a JSONDecodeError, or an integer past the interpreter's
+        # digit limit; RecursionError: nesting past the decoder's depth limit.
         raise ConfigSyntaxError(f"{path} is not valid JSON: {exc}") from None
     return config_from_mapping(raw)

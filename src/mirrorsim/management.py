@@ -125,7 +125,8 @@ class Effector:
                 f"cannot target timestep {timestep}: the run ends after"
                 f" {self._sim.properties.timesteps} timesteps"
             )
-        self._sim.schedule_topology(timestep, target)
+        # Last command for a target wins; the log keeps every issue.
+        self._sim._topology_schedule[timestep] = target
         self._log(CommandKind.SET_NETWORK_TOPOLOGY, target, target_timestep=timestep)
 
     def set_current_topology(self, topology: object) -> None:
@@ -135,7 +136,7 @@ class Effector:
         """
         self._check_running()
         target = self._parse_topology(topology)
-        self._sim.schedule_topology(self._sim.timestep, target)
+        self._sim._topology_schedule[self._sim.timestep] = target
         self._log(CommandKind.SET_CURRENT_TOPOLOGY, target)
 
     def set_active_links(self, active_links: int) -> None:
@@ -150,21 +151,21 @@ class Effector:
                 f"active_links {active_links} exceeds total links"
                 f" {self._sim.network.total_links}"
             )
-        self._sim.queue_override("active_links", active_links)
+        self._sim._pending_overrides["active_links"] = active_links
         self._log(CommandKind.SET_ACTIVE_LINKS, active_links)
 
     def set_time_to_write(self, time_to_write: float) -> None:
         """Override the next step's write time in ms (one step only)."""
         self._check_running()
         value = self._checked_load("time_to_write", time_to_write)
-        self._sim.queue_override("time_to_write", value)
+        self._sim._pending_overrides["time_to_write"] = value
         self._log(CommandKind.SET_TIME_TO_WRITE, value)
 
     def set_bandwidth_consumption(self, bandwidth_consumption: float) -> None:
         """Override the next step's bandwidth in GBps (one step only)."""
         self._check_running()
         value = self._checked_load("bandwidth_consumption", bandwidth_consumption)
-        self._sim.queue_override("bandwidth_consumption", value)
+        self._sim._pending_overrides["bandwidth_consumption"] = value
         self._log(CommandKind.SET_BANDWIDTH_CONSUMPTION, value)
 
     def _check_running(self) -> None:
@@ -181,7 +182,12 @@ class Effector:
     def _checked_load(self, name: str, value: object) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise EffectorError(f"{name} must be a number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise EffectorError(
+                f"{name} must be a finite value >= 0, got an integer too large for a float"
+            ) from None
         if math.isnan(value) or math.isinf(value) or value < 0:
             raise EffectorError(f"{name} must be a finite value >= 0, got {value}")
         # The override replaces the step's base value; the disturbance then

@@ -20,7 +20,7 @@ from .runner import NormalizedMetrics, column_means, normalize
 
 WINDOW_LENGTH = 5
 COOLDOWN = 3
-DEFAULT_SWITCH_PROBABILITY = 0.1
+SWITCH_PROBABILITY = 0.1
 
 MANAGER_NAMES = ("null", "random", "threshold")
 
@@ -60,21 +60,19 @@ class NullManager:
 
 
 class RandomManager:
-    """Noise baseline: switches topology with a fixed per-step probability.
+    """Noise baseline: switches topology with probability ``SWITCH_PROBABILITY``
+    per step.
 
     Draws come from the manager's own rng stream, independent of the
-    environment stream, so p=0 leaves the trace identical to the null
-    manager's.
+    environment stream, so a probability of 0 would leave the trace identical
+    to the null manager's.
     """
 
-    def __init__(self, switch_probability: float, rng: Random) -> None:
-        if not 0.0 <= switch_probability <= 1.0:
-            raise ValueError(f"switch_probability must be in [0, 1], got {switch_probability}")
-        self.switch_probability = switch_probability
+    def __init__(self, rng: Random) -> None:
         self.rng = rng
 
     def decide(self, probe) -> ManagerDecision:
-        if self.rng.random() < self.switch_probability:
+        if self.rng.random() < SWITCH_PROBABILITY:
             return ManagerDecision.switch(probe.get_current_topology().other(), "random")
         return _NO_OP
 
@@ -137,7 +135,6 @@ def create_manager(
     network: MirrorNetwork,
     thresholds: SatisfactionThresholds,
     seed: int,
-    switch_probability: float = DEFAULT_SWITCH_PROBABILITY,
 ):
     """Instantiate a reference manager by name ("null", "random", "threshold")."""
     if name == "null":
@@ -145,7 +142,7 @@ def create_manager(
     if name == "random":
         # String seeding hashes with sha512, so the stream is process-stable
         # and disjoint from the environment stream Random(seed).
-        return RandomManager(switch_probability, Random(f"manager:{seed}"))
+        return RandomManager(Random(f"manager:{seed}"))
     if name == "threshold":
         return ThresholdRuleManager(network, thresholds)
     raise ValueError(f"unknown manager name: {name!r} (expected one of {MANAGER_NAMES})")

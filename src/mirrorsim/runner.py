@@ -253,6 +253,7 @@ class Simulation:
         self._append_code, self._append_links, self._extend_floats = self.trace._writers()
         self.latest_monitorables: Optional[Monitorables] = None  # set by each step
         self.command_log: list[EffectorCommand] = []
+        # Only the effector writes these, so every queued command is logged.
         self._topology_schedule: dict[int, Topology] = {}
         self._pending_overrides: dict[str, float] = {}
         self.probe = Probe(self)
@@ -261,13 +262,6 @@ class Simulation:
     @property
     def finished(self) -> bool:
         return self.timestep >= self.properties.timesteps
-
-    def schedule_topology(self, timestep: int, topology: Topology) -> None:
-        # Last command for a target wins; the log keeps every issue.
-        self._topology_schedule[timestep] = topology
-
-    def queue_override(self, field: str, value) -> None:
-        self._pending_overrides[field] = value
 
     def step(self) -> None:
         """Execute one timestep; its record is then ``self.trace[-1]``.

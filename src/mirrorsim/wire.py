@@ -112,7 +112,9 @@ class WireSession:
         except UnicodeEncodeError:
             self._send_error(None, "malformed_message", "not valid UTF-8")
             return False
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: a JSONDecodeError, or an integer past the interpreter's
+            # digit limit; RecursionError: nesting past the decoder's depth limit.
             self._send_error(None, "malformed_message", f"not valid JSON: {exc}")
             return False
         if not isinstance(message, dict):

@@ -90,18 +90,23 @@ def test_bad_config_file_exits_with_config_error(tmp_path):
     assert rc == EXIT_CONFIG_ERROR
 
 
-@pytest.mark.parametrize("probability", ["2", "-0.5", "nan"])
-def test_a_bad_switch_probability_exits_with_config_error(tmp_path, capsys, probability):
-    rc = run_cli(
-        "run", "--manager", "random", "--switch-probability", probability,
-        "--output-dir", str(tmp_path / "out"),
-    )
+@pytest.mark.parametrize("content", [
+    b"[" * 30_000,  # nesting past the decoder's depth limit
+    b'{"seed": 1' + b"0" * 5_000 + b"}",  # past the interpreter's integer digit limit
+    b'{"scenario": "S\xff"}',  # not UTF-8
+], ids=["deep_nesting", "long_integer", "not_utf8"])
+def test_a_config_file_json_cannot_decode_exits_with_config_error(tmp_path, capsys, content):
+    config_path = tmp_path / "configuration.json"
+    config_path.write_bytes(content)
+    out = tmp_path / "out"
+    rc = run_cli("run", "--config", str(config_path), "--output-dir", str(out))
     assert rc == EXIT_CONFIG_ERROR
-    assert "switch_probability must be in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+    assert "configuration error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
-    ("--manager", "random", "--switch-probability", "2"),
+    ("--manager", "random", "--timesteps", str(10**400)),
     ("--seeds", f"0,{2**64}", "--timesteps", "5"),  # the second seed is out of range
 ])
 def test_a_config_error_anywhere_in_the_batch_writes_nothing(tmp_path, capsys, argv):

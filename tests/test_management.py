@@ -204,6 +204,10 @@ def test_scalar_override_rejections(make_config):
         sim.effector.set_active_links(200.5)
     with pytest.raises(EffectorError):
         sim.effector.set_active_links(True)
+    for name in ("time_to_write", "bandwidth_consumption"):
+        with pytest.raises(EffectorError, match="too large for a float"):
+            getattr(sim.effector, f"set_{name}")(10**400)
+    assert sim.command_log == []
 
 
 def test_load_overrides_whose_worst_step_overflows_are_refused(make_config):

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import mirrorsim.managers
 from mirrorsim.config import SatisfactionThresholds
 from mirrorsim.managers import (
     COOLDOWN,
@@ -47,17 +48,17 @@ def test_null_manager_never_acts(make_config):
     assert all(record.adaptation is None for record in result.trace)
 
 
-def test_random_manager_with_zero_probability_matches_null(make_config):
-    random_result = run(
-        RandomManager(0.0, Random("manager:4")), make_config(seed=4, timesteps=40)
-    )
+def test_random_manager_with_zero_probability_matches_null(make_config, monkeypatch):
+    monkeypatch.setattr(mirrorsim.managers, "SWITCH_PROBABILITY", 0.0)
+    random_result = run(RandomManager(Random("manager:4")), make_config(seed=4, timesteps=40))
     null_result = run(NullManager(), make_config(seed=4, timesteps=40))
     assert render_trace_csv(random_result.trace) == render_trace_csv(null_result.trace)
     assert len(random_result.command_log) == 0
 
 
-def test_random_manager_with_probability_one_alternates(make_config):
-    result = run(RandomManager(1.0, Random(0)), make_config(seed=4, timesteps=6))
+def test_random_manager_with_probability_one_alternates(make_config, monkeypatch):
+    monkeypatch.setattr(mirrorsim.managers, "SWITCH_PROBABILITY", 1.0)
+    result = run(RandomManager(Random(0)), make_config(seed=4, timesteps=6))
     topologies = [record.topology for record in result.trace]
     assert topologies == [
         Topology.RT,
@@ -71,17 +72,10 @@ def test_random_manager_with_probability_one_alternates(make_config):
 
 
 def test_random_manager_is_seed_deterministic(make_config):
-    first = run(RandomManager(0.5, Random(77)), make_config(seed=4))
-    second = run(RandomManager(0.5, Random(77)), make_config(seed=4))
+    first = run(RandomManager(Random(77)), make_config(seed=4))
+    second = run(RandomManager(Random(77)), make_config(seed=4))
     assert first.command_log == second.command_log
     assert first.trace == second.trace
-
-
-def test_random_manager_validates_probability():
-    with pytest.raises(ValueError):
-        RandomManager(1.5, Random(0))
-    with pytest.raises(ValueError):
-        RandomManager(-0.1, Random(0))
 
 
 def test_threshold_switches_to_rt_on_reliability_violation():

@@ -126,6 +126,10 @@ def test_invalid_effector_value_keeps_session_alive(make_config):
         assert reply["kind"] == "error" and reply["code"] == "invalid_value"
         reply = harness.request("set_network_topology", timestep=0, topology="star")
         assert reply["kind"] == "error" and reply["code"] == "invalid_value"
+        for name in ("time_to_write", "bandwidth_consumption"):
+            reply = harness.request(f"set_{name}", **{name: 10**400})
+            assert reply["kind"] == "error" and reply["code"] == "invalid_value"
+            assert "too large for a float" in reply["detail"]
         assert harness.request("get_current_topology")["kind"] == "topology"
 
 
@@ -287,6 +291,18 @@ def test_malformed_json_terminates_session(make_config):
         assert harness.recv_eof()
         harness._thread.join(timeout=5)
         assert harness.result is not None and not harness.result.completed
+
+
+@pytest.mark.parametrize("line", [
+    "[" * 30_000,  # nesting past the decoder's depth limit: RecursionError
+    '{"seq": 1' + "0" * 5_000,  # past the interpreter's integer digit limit: ValueError
+], ids=["deep_nesting", "long_integer"])
+def test_a_line_json_cannot_decode_is_malformed(make_config, line):
+    text = line + '\n{"seq": 2, "kind": "step"}\n'
+    messages, result = _serve_lines(make_config(timesteps=3), text)
+    assert [message["kind"] for message in messages] == ["hello", "error"]
+    assert messages[1]["code"] == "malformed_message"
+    assert not result.completed and len(result.trace) == 0
 
 
 def test_unknown_kind_terminates_session(make_config):
