@@ -7,7 +7,10 @@ gating. One extra session runs the threshold manager over the line-JSON wire. A 
 that moves one drawn number, one float operation or one CSV byte changes a
 digest here. For that wire session the server's whole output stream is
 pinned as well, so a change of JSON key order, float formatting or message
-shape changes a digest too. One long threshold run pins both its trace and
+shape changes a digest too. A scripted session over the whole request
+grammar pins the server stream of every reply kind the threshold manager
+never asks for: each probe before and after the first step, all five
+effectors, a refused command and the steps through to ``run_complete``. One long threshold run pins both its trace and
 the bytes of its summary JSON: over 10,000 steps the window means decide
 switches that sit exactly on a threshold, and the run means carry every
 last digit, so a change of summation order (as in ``sum()`` since CPython
@@ -25,12 +28,13 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import sys
 
 from mirrorsim import create_manager, render_trace_csv, run
 from mirrorsim.config import config_from_mapping
-from mirrorsim.wire import run_remote
+from mirrorsim.wire import WireSession, run_remote
 
 from wire_helpers import WireHarness
 
@@ -42,6 +46,38 @@ WIRE_CASE = ("S3", 13)
 LONG_CASE = ("S3", 1, 10_000)  # scenario, seed, steps; threshold manager
 WINDOW = (100, 299)  # disturbance_window of the windowed cases; threshold manager
 WINDOW_SEED = 7
+GRAMMAR_CASE = ("S2", 3, 4)  # scenario, seed, steps of the scripted full-grammar session
+# Its requests, numbered from 1: every probe before the first step (monitorables
+# null, the scalar getters not_observable), all five effectors with one refused
+# (invalid_value), switches landing through both topology effectors, and
+# every probe again between steps until run_complete.
+GRAMMAR_REQUESTS = (
+    {"kind": "get_monitorables"},
+    {"kind": "get_current_topology"},
+    {"kind": "get_active_links"},
+    {"kind": "get_bandwidth_consumption"},
+    {"kind": "get_time_to_write"},
+    {"kind": "set_network_topology", "timestep": 2, "topology": "rt"},
+    {"kind": "set_current_topology", "topology": "rt"},
+    {"kind": "set_active_links", "active_links": 301},
+    {"kind": "set_active_links", "active_links": 0},
+    {"kind": "set_time_to_write", "time_to_write": 500},
+    {"kind": "set_bandwidth_consumption", "bandwidth_consumption": 0.1},
+    {"kind": "step"},
+    {"kind": "get_monitorables"},
+    {"kind": "get_current_topology"},
+    {"kind": "get_active_links"},
+    {"kind": "get_bandwidth_consumption"},
+    {"kind": "get_time_to_write"},
+    {"kind": "set_current_topology", "topology": "mst"},
+    {"kind": "set_time_to_write", "time_to_write": 1e-7},
+    {"kind": "step"},
+    {"kind": "get_monitorables"},
+    {"kind": "step"},
+    {"kind": "set_network_topology", "timestep": 3, "topology": "mst"},
+    {"kind": "set_active_links", "active_links": 300},
+    {"kind": "step"},
+)
 
 GOLDEN = {
     ("S0", "null", 7): "f36fcf9fb78cc4a8d991342fe40d30e9a25ae3e366645167ec9dd8365a479a23",
@@ -94,6 +130,8 @@ WINDOW_GOLDEN = {
 }
 
 WIRE_GOLDEN = "e007ab30485a153622b96daec7e6e56087108c89a4a2d5930a0c229a1fa8225f"
+
+GRAMMAR_STREAM_GOLDEN = "0350d15e2534fbe6f35155b249c7b082f172a84ec04328d0247ceec2bad27e8f"
 
 WIRE_STREAM_GOLDEN = "e2e43bc90857ec1bc8d7aa8f80a494b315f5a16491b1ad50738e79b89e7f5de5"
 
@@ -149,6 +187,23 @@ def wire_stream_digest(scenario: str, seed: int) -> str:
     return hashlib.sha256("".join(harness.received).encode("utf-8")).hexdigest()
 
 
+def grammar_session() -> str:
+    """Every line the server wrote for ``GRAMMAR_REQUESTS``, from ``hello`` to ``run_complete``."""
+    scenario, seed, steps = GRAMMAR_CASE
+    config = config_from_mapping({"scenario": scenario, "seed": seed, "timesteps": steps})
+    requests = "".join(
+        json.dumps({"seq": seq, **request}) + "\n"
+        for seq, request in enumerate(GRAMMAR_REQUESTS, start=1)
+    )
+    served = io.StringIO()
+    WireSession(config, io.StringIO(requests), served).run()
+    return served.getvalue()
+
+
+def grammar_stream_digest() -> str:
+    return hashlib.sha256(grammar_session().encode("utf-8")).hexdigest()
+
+
 @functools.lru_cache(maxsize=None)
 def long_run_digests(scenario: str, seed: int, steps: int) -> tuple[str, str]:
     """SHA-256 of the trace and of ``json.dumps(summary.as_dict(), indent=2)``."""
@@ -175,6 +230,7 @@ def recomputed_digests() -> list[tuple[str, str, str]]:
         ),
         ("WIRE_GOLDEN", wire_digest(*WIRE_CASE), WIRE_GOLDEN),
         ("WIRE_STREAM_GOLDEN", wire_stream_digest(*WIRE_CASE), WIRE_STREAM_GOLDEN),
+        ("GRAMMAR_STREAM_GOLDEN", grammar_stream_digest(), GRAMMAR_STREAM_GOLDEN),
         ("LONG_TRACE_GOLDEN", long_trace, LONG_TRACE_GOLDEN),
         ("LONG_SUMMARY_GOLDEN", long_summary, LONG_SUMMARY_GOLDEN),
     ]
@@ -204,6 +260,23 @@ def test_wire_threshold_session_stream_digest():
     assert wire_stream_digest(*WIRE_CASE) == WIRE_STREAM_GOLDEN
 
 
+def test_full_grammar_session_stream_digest():
+    messages = [json.loads(line) for line in grammar_session().splitlines()]
+    # The script reaches every reply kind and both recoverable error codes.
+    assert {message["kind"] for message in messages} == {
+        "hello", "monitorables", "topology", "value", "ack", "step_complete", "error",
+        "run_complete",
+    }
+    assert {message["code"] for message in messages if message["kind"] == "error"} == {
+        "not_observable", "invalid_value",
+    }
+    assert messages[1]["monitorables"] is None
+    assert [message.get("re") for message in messages[1:-1]] == list(
+        range(1, len(GRAMMAR_REQUESTS) + 1)
+    )
+    assert grammar_stream_digest() == GRAMMAR_STREAM_GOLDEN
+
+
 def test_long_threshold_trace_digest():
     assert long_run_digests(*LONG_CASE)[0] == LONG_TRACE_GOLDEN
 
@@ -229,6 +302,8 @@ def print_table() -> None:
     print(f'WIRE_GOLDEN = "{wire_digest(*WIRE_CASE)}"')
     print()
     print(f'WIRE_STREAM_GOLDEN = "{wire_stream_digest(*WIRE_CASE)}"')
+    print()
+    print(f'GRAMMAR_STREAM_GOLDEN = "{grammar_stream_digest()}"')
     long_trace, long_summary = long_run_digests(*LONG_CASE)
     print()
     print(f'LONG_TRACE_GOLDEN = "{long_trace}"')
