@@ -48,6 +48,20 @@ class EffectorCommand(NamedTuple):
 _new_command = partial(tuple.__new__, EffectorCommand)
 
 
+def _int_text(value: int) -> str:
+    """``str(value)``, or its digit count past the interpreter's limit on
+    integer-to-text conversion, where ``str`` raises ValueError."""
+    try:
+        return str(value)
+    except ValueError:
+        magnitude = abs(value)
+        digits = int(magnitude.bit_length() * math.log10(2))  # the count or one short
+        if magnitude >= 10**digits:
+            digits += 1
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {digits} digits"
+
+
 class Probe:
     """Read-only view of the simulation state; never consumes randomness."""
 
@@ -117,12 +131,12 @@ class Effector:
             raise EffectorError(f"timestep must be an integer, got {timestep!r}")
         if timestep < self._sim.timestep:
             raise EffectorError(
-                f"cannot target past timestep {timestep}"
+                f"cannot target past timestep {_int_text(timestep)}"
                 f" (current is {self._sim.timestep})"
             )
         if timestep >= self._sim.properties.timesteps:
             raise EffectorError(
-                f"cannot target timestep {timestep}: the run ends after"
+                f"cannot target timestep {_int_text(timestep)}: the run ends after"
                 f" {self._sim.properties.timesteps} timesteps"
             )
         # Last command for a target wins; the log keeps every issue.
@@ -148,7 +162,7 @@ class Effector:
             raise EffectorError("active_links must be >= 0")
         if active_links > self._sim.network.total_links:
             raise EffectorError(
-                f"active_links {active_links} exceeds total links"
+                f"active_links {_int_text(active_links)} exceeds total links"
                 f" {self._sim.network.total_links}"
             )
         self._sim._pending_overrides["active_links"] = active_links

@@ -71,6 +71,26 @@ def test_probe_purity(make_config):
     assert plain.trace == probed.trace
 
 
+@pytest.mark.parametrize(("value", "text"), [
+    (10**5000 - 1, "an integer of 5000 digits"),
+    (10**5000, "an integer of 5001 digits"),
+    (-(10**5000), "a negative integer of 5001 digits"),
+], ids=["5000_digits", "5001_digits", "negative"])
+def test_an_integer_too_long_for_text_is_refused_by_its_digit_count(make_config, value, text):
+    # str() of an integer past the interpreter's 4,300-digit limit raises
+    # ValueError; the refusal must still be an EffectorError.
+    sim = build_simulation(make_config(timesteps=5))
+    if value > 0:
+        with pytest.raises(EffectorError, match=f"active_links {text} exceeds total links 300"):
+            sim.effector.set_active_links(value)
+        match = f"cannot target timestep {text}: the run ends"
+    else:
+        match = f"cannot target past timestep {text} "
+    with pytest.raises(EffectorError, match=match):
+        sim.effector.set_network_topology(value, "rt")
+    assert sim.command_log == []
+
+
 def test_set_network_topology_switches_at_target(make_config):
     sim = build_simulation(make_config(seed=1))
     sim.effector.set_network_topology(3, "rt")
