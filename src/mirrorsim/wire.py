@@ -6,6 +6,13 @@ the run with explicit ``step`` directives. Each request gets exactly one
 reply; after the final step the server additionally emits ``run_complete``
 and ends the session. See docs/protocol.md for the full grammar.
 
+Every server line is the text of ``json.dumps`` with its default separators.
+The three replies a session sends every step, ``step_complete``, the
+``monitorables`` reply and ``ack``, are written from fixed ``%`` templates
+with the same bytes; every other message, and a per-step reply holding a NaN
+or an infinity, goes through the generic strict encoder, which answers the
+latter with ``non_finite_value``.
+
 :class:`WireSession` serves a session; :func:`run_remote` is the client.
 """
 
@@ -39,9 +46,10 @@ MAX_LINE_CHARS = 64 * 1024  # longest request line accepted, newline included
 # How every transport decodes request bytes: an invalid UTF-8 byte becomes a
 # lone surrogate, which _handle_line answers with malformed_message.
 DECODE_ERRORS = "surrogateescape"
-# One strict encoder for every outgoing message: the bytes of json.dumps for
+# The generic strict encoder of outgoing messages: the bytes of json.dumps for
 # finite values, and a ValueError instead of a bare NaN or Infinity token.
 _encode = json.JSONEncoder(allow_nan=False).encode
+_raw_decode = json.JSONDecoder().raw_decode
 
 # Probe request kind -> (reply kind, encoder); the reply carries the encoded
 # probe result under a key named like the reply kind.
@@ -67,6 +75,66 @@ def record_payload(record: TraceRecord) -> dict:
         timestep, topology.value, *values,
         adaptation.value if adaptation is not None else None,
     )))
+
+
+# The per-step replies as % templates with the bytes _encode gives the generic
+# path's message: ", " and ": " separators, its key order, %r for a float
+# (float.__repr__, which json calls too) and %d for an int.
+_STEP_COMPLETE = (
+    '{"seq": %d, "re": %d, "kind": "step_complete", "timestep": %d, "record": {'
+    '"timestep": %d, "topology": %s, "active_links": %d, "bandwidth_gbps": %r, '
+    '"time_to_write_ms": %r, "active_links_pct": %r, "bandwidth_pct": %r, '
+    '"write_time_pct": %r, "adaptation": %s}}\n'
+)
+_MONITORABLES = (
+    '{"seq": %d, "re": %d, "kind": "monitorables", "monitorables": {'
+    '"active_links": %d, "bandwidth_consumption": %r, "time_to_write": %r}}\n'
+)
+_NO_MONITORABLES = '{"seq": %d, "re": %d, "kind": "monitorables", "monitorables": null}\n'
+_ACK = {
+    kind: '{"seq": %d, "re": %d, "kind": "ack", "command": ' + _encode(kind) + "}\n"
+    for kind in EFFECTOR_FIELDS
+}
+# A topology or adaptation field as JSON text; no switch is null.
+_TOPOLOGY_JSON = {None: "null", **{topology: _encode(topology.value) for topology in Topology}}
+
+
+def _step_line(seq: int, request_seq: int, record: TraceRecord) -> Optional[str]:
+    """The ``step_complete`` line for ``record``, or None when the generic path
+    must send it: a sum of floats is finite only when each term is, and a
+    finite row whose sum overflows gets None too, which costs only speed."""
+    (timestep, topology, active_links, bandwidth, write_time,
+     links_pct, bandwidth_pct, write_time_pct, adaptation) = record
+    if (bandwidth + write_time + links_pct + bandwidth_pct + write_time_pct) * 0.0 != 0.0:
+        return None
+    return _STEP_COMPLETE % (
+        seq, request_seq, timestep, timestep, _TOPOLOGY_JSON[topology], active_links,
+        bandwidth, write_time, links_pct, bandwidth_pct, write_time_pct,
+        _TOPOLOGY_JSON[adaptation],
+    )
+
+
+def _monitorables_line(
+    seq: int, request_seq: int, monitorables: Optional[Monitorables]
+) -> Optional[str]:
+    """The ``monitorables`` reply line, or None when a value is not finite."""
+    if monitorables is None:
+        return _NO_MONITORABLES % (seq, request_seq)
+    active_links, bandwidth, write_time = monitorables
+    if (bandwidth + write_time) * 0.0 != 0.0:
+        return None
+    return _MONITORABLES % (seq, request_seq, active_links, bandwidth, write_time)
+
+
+def _loads(line: str):
+    """``json.loads(line)`` for a line with no surrounding whitespace: one
+    ``raw_decode`` when it takes the whole line, else ``json.loads`` itself,
+    so a line that fails raises exactly what ``json.loads`` raises."""
+    try:
+        message, end = _raw_decode(line)
+    except (ValueError, RecursionError):
+        end = None
+    return message if end == len(line) else json.loads(line)
 
 
 class WireSession:
@@ -108,7 +176,7 @@ class WireSession:
         try:
             if not line.isascii():
                 line.encode("utf-8")  # fails on a byte that DECODE_ERRORS escaped
-            message = json.loads(line)
+            message = _loads(line)  # stripped by run()
         except UnicodeEncodeError:
             self._send_error(None, "malformed_message", "not valid UTF-8")
             return False
@@ -147,7 +215,8 @@ class WireSession:
     def _handle_step(self, seq: int) -> bool:
         self.sim.step()
         record = self.sim.trace[-1]
-        sent = self._reply(
+        line = _step_line(self._next_seq, seq, record)
+        sent = self._write(line) if line is not None else self._reply(
             seq,
             {"kind": "step_complete", "timestep": record.timestep, "record": record_payload(record)},
         )
@@ -165,6 +234,10 @@ class WireSession:
         except ProbeError as exc:
             self._send_error(seq, "not_observable", str(exc))  # session continues
             return True
+        if kind == "get_monitorables":
+            line = _monitorables_line(self._next_seq, seq, value)
+            if line is not None:
+                return self._write(line)
         return self._reply(seq, {"kind": reply_kind, reply_kind: encode(value)})
 
     def _handle_effector(self, seq: int, kind: str, message: dict) -> bool:
@@ -178,7 +251,7 @@ class WireSession:
         except EffectorError as exc:
             self._send_error(seq, "invalid_value", str(exc))  # session continues
             return True
-        return self._reply(seq, {"kind": "ack", "command": kind})
+        return self._write(_ACK[kind] % (self._next_seq, seq))
 
     def _config_summary(self) -> dict:
         network = self.config.network
@@ -227,9 +300,13 @@ class WireSession:
                 f"the {message['kind']} message holds a number JSON cannot carry (NaN or infinity)",
             )
             return False
+        return self._write(line + "\n")
+
+    def _write(self, line: str) -> bool:
+        """Write one encoded line, newline included, as message ``_next_seq``."""
         self._next_seq += 1
         try:
-            self.wfile.write(line + "\n")
+            self.wfile.write(line)
             self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; the read loop will see EOF and abort

@@ -15,24 +15,34 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mirrorsim.runner
 import mirrorsim.wire
 from mirrorsim.config import default_config_mapping
 from mirrorsim.management import CommandKind, Effector, Probe
 from mirrorsim.managers import NullManager
+from mirrorsim.network import Monitorables, Topology
 from mirrorsim.runner import (
     TRACE_CSV_HEADER,
     NormalizedMetrics,
     RunResult,
+    TraceRecord,
     render_trace_csv,
     run,
 )
 from mirrorsim.wire import (
+    _ACK,
+    EFFECTOR_FIELDS,
     MAX_LINE_CHARS,
     PROBE_REPLIES,
     PROTOCOL_VERSION,
     WireSession,
+    _encode,
+    _monitorables_line,
+    _step_line,
+    record_payload,
     run_remote,
     serve_tcp,
 )
@@ -394,6 +404,111 @@ def test_a_non_finite_value_ends_the_session_with_strict_json(make_config, monke
     assert messages[-1]["re"] == 2 and messages[-1]["seq"] == 2
     assert not result.completed
     assert len(result.trace) == 1
+
+
+def test_a_non_finite_monitorables_reply_ends_the_session_with_strict_json(make_config):
+    # A fault injected into the probed state stands in for a non-finite value:
+    # the monitorables reply must take the generic path and not go out.
+    rfile = io.StringIO('{"seq": 1, "kind": "get_monitorables"}\n{"seq": 2, "kind": "step"}\n')
+    wfile = io.StringIO()
+    session = WireSession(make_config(timesteps=3), rfile, wfile)
+    session.sim.latest_monitorables = Monitorables(1, math.inf, 0.0)
+    result = session.run()
+    messages = [
+        json.loads(line, parse_constant=_reject_constant)
+        for line in wfile.getvalue().splitlines()
+    ]
+    assert [message["kind"] for message in messages] == ["hello", "error"]
+    assert messages[-1]["code"] == "non_finite_value"
+    assert messages[-1]["re"] == 1 and messages[-1]["seq"] == 1
+    assert not result.completed and len(result.trace) == 0
+
+
+def test_a_finite_step_whose_float_sum_overflows_is_sent_whole(make_config, monkeypatch):
+    # The step template's finiteness check sums the row's floats; a finite row
+    # whose sum overflows goes out through the generic encoder instead.
+    def huge_normalize(monitorables, network):
+        return NormalizedMetrics(1.7e308, 1.7e308, 0.0)
+
+    monkeypatch.setattr(mirrorsim.runner, "normalize", huge_normalize)
+    messages, result = _serve_lines(make_config(timesteps=1), '{"seq": 1, "kind": "step"}\n')
+    assert [message["kind"] for message in messages] == ["hello", "step_complete", "run_complete"]
+    assert messages[1]["record"]["active_links_pct"] == 1.7e308
+    assert messages[1]["record"] == record_payload(result.trace[0])
+
+
+# The edges of float repr: subnormals, signed zeros, the switches between
+# fixed and exponent notation at 1e-4 and 1e16, and the largest floats.
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    9.999999999999999e-05, 1e-4, 9999999999999998.0, 1e16, 1.7e308, 1.7976931348623157e308,
+)
+finite_floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS + tuple(-value for value in EDGE_FLOATS)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+link_counts = st.integers(min_value=0, max_value=2**63 - 1)  # the trace's "q" column
+sequence_numbers = st.integers(min_value=-(2**70), max_value=2**70)
+adaptations = st.sampled_from([None, *Topology])
+template_settings = settings(max_examples=300, derandomize=True, deadline=None)
+
+
+@template_settings
+@given(
+    seq=sequence_numbers, request_seq=sequence_numbers,
+    record=st.builds(
+        TraceRecord, st.integers(min_value=0, max_value=2**63 - 1), st.sampled_from(Topology),
+        link_counts, finite_floats, finite_floats, finite_floats, finite_floats, finite_floats,
+        adaptations,
+    ),
+)
+def test_the_step_template_writes_the_generic_encoders_bytes(seq, request_seq, record):
+    line = _step_line(seq, request_seq, record)
+    if line is None:  # the generic path sends it: the floats' sum overflowed
+        assert math.isinf(
+            record.bandwidth_gbps + record.time_to_write_ms + record.active_links_pct
+            + record.bandwidth_pct + record.write_time_pct
+        )
+        return
+    message = {
+        "seq": seq, "re": request_seq, "kind": "step_complete",
+        "timestep": record.timestep, "record": record_payload(record),
+    }
+    assert line == _encode(message) + "\n"
+
+
+non_negative_floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(min_value=0.0, allow_infinity=False)
+)
+
+
+@template_settings
+@given(
+    seq=sequence_numbers, request_seq=sequence_numbers,
+    monitorables=st.none() | st.builds(
+        Monitorables, link_counts, non_negative_floats, non_negative_floats
+    ),
+)
+def test_the_monitorables_template_writes_the_generic_encoders_bytes(
+    seq, request_seq, monitorables
+):
+    line = _monitorables_line(seq, request_seq, monitorables)
+    if line is None:
+        assert math.isinf(monitorables.bandwidth_consumption + monitorables.time_to_write)
+        return
+    encoded = PROBE_REPLIES["get_monitorables"][1](monitorables)
+    message = {"seq": seq, "re": request_seq, "kind": "monitorables", "monitorables": encoded}
+    assert line == _encode(message) + "\n"
+
+
+@template_settings
+@given(
+    seq=sequence_numbers, request_seq=sequence_numbers,
+    kind=st.sampled_from(sorted(EFFECTOR_FIELDS)),
+)
+def test_the_ack_template_writes_the_generic_encoders_bytes(seq, request_seq, kind):
+    message = {"seq": seq, "re": request_seq, "kind": "ack", "command": kind}
+    assert _ACK[kind] % (seq, request_seq) == _encode(message) + "\n"
 
 
 def test_a_request_line_that_is_not_utf8_is_malformed_over_tcp(make_config):
