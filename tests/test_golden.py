@@ -7,14 +7,14 @@ gating. One extra session runs the threshold manager over the line-JSON wire. A 
 that moves one drawn number, one float operation or one CSV byte changes a
 digest here. For that wire session the server's whole output stream is
 pinned as well, so a change of JSON key order, float formatting or message
-shape changes a digest too. A scripted session over the whole request
-grammar pins the server stream of every reply kind the threshold manager
-never asks for: each probe before and after the first step, all five
-effectors, a refused command and the steps through to ``run_complete``. One long threshold run pins both its trace and
-the bytes of its summary JSON: over 10,000 steps the window means decide
-switches that sit exactly on a threshold, and the run means carry every
-last digit, so a change of summation order (as in ``sum()`` since CPython
-3.12) changes a digest.
+shape changes a digest too. A scripted session pins the server stream of
+the whole request grammar, which the threshold manager does not use in
+full: each probe before and after the first step, all five effectors, a
+refused command and the steps through to ``run_complete``. One long
+threshold run pins both its trace and the bytes of its summary JSON: over
+10,000 steps the window means decide switches that sit exactly on a
+threshold, and the run means carry every last digit, so a change of
+summation order (as in ``sum()`` since CPython 3.12) changes a digest.
 
 The module needs no pytest outside a pytest run. To recompute every digest
 and list each mismatch (exit status 1 if there is one), on any interpreter:
