@@ -100,9 +100,9 @@ _TOPOLOGY_JSON = {None: "null", **{topology: _encode(topology.value) for topolog
 
 
 def _step_line(seq: int, request_seq: int, record: TraceRecord) -> Optional[str]:
-    """The ``step_complete`` line for ``record``, or None when the generic path
-    must send it: a sum of floats is finite only when each term is, and a
-    finite row whose sum overflows gets None too, which costs only speed."""
+    """The ``step_complete`` line for ``record``, or None when its floats do not
+    sum to a finite number: one of them is a NaN or an infinity, or the sum
+    overflowed. The generic path then sends the reply, or non_finite_value."""
     (timestep, topology, active_links, bandwidth, write_time,
      links_pct, bandwidth_pct, write_time_pct, adaptation) = record
     if (bandwidth + write_time + links_pct + bandwidth_pct + write_time_pct) * 0.0 != 0.0:
@@ -117,7 +117,8 @@ def _step_line(seq: int, request_seq: int, record: TraceRecord) -> Optional[str]
 def _monitorables_line(
     seq: int, request_seq: int, monitorables: Optional[Monitorables]
 ) -> Optional[str]:
-    """The ``monitorables`` reply line, or None when a value is not finite."""
+    """The ``monitorables`` reply line, or None, as in :func:`_step_line`, when
+    its floats do not sum to a finite number."""
     if monitorables is None:
         return _NO_MONITORABLES % (seq, request_seq)
     active_links, bandwidth, write_time = monitorables
