@@ -99,6 +99,69 @@ def test_wrong_type_reports_path():
         config_from_mapping({"timesteps": True})
 
 
+SCHEMA_ERRORS = [
+    # (mapping, the error's path, the rest of its message)
+    ({"number_of_mirrors": "x"}, "number_of_mirrors", "expected an integer, got 'x'"),
+    ({"timesteps": "x"}, "timesteps", "expected an integer, got 'x'"),
+    ({"scenario": "x"}, "scenario", "unknown scenario id: 'x'"),
+    ({"seed": "x"}, "seed", "expected an integer, got 'x'"),
+    ({"alpha": "x"}, "alpha", "expected a number, got 'x'"),
+    ({"bandwidth_per_link_range": [1]}, "bandwidth_per_link_range",
+     "expected a [lower, upper] pair, got [1]"),
+    ({"unit_write_time_range": [1]}, "unit_write_time_range",
+     "expected a [lower, upper] pair, got [1]"),
+    ({"mst_active_links_range_pct": [1]}, "mst_active_links_range_pct",
+     "expected a [lower, upper] pair, got [1]"),
+    ({"rt_active_links_range_pct": [1]}, "rt_active_links_range_pct",
+     "expected a [lower, upper] pair, got [1]"),
+    ({"thresholds": "x"}, "thresholds", "expected an object, got 'x'"),
+    ({"disturbances": "x"}, "disturbances", "expected an object, got 'x'"),
+    ({"disturbance_window": [1]}, "disturbance_window", "expected a [start, end] pair, got [1]"),
+    ({"thresholds": {"bandwidth_pct": "x"}}, "thresholds.bandwidth_pct",
+     "expected a number, got 'x'"),
+    ({"thresholds": {"write_time_pct": "x"}}, "thresholds.write_time_pct",
+     "expected a number, got 'x'"),
+    ({"thresholds": {"active_links_pct": "x"}}, "thresholds.active_links_pct",
+     "expected a number, got 'x'"),
+    ({"thresholds": {"latency_pct": 1}}, "thresholds.latency_pct", "unknown threshold key"),
+    ({"number_of_mirror": 25}, "number_of_mirror", "unknown configuration key"),
+    ({"unit_write_time_range": ["x", 1]}, "unit_write_time_range[0]",
+     "expected a number, got 'x'"),
+    ({"disturbance_window": [1, 2.5]}, "disturbance_window[1]", "expected an integer, got 2.5"),
+    ({"disturbances": {"S1": "x"}}, "disturbances.S1", "expected an object, got 'x'"),
+    ({"disturbances": {"S1": {"rt": "x"}}}, "disturbances.S1.rt", "expected an object, got 'x'"),
+    ({"disturbances": {"S1": {"rt": {"bandwidth_factor": [1]}}}},
+     "disturbances.S1.rt.bandwidth_factor", "expected a [lower, upper] pair, got [1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "mapping, path, message", SCHEMA_ERRORS, ids=[path for _, path, _ in SCHEMA_ERRORS]
+)
+def test_each_schema_error_names_its_path_and_shape(mapping, path, message):
+    with pytest.raises(ConfigSchemaError) as excinfo:
+        config_from_mapping(mapping)
+    assert type(excinfo.value) is ConfigSchemaError
+    assert excinfo.value.path == path
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
+def test_of_several_bad_keys_the_first_in_documented_order_is_reported():
+    # The mapping holds them in reverse order; the schema's order decides.
+    with pytest.raises(ConfigSchemaError) as excinfo:
+        config_from_mapping(
+            {"disturbance_window": [1], "thresholds": "x", "alpha": "x", "number_of_mirrors": "x"}
+        )
+    assert str(excinfo.value) == "number_of_mirrors: expected an integer, got 'x'"
+    with pytest.raises(ConfigSchemaError) as excinfo:
+        config_from_mapping({"disturbances": "x", "rt_active_links_range_pct": [1]})
+    assert excinfo.value.path == "rt_active_links_range_pct"
+    # Unknown keys come before any bad value, the first of them in sorted order.
+    with pytest.raises(ConfigSchemaError) as excinfo:
+        config_from_mapping({"seed": "x", "zeta": 1, "beta": 2})
+    assert str(excinfo.value) == "beta: unknown configuration key"
+
+
 def test_partial_thresholds_keep_the_other_defaults():
     config = config_from_mapping({"thresholds": {"bandwidth_pct": 30}})
     assert config.properties.thresholds == SatisfactionThresholds(max_bandwidth_pct=30.0)
