@@ -116,6 +116,25 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
+def _write_run(
+    output_dir: Path, manager: str, config: ExperimentConfig, result, plot_data: bool
+) -> None:
+    """Write a run's trace, its summary (an incomplete marker for an aborted
+    session) and, when asked, its plot table, named by scenario, manager, seed."""
+    props = config.properties
+    stem = f"{props.scenario.value}_{manager}_seed{props.seed}"
+    trace_text = write_trace_csv(result.trace, output_dir / f"{stem}_trace.csv")
+    if result.completed:
+        _write_json(output_dir / f"{stem}_summary.json", result.summary.as_dict())
+    else:
+        _write_json(
+            output_dir / f"{stem}_incomplete.json",
+            {"status": "incomplete", "timesteps_completed": len(result.trace)},
+        )
+    if plot_data:
+        _write_text(output_dir / f"{stem}_plot.csv", emit_plot_data(trace_text, props.thresholds))
+
+
 def _cmd_run(args) -> int:
     config = _load_base_config(args.config)
     try:
@@ -141,14 +160,7 @@ def _cmd_run(args) -> int:
             args.manager, network=cfg.network, thresholds=cfg.properties.thresholds, seed=seed
         )
         result = run(manager, cfg)
-        stem = f"{scenario.value}_{args.manager}_seed{seed}"
-        trace_text = write_trace_csv(result.trace, output_dir / f"{stem}_trace.csv")
-        _write_json(output_dir / f"{stem}_summary.json", result.summary.as_dict())
-        if args.plot_data:
-            _write_text(
-                output_dir / f"{stem}_plot.csv",
-                emit_plot_data(trace_text, cfg.properties.thresholds),
-            )
+        _write_run(output_dir, args.manager, cfg, result, args.plot_data)
         summary = result.summary
         rollup.append(
             f"{scenario.value},{seed},{args.manager},"
@@ -194,7 +206,7 @@ def _cmd_serve(args) -> int:
         if args.port is not None and not 0 <= args.port <= 65535:
             raise ValueError(f"--port must be in 0..65535, got {args.port}")
         config = config.with_updates(
-            scenario=ScenarioId.parse(args.scenario) if args.scenario else None,
+            scenario=args.scenario or None,
             seed=args.seed,
             timesteps=args.timesteps,
         )
@@ -211,16 +223,7 @@ def _cmd_serve(args) -> int:
     if args.output_dir:
         output_dir = Path(args.output_dir)
         output_dir.mkdir(parents=True, exist_ok=True)
-        props = config.properties
-        stem = f"{props.scenario.value}_wire_seed{props.seed}"
-        write_trace_csv(result.trace, output_dir / f"{stem}_trace.csv")
-        if result.completed:
-            _write_json(output_dir / f"{stem}_summary.json", result.summary.as_dict())
-        else:
-            _write_json(
-                output_dir / f"{stem}_incomplete.json",
-                {"status": "incomplete", "timesteps_completed": len(result.trace)},
-            )
+        _write_run(output_dir, "wire", config, result, plot_data=False)
     return EXIT_OK if result.completed else EXIT_ABORTED
 
 

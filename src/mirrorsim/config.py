@@ -7,6 +7,7 @@ for 100 timesteps under the stable scenario S0.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -203,25 +204,6 @@ class ExperimentConfig:
         return replace(self, properties=replace(self.properties, **changes))
 
 
-def default_config_mapping() -> dict:
-    """The full schema with its default values, as written by ``init-config``."""
-    thresholds = SatisfactionThresholds()
-    return {
-        "number_of_mirrors": DEFAULT_NUM_MIRRORS,
-        "timesteps": DEFAULT_TIMESTEPS,
-        "scenario": "S0",
-        "seed": DEFAULT_SEED,
-        "alpha": DEFAULT_ALPHA,
-        "bandwidth_per_link_range": list(DEFAULT_BANDWIDTH_PER_LINK_RANGE),
-        "unit_write_time_range": list(DEFAULT_UNIT_WRITE_TIME_RANGE),
-        "mst_active_links_range_pct": list(DEFAULT_MST_ACTIVE_LINKS_RANGE_PCT),
-        "rt_active_links_range_pct": list(DEFAULT_RT_ACTIVE_LINKS_RANGE_PCT),
-        "thresholds": {key: getattr(thresholds, field) for key, field in THRESHOLD_FIELDS.items()},
-        "disturbances": {},
-        "disturbance_window": None,
-    }
-
-
 def _as_int(value: object, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigSchemaError(path, f"expected an integer, got {value!r}")
@@ -237,16 +219,20 @@ def _as_number(value: object, path: str) -> float:
         raise ConfigInvariantError(f"{path}: {value} overflows to a non-finite number") from None
 
 
-def _as_number_pair(value: object, path: str) -> tuple[float, float]:
+def _as_pair(value: object, path: str, parse_item=_as_number, shape="[lower, upper]") -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigSchemaError(path, f"expected a [lower, upper] pair, got {value!r}")
-    return (_as_number(value[0], f"{path}[0]"), _as_number(value[1], f"{path}[1]"))
+        raise ConfigSchemaError(path, f"expected a {shape} pair, got {value!r}")
+    return (parse_item(value[0], f"{path}[0]"), parse_item(value[1], f"{path}[1]"))
 
 
-def _as_int_pair(value: object, path: str) -> tuple[int, int]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigSchemaError(path, f"expected a [start, end] pair, got {value!r}")
-    return (_as_int(value[0], f"{path}[0]"), _as_int(value[1], f"{path}[1]"))
+def _as_window(value: object, path: str) -> Optional[tuple[int, int]]:
+    return None if value is None else _as_pair(value, path, _as_int, "[start, end]")
+
+
+def _as_object(value: object, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigSchemaError(path, f"expected an object, got {value!r}")
+    return value
 
 
 def _parse_scenario(value: object, path: str) -> ScenarioId:
@@ -256,97 +242,98 @@ def _parse_scenario(value: object, path: str) -> ScenarioId:
         raise ConfigSchemaError(path, str(exc)) from None
 
 
-def _parse_disturbances(raw: object) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigSchemaError("disturbances", f"expected an object, got {raw!r}")
+def _parse_thresholds(value: object, path: str) -> dict:
+    """The SatisfactionThresholds arguments the object sets; the rest keep their defaults."""
+    unknown = set(_as_object(value, path)) - set(THRESHOLD_FIELDS)
+    if unknown:
+        raise ConfigSchemaError(f"{path}.{sorted(unknown)[0]}", "unknown threshold key")
+    return {
+        field: _as_number(value[key], f"{path}.{key}")
+        for key, field in THRESHOLD_FIELDS.items()
+        if key in value
+    }
+
+
+def _parse_disturbances(value: object, path: str) -> dict:
     overrides: dict = {}
-    for scenario_key, per_topology in raw.items():
-        path = f"disturbances.{scenario_key}"
-        scenario = _parse_scenario(scenario_key, path)
-        if not isinstance(per_topology, dict):
-            raise ConfigSchemaError(path, f"expected an object, got {per_topology!r}")
+    for scenario_key, per_topology in _as_object(value, path).items():
+        scenario_path = f"{path}.{scenario_key}"
+        scenario = _parse_scenario(scenario_key, scenario_path)
         parsed_sides: dict = {}
-        for side, factors in per_topology.items():
-            side_path = f"{path}.{side}"
+        for side, factors in _as_object(per_topology, scenario_path).items():
+            side_path = f"{scenario_path}.{side}"
             if side not in ("mst", "rt"):
                 raise ConfigSchemaError(side_path, "expected 'mst' or 'rt'")
-            if not isinstance(factors, dict):
-                raise ConfigSchemaError(side_path, f"expected an object, got {factors!r}")
             parsed_factors = {}
-            for name, bounds in factors.items():
+            for name, bounds in _as_object(factors, side_path).items():
                 factor_path = f"{side_path}.{name}"
                 if name not in FACTOR_NAMES:
                     raise ConfigSchemaError(
                         factor_path, f"expected one of {sorted(FACTOR_NAMES)}"
                     )
-                parsed_factors[name] = _as_number_pair(bounds, factor_path)
+                parsed_factors[name] = _as_pair(bounds, factor_path)
             parsed_sides[side] = parsed_factors
         overrides[scenario] = parsed_sides
     return overrides
+
+
+# The schema: each top-level key, in the documented order, with its default and
+# its parser ``(value, path)``. Values are parsed in this order, so of several
+# bad values the first key here is the one reported.
+SCHEMA = {
+    "number_of_mirrors": (DEFAULT_NUM_MIRRORS, _as_int),
+    "timesteps": (DEFAULT_TIMESTEPS, _as_int),
+    "scenario": (ScenarioId.S0.value, _parse_scenario),
+    "seed": (DEFAULT_SEED, _as_int),
+    "alpha": (DEFAULT_ALPHA, _as_number),
+    "bandwidth_per_link_range": (list(DEFAULT_BANDWIDTH_PER_LINK_RANGE), _as_pair),
+    "unit_write_time_range": (list(DEFAULT_UNIT_WRITE_TIME_RANGE), _as_pair),
+    "mst_active_links_range_pct": (list(DEFAULT_MST_ACTIVE_LINKS_RANGE_PCT), _as_pair),
+    "rt_active_links_range_pct": (list(DEFAULT_RT_ACTIVE_LINKS_RANGE_PCT), _as_pair),
+    "thresholds": (
+        {key: getattr(SatisfactionThresholds(), field) for key, field in THRESHOLD_FIELDS.items()},
+        _parse_thresholds,
+    ),
+    "disturbances": ({}, _parse_disturbances),
+    "disturbance_window": (None, _as_window),
+}
+
+
+def default_config_mapping() -> dict:
+    """The full schema with its default values, as written by ``init-config``."""
+    return copy.deepcopy({key: default for key, (default, _) in SCHEMA.items()})
 
 
 def config_from_mapping(raw: Mapping) -> ExperimentConfig:
     """Validate a parsed configuration mapping and build the domain objects."""
     if not isinstance(raw, Mapping):
         raise ConfigSchemaError("$", f"expected a JSON object, got {raw!r}")
-    defaults = default_config_mapping()
-    unknown = set(raw) - set(defaults)
+    unknown = set(raw) - set(SCHEMA)
     if unknown:
         raise ConfigSchemaError(sorted(unknown)[0], "unknown configuration key")
-    values = {**defaults, **raw}
-
-    num_mirrors = _as_int(values["number_of_mirrors"], "number_of_mirrors")
-    timesteps = _as_int(values["timesteps"], "timesteps")
-    scenario = _parse_scenario(values["scenario"], "scenario")
-    seed = _as_int(values["seed"], "seed")
-    alpha = _as_number(values["alpha"], "alpha")
-    bandwidth_range = _as_number_pair(
-        values["bandwidth_per_link_range"], "bandwidth_per_link_range"
-    )
-    write_time_range = _as_number_pair(values["unit_write_time_range"], "unit_write_time_range")
-    mst_range_pct = _as_number_pair(
-        values["mst_active_links_range_pct"], "mst_active_links_range_pct"
-    )
-    rt_range_pct = _as_number_pair(
-        values["rt_active_links_range_pct"], "rt_active_links_range_pct"
-    )
-
-    thresholds_raw = values["thresholds"]
-    if not isinstance(thresholds_raw, dict):
-        raise ConfigSchemaError("thresholds", f"expected an object, got {thresholds_raw!r}")
-    unknown = set(thresholds_raw) - set(THRESHOLD_FIELDS)
-    if unknown:
-        raise ConfigSchemaError(f"thresholds.{sorted(unknown)[0]}", "unknown threshold key")
-    threshold_values = {**defaults["thresholds"], **thresholds_raw}
-    threshold_args = {
-        field: _as_number(threshold_values[key], f"thresholds.{key}")
-        for key, field in THRESHOLD_FIELDS.items()
-    }
-
-    overrides = _parse_disturbances(values["disturbances"])
-
-    window_raw = values["disturbance_window"]
-    window = None if window_raw is None else _as_int_pair(window_raw, "disturbance_window")
+    # The defaults are parsed too, but never changed: each parser builds anew.
+    values = {key: parse(raw.get(key, default), key) for key, (default, parse) in SCHEMA.items()}
 
     try:
         network = build_network(
-            num_mirrors,
-            bandwidth_per_link_range=bandwidth_range,
-            unit_write_time_range=write_time_range,
-            alpha=alpha,
+            values["number_of_mirrors"],
+            bandwidth_per_link_range=values["bandwidth_per_link_range"],
+            unit_write_time_range=values["unit_write_time_range"],
+            alpha=values["alpha"],
         )
-        ranges = topology_ranges_from_pct(network, mst_range_pct, rt_range_pct)
-        thresholds = SatisfactionThresholds(**threshold_args)
+        ranges = topology_ranges_from_pct(
+            network, values["mst_active_links_range_pct"], values["rt_active_links_range_pct"]
+        )
         properties = SimulationProperties(
-            timesteps=timesteps,
-            scenario=scenario,
-            seed=seed,
-            thresholds=thresholds,
-            disturbance_window=window,
+            timesteps=values["timesteps"],
+            scenario=values["scenario"],
+            seed=values["seed"],
+            thresholds=SatisfactionThresholds(**values["thresholds"]),
+            disturbance_window=values["disturbance_window"],
         )
         # Build each overridden profile once, here, so bad intervals surface at load.
         profiles = _default_scenario_profiles()
-        for overridden, sides in overrides.items():
+        for overridden, sides in values["disturbances"].items():
             default = profiles[overridden]
             profiles[overridden] = DisturbanceProfile(
                 mst_effects=replace(default.mst_effects, **sides.get("mst", {})),

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
 
 import mirrorsim
+from mirrorsim.config import default_config_mapping
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -53,3 +55,18 @@ def test_every_benchmark_tracer_target_exists(monkeypatch):
         if attribute not in owner.__dict__
     ]
     assert missing == []
+
+
+def test_the_readme_schema_block_is_the_default_mapping():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Configuration schema\n", 1)[1]
+    block = re.search(r"^```json\n(.*?)^```$", section, flags=re.MULTILINE | re.DOTALL).group(1)
+    # json.dumps keeps key order and tells 20 from 20.0, so the order is checked too.
+    assert json.dumps(json.loads(block)) == json.dumps(default_config_mapping())
+
+
+def test_the_package_version_is_the_project_version():
+    # A regex, not tomllib, which Python 3.10 lacks.
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    versions = re.findall(r'^version = "([^"]*)"$', pyproject, flags=re.MULTILINE)
+    assert versions == [mirrorsim.__version__]
