@@ -25,7 +25,7 @@ from .network import (
     build_network,
     topology_ranges_from_pct,
 )
-from .scenarios import FACTOR_NAMES, DisturbanceProfile, ScenarioId, scenario_profile
+from .scenarios import CATALOGUE, FACTOR_NAMES, DisturbanceProfile, ScenarioId
 
 DEFAULT_NUM_MIRRORS = 25
 DEFAULT_TIMESTEPS = 100
@@ -126,8 +126,27 @@ def step_overflow(worst: float, basis: float, timesteps: int) -> Optional[str]:
     return None
 
 
+# The two disturbed loads: Monitorables field -> (the network's unit-range
+# attribute, its normalization basis attribute, its EffectSet factor name).
+# A disturbed load is its base value x the link ratio (at most total_links,
+# the clamp of the disturbed count) x a factor of the profile in play.
+DISTURBED_LOADS = {
+    "bandwidth_consumption": ("bandwidth_per_link_range", "bandwidth_basis", "bandwidth_factor"),
+    "time_to_write": ("unit_write_time_range", "write_time_basis", "write_time_factor"),
+}
+
+
+def largest_factor(profiles, factor_name: str) -> float:
+    """The largest upper bound of ``factor_name`` under either topology of any profile."""
+    return max(
+        getattr(effects, factor_name)[1]
+        for profile in profiles
+        for effects in (profile.mst_effects, profile.rt_effects)
+    )
+
+
 def _default_scenario_profiles() -> dict:
-    return {scenario: scenario_profile(scenario) for scenario in ScenarioId}
+    return {scenario: profile for scenario, (profile, _) in CATALOGUE.items()}
 
 
 @dataclass(frozen=True)
@@ -161,26 +180,18 @@ class ExperimentConfig:
                    if scenario not in self.scenario_profiles]
         if missing:
             raise ValueError(f"scenario_profiles has no profile for {', '.join(missing)}")
-        # A step's bandwidth or write time is at most alpha x total_links (the
-        # disturbed link count is clamped to it) x the unit range's upper bound
-        # x the largest factor of any scenario, since ``with_updates`` may pick
-        # any of them. No run of a config may meet an infinity or a NaN.
-        effect_sets = [
-            effects for profile in self.scenario_profiles.values()
-            for effects in (profile.mst_effects, profile.rt_effects)
-        ]
-        for key, unit_range, factor_name, basis in (
-            ("bandwidth_per_link_range", network.bandwidth_per_link_range,
-             "bandwidth_factor", network.bandwidth_basis),
-            ("unit_write_time_range", network.unit_write_time_range,
-             "write_time_factor", network.write_time_basis),
-        ):
-            factor = max(getattr(effects, factor_name)[1] for effects in effect_sets)
-            worst = network.alpha * network.total_links * unit_range[1] * factor
-            overflow = step_overflow(worst, basis, self.properties.timesteps)
+        # The base load is at most alpha x total_links x the unit range's upper
+        # bound, and ``with_updates`` may pick any scenario. No run of a config
+        # may meet an infinity or a NaN.
+        profiles = self.scenario_profiles.values()
+        for key, basis, factor_name in DISTURBED_LOADS.values():
+            upper = getattr(network, key)[1]
+            factor = largest_factor(profiles, factor_name)
+            worst = network.alpha * network.total_links * upper * factor
+            overflow = step_overflow(worst, getattr(network, basis), self.properties.timesteps)
             if overflow is not None:
                 raise ValueError(
-                    f"{key} upper bound {unit_range[1]} with {network.total_links} links,"
+                    f"{key} upper bound {upper} with {network.total_links} links,"
                     f" alpha {network.alpha} and a {factor_name} up to {factor} lets"
                     f" {overflow} overflow to a non-finite number"
                 )

@@ -13,7 +13,7 @@ import math
 from functools import partial
 from typing import NamedTuple, Optional
 
-from .config import step_overflow
+from .config import DISTURBED_LOADS, largest_factor, step_overflow
 from .network import Monitorables, Topology, round_half_up
 
 
@@ -102,21 +102,12 @@ class Effector:
 
     def __init__(self, sim) -> None:
         self._sim = sim
-        profile, network = sim.profile, sim.network
-        effect_sets = (profile.mst_effects, profile.rt_effects)
         # Load override -> (its factor's name, the run profile's largest
         # factor, its normalization basis), for the bound in _checked_load.
         self._load_bounds = {
-            "bandwidth_consumption": (
-                "bandwidth_factor",
-                max(effects.bandwidth_factor[1] for effects in effect_sets),
-                network.bandwidth_basis,
-            ),
-            "time_to_write": (
-                "write_time_factor",
-                max(effects.write_time_factor[1] for effects in effect_sets),
-                network.write_time_basis,
-            ),
+            load: (factor_name, largest_factor((sim.profile,), factor_name),
+                   getattr(sim.network, basis))
+            for load, (_, basis, factor_name) in DISTURBED_LOADS.items()
         }
 
     def set_network_topology(self, timestep: int, topology: object) -> None:

@@ -10,7 +10,7 @@ topology is selected.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from random import Random
 
 from .network import (
@@ -26,8 +26,6 @@ Interval = tuple[float, float]
 IDENTITY_INTERVAL: Interval = (1.0, 1.0)
 DEFAULT_LINK_REDUCTION: Interval = (0.4, 0.7)
 DEFAULT_LOAD_INFLATION: Interval = (1.3, 1.6)
-
-FACTOR_NAMES = ("active_links_factor", "bandwidth_factor", "write_time_factor")
 
 
 class ScenarioId(enum.Enum):
@@ -63,17 +61,15 @@ class EffectSet:
 
     def compose(self, other: "EffectSet") -> "EffectSet":
         """Per-field interval product: both effects applied in sequence."""
-
-        def mul(a: Interval, b: Interval) -> Interval:
-            return (a[0] * b[0], a[1] * b[1])
-
-        return EffectSet(
-            active_links_factor=mul(self.active_links_factor, other.active_links_factor),
-            bandwidth_factor=mul(self.bandwidth_factor, other.bandwidth_factor),
-            write_time_factor=mul(self.write_time_factor, other.write_time_factor),
-        )
+        products = {}
+        for name in FACTOR_NAMES:
+            (lower, upper), (other_lower, other_upper) = getattr(self, name), getattr(other, name)
+            products[name] = (lower * other_lower, upper * other_upper)
+        return EffectSet(**products)
 
 
+# One name per EffectSet field, in field order.
+FACTOR_NAMES = tuple(field.name for field in fields(EffectSet))
 IDENTITY_EFFECTS = EffectSet()
 
 
@@ -91,21 +87,25 @@ _INFLATE_LOAD = EffectSet(
     write_time_factor=DEFAULT_LOAD_INFLATION,
 )
 _BOTH = _REDUCE_LINKS.compose(_INFLATE_LOAD)
-# Checked once at import; ``scenario_profile`` returns these shared instances.
-_DEFAULT_PROFILES = {
-    ScenarioId.S0: DisturbanceProfile(),
+# The scenario catalogue: each scenario's default disturbance profile and its
+# initial topology, None for a fair coin. Checked once at import;
+# ``scenario_profile`` returns these shared profile instances.
+CATALOGUE = {
+    ScenarioId.S0: (DisturbanceProfile(), Topology.MST),
     # Reliability drop while MST is selected; RT untouched.
-    ScenarioId.S1: DisturbanceProfile(mst_effects=_REDUCE_LINKS),
+    ScenarioId.S1: (DisturbanceProfile(mst_effects=_REDUCE_LINKS), Topology.MST),
     # Cost and write-time inflation while RT is selected; MST untouched.
-    ScenarioId.S2: DisturbanceProfile(rt_effects=_INFLATE_LOAD),
+    ScenarioId.S2: (DisturbanceProfile(rt_effects=_INFLATE_LOAD), Topology.RT),
     # S1 and S2 at once.
-    ScenarioId.S3: DisturbanceProfile(mst_effects=_REDUCE_LINKS, rt_effects=_INFLATE_LOAD),
+    ScenarioId.S3: (
+        DisturbanceProfile(mst_effects=_REDUCE_LINKS, rt_effects=_INFLATE_LOAD), None
+    ),
     # S1 plus load inflation, all while MST is selected.
-    ScenarioId.S4: DisturbanceProfile(mst_effects=_BOTH),
+    ScenarioId.S4: (DisturbanceProfile(mst_effects=_BOTH), Topology.MST),
     # S2 plus a reliability drop, all while RT is selected.
-    ScenarioId.S5: DisturbanceProfile(rt_effects=_BOTH),
+    ScenarioId.S5: (DisturbanceProfile(rt_effects=_BOTH), Topology.RT),
     # S4 and S5 at once: every objective degraded under either topology.
-    ScenarioId.S6: DisturbanceProfile(mst_effects=_BOTH, rt_effects=_BOTH),
+    ScenarioId.S6: (DisturbanceProfile(mst_effects=_BOTH, rt_effects=_BOTH), None),
 }
 
 
@@ -115,21 +115,12 @@ def scenario_profile(scenario: ScenarioId) -> DisturbanceProfile:
     A configuration's ``disturbances`` overrides are built into its
     ``scenario_profiles`` at load time.
     """
-    return _DEFAULT_PROFILES[ScenarioId.parse(scenario)]
-
-
-_FIXED_INITIAL_TOPOLOGY = {
-    ScenarioId.S0: Topology.MST,
-    ScenarioId.S1: Topology.MST,
-    ScenarioId.S4: Topology.MST,
-    ScenarioId.S2: Topology.RT,
-    ScenarioId.S5: Topology.RT,
-}
+    return CATALOGUE[ScenarioId.parse(scenario)][0]
 
 
 def initial_topology(scenario: ScenarioId, rng: Random) -> Topology:
     """Starting topology for a run: fixed per scenario, a fair coin for S3/S6."""
-    fixed = _FIXED_INITIAL_TOPOLOGY.get(ScenarioId.parse(scenario))
+    fixed = CATALOGUE[ScenarioId.parse(scenario)][1]
     if fixed is not None:
         return fixed
     return Topology.MST if rng.random() < 0.5 else Topology.RT
