@@ -133,7 +133,7 @@ def apply_disturbance(
 
     One factor per interval is drawn, identity intervals included, so the rng
     stream stays aligned across scenarios. The link factor is applied first
-    (rounded half-up, clamped to [0, total_links]); the derived metrics are
+    (clamped to total_links, then rounded half-up); the derived metrics are
     rescaled to the disturbed link count before their own factors apply,
     keeping them consistent with the closed-form products. The step decides
     whether the disturbance window is open and which topology's set applies.
@@ -149,11 +149,10 @@ def apply_disturbance(
     write_time_factor = lower + (upper - lower) * random()
 
     active_links, bandwidth, write_time = base
-    links = round_half_up(active_links * links_factor)
-    if links < 0:
-        links = 0
-    elif links > network.total_links:
-        links = network.total_links
+    # Clamped before rounding, so a product past the float range is clamped
+    # too; every other product gives the count clamping after rounding gives.
+    links = active_links * links_factor
+    links = round_half_up(links) if links < network.total_links else network.total_links
     ratio = links / active_links if active_links else 1.0
     return Monitorables(
         links, bandwidth * ratio * bandwidth_factor, write_time * ratio * write_time_factor

@@ -303,6 +303,22 @@ def test_a_config_that_would_overflow_exits_with_config_error(tmp_path):
         assert not (tmp_path / "out").exists()
 
 
+def test_a_link_factor_past_the_float_range_clamps_to_total_links(tmp_path):
+    # active_links x the link factor overflows to infinity; the count is
+    # clamped to total_links before rounding, so the run completes.
+    config = tmp_path / "configuration.json"
+    config.write_text(json.dumps({
+        "number_of_mirrors": 50000, "scenario": "S1", "timesteps": 3,
+        "disturbances": {"S1": {"mst": {"active_links_factor": [1e300, 1e300]}}},
+    }))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(config), "--output-dir", str(out)) == EXIT_OK
+    (trace,) = out.glob("*_trace.csv")
+    rows = trace.read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert {row.split(",")[2] for row in rows} == {str(50000 * 49999 // 2)}
+
+
 def test_a_run_whose_summary_would_overflow_exits_with_config_error(tmp_path):
     config = tmp_path / "configuration.json"
     config.write_text(json.dumps(
