@@ -24,6 +24,7 @@ import socket
 import sys
 from functools import partial
 from itertools import count
+from operator import index
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -357,13 +358,29 @@ _DECODE = {
 
 
 def _read(rfile, kind: Optional[str] = None) -> dict:
+    """The next server message, a JSON object with a string kind (``kind``
+    itself when given); anything else, or the end of the stream, raises WireError."""
     line = rfile.readline()
     if not line:
         raise WireError("the server ended the session")
-    message = json.loads(line)
+    try:
+        message = json.loads(line)
+    except (ValueError, RecursionError):
+        message = None
+    if not isinstance(message, dict) or not isinstance(message.get("kind"), str):
+        raise WireError(f"expected a message object with a string kind, got {line.strip()}")
     if kind is not None and message["kind"] != kind:
         raise WireError(f"expected {kind}, got {line.strip()}")
     return message
+
+
+def _field(message: dict, key: str, decode: Callable = lambda value: value):
+    """``decode(message[key])``; a missing key, or a value ``decode`` refuses,
+    raises WireError."""
+    try:
+        return decode(message[key])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise WireError(f"bad {key} in {message}: {exc!r}") from None
 
 
 def connect(rfile, wfile) -> tuple[SimpleNamespace, SimpleNamespace, Callable[[], dict]]:
@@ -371,7 +388,8 @@ def connect(rfile, wfile) -> tuple[SimpleNamespace, SimpleNamespace, Callable[[]
 
     Each call is one request; the methods are built from ``PROBE_REPLIES`` and
     ``EFFECTOR_FIELDS``. An error reply the session survives raises as in
-    process (``_RECOVERABLE``), any other raises WireError.
+    process (``_RECOVERABLE``); any other, and any reply not of the grammar,
+    raises WireError.
     """
     seqs = count(1)
 
@@ -384,12 +402,14 @@ def connect(rfile, wfile) -> tuple[SimpleNamespace, SimpleNamespace, Callable[[]
         if reply.get("re") != seq:
             raise WireError(f"expected the reply to request {seq}, got {reply}")
         if reply["kind"] == "error":
-            code = reply["code"]
-            raise _RECOVERABLE.get(code, WireError)(f"{code}: {reply['detail']}")
+            code = reply.get("code")
+            if not isinstance(code, str):
+                raise WireError(f"expected an error code, got {reply}")
+            raise _RECOVERABLE.get(code, WireError)(f"{code}: {reply.get('detail')}")
         return reply
 
     def probe(kind: str, reply_kind: str):
-        return lambda: _DECODE[reply_kind](request(kind)[reply_kind])
+        return lambda: _field(request(kind), reply_kind, _DECODE[reply_kind])
 
     def effector(kind: str, names: tuple):
         return lambda *args: request(kind, **{
@@ -404,7 +424,9 @@ def connect(rfile, wfile) -> tuple[SimpleNamespace, SimpleNamespace, Callable[[]
 def run_remote(manager, rfile, wfile) -> SatisfactionSummary:
     """Drive a new session with an in-process manager under ``run``'s contract;
     return its ``run_complete`` summary (the server keeps trace and log). An
-    early end raises WireError, or a ManagerError it caused inside ``decide``."""
-    hello = _read(rfile, "hello")
-    _drive(manager, *connect(rfile, wfile), hello["config"]["timesteps"])
-    return SatisfactionSummary(**_read(rfile, "run_complete")["summary"])
+    unexpected server message or an early end raises WireError, or a
+    ManagerError it caused inside ``decide``."""
+    timesteps = _field(_read(rfile, "hello"), "config", lambda config: index(config["timesteps"]))
+    _drive(manager, *connect(rfile, wfile), timesteps)
+    return _field(_read(rfile, "run_complete"), "summary",
+                  lambda summary: SatisfactionSummary(**summary))

@@ -124,3 +124,28 @@ def test_a_session_the_server_ends_mid_run_raises(make_config, monkeypatch):
         with pytest.raises(WireError, match="non_finite_value"):
             run_remote(NullManager(), harness, harness.wfile)
     assert not harness.result.completed
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param("not json", id="not_json"),
+    pytest.param("[1, 2]", id="not_an_object"),
+    pytest.param('{"seq": 0, "re": 1}', id="no_kind"),
+    pytest.param('{"seq": 0, "re": 1, "kind": "error", "detail": "x"}', id="error_with_no_code"),
+    pytest.param('{"seq": 0, "re": 1, "kind": "ack"}', id="probe_reply_with_no_value"),
+])
+def test_a_malformed_reply_raises_wire_error(line):
+    probe, _, _ = connect(io.StringIO(line + "\n"), io.StringIO())
+    with pytest.raises(WireError):
+        probe.get_active_links()
+
+
+@pytest.mark.parametrize("lines", [
+    pytest.param(['{"seq": 0, "kind": "hello", "protocol": 1}'], id="hello_with_no_config"),
+    pytest.param(['{"seq": 0, "kind": "hello", "config": {}}'], id="hello_with_no_timesteps"),
+    pytest.param(['{"seq": 0, "kind": "hello", "config": {"timesteps": 0}}',
+                  '{"seq": 1, "kind": "run_complete"}'], id="run_complete_with_no_summary"),
+])
+def test_a_malformed_session_message_raises_wire_error(lines):
+    server = io.StringIO("".join(line + "\n" for line in lines))
+    with pytest.raises(WireError):
+        run_remote(NullManager(), server, io.StringIO())
