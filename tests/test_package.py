@@ -10,6 +10,7 @@ from pathlib import Path
 
 import mirrorsim
 from mirrorsim.config import default_config_mapping
+from mirrorsim.scenarios import CATALOGUE
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -63,6 +64,17 @@ def test_the_readme_schema_block_is_the_default_mapping():
     block = re.search(r"^```json\n(.*?)^```$", section, flags=re.MULTILINE | re.DOTALL).group(1)
     # json.dumps keeps key order and tells 20 from 20.0, so the order is checked too.
     assert json.dumps(json.loads(block)) == json.dumps(default_config_mapping())
+
+
+def test_the_readme_scenario_table_is_the_catalogue():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Scenarios\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (S\d) +\| (\w+) +\|", section, flags=re.MULTILINE)
+    # A fixed initial topology by name, the fair coin as "random".
+    assert rows == [
+        (scenario.value, "random" if topology is None else topology.name)
+        for scenario, (_, topology) in CATALOGUE.items()
+    ]
 
 
 def test_the_package_version_is_the_project_version():
