@@ -149,8 +149,8 @@ def apply_disturbance(
     write_time_factor = lower + (upper - lower) * random()
 
     active_links, bandwidth, write_time = base
-    # Clamped before rounding, so a product past the float range is clamped
-    # too; every other product gives the count clamping after rounding gives.
+    # Compared before rounding: a product past the float range is infinite
+    # and cannot be rounded, but is clamped like any other.
     links = active_links * links_factor
     links = round_half_up(links) if links < network.total_links else network.total_links
     ratio = links / active_links if active_links else 1.0

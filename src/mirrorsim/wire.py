@@ -374,7 +374,7 @@ def _read(rfile, kind: Optional[str] = None) -> dict:
     return message
 
 
-def _field(message: dict, key: str, decode: Callable = lambda value: value):
+def _field(message: dict, key: str, decode: Callable):
     """``decode(message[key])``; a missing key, or a value ``decode`` refuses,
     raises WireError."""
     try:
