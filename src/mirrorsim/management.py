@@ -174,11 +174,14 @@ class Effector:
         self._log(CommandKind.SET_BANDWIDTH_CONSUMPTION, value)
 
     def _check_running(self) -> None:
-        if self._sim.finished:
+        sim = self._sim
+        if sim.timestep >= sim.timesteps:  # sim.finished, without the property call
             raise EffectorError("the run has finished: no later step would apply the command")
 
     @staticmethod
     def _parse_topology(topology: object) -> Topology:
+        if isinstance(topology, Topology):  # what a manager passes; no parse needed
+            return topology
         try:
             return Topology.parse(topology)
         except ValueError as exc:

@@ -13,6 +13,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from random import Random
 from typing import NamedTuple
 
@@ -144,8 +145,9 @@ class _MonitorablesFields(NamedTuple):
 class Monitorables(_MonitorablesFields):
     """The three observed metrics at one timestep (an immutable named tuple).
 
-    Every construction path, ``_make`` and ``_replace`` included, goes through
-    the non-negativity check in ``__new__``.
+    Every public construction path, ``_make`` and ``_replace`` included, goes
+    through the non-negativity check in ``__new__``. Only the step kernels skip
+    it (``_new_monitorables``), since they build from checked inputs.
     """
 
     __slots__ = ()
@@ -160,6 +162,14 @@ class Monitorables(_MonitorablesFields):
     @classmethod
     def _make(cls, iterable) -> "Monitorables":
         return cls(*iterable)
+
+
+# Monitorables without the check in __new__, for the step kernels: their
+# inputs (link ranges >= 1, positive finite unit ranges and factors, alpha in
+# (0, 1], the config's worst-step bound and effector-checked overrides) were
+# checked when the config and the effector accepted them, so every value they
+# build is finite and >= 0.
+_new_monitorables = partial(tuple.__new__, Monitorables)
 
 
 def build_network(
@@ -217,7 +227,8 @@ def sample_base_monitorables(
 
     Draw order is part of the replay contract: active links first, then the
     unit write time, then the per-link bandwidth. The inputs were checked at
-    construction, so the products ``alpha * links * unit`` are taken unchecked.
+    construction, so the products ``alpha * links * unit`` are taken, and the
+    record built, unchecked.
     The draws are ``rng.randint`` and ``rng.uniform`` written out, so they
     consume the same random stream and give the same values.
     """
@@ -241,4 +252,4 @@ def sample_base_monitorables(
     lower, upper = network.bandwidth_per_link_range
     bandwidth_per_link = lower + (upper - lower) * random()
     scale = network.alpha * links
-    return Monitorables(links, scale * bandwidth_per_link, scale * unit_write_time)
+    return _new_monitorables((links, scale * bandwidth_per_link, scale * unit_write_time))

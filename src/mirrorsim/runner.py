@@ -19,7 +19,13 @@ from typing import NamedTuple, Optional
 
 from .config import ExperimentConfig, SatisfactionThresholds
 from .management import Effector, EffectorCommand, Probe
-from .network import MirrorNetwork, Monitorables, Topology, sample_base_monitorables
+from .network import (
+    MirrorNetwork,
+    Monitorables,
+    Topology,
+    _new_monitorables,
+    sample_base_monitorables,
+)
 from .scenarios import apply_disturbance, initial_topology
 
 
@@ -239,12 +245,15 @@ class Simulation:
 
     Built from one :class:`ExperimentConfig`, which checked every cross-field
     invariant of the run when it was built; the step checks none of them again.
+    ``timesteps`` and ``disturbance_window`` are the config's, read once.
     """
 
     def __init__(self, config: ExperimentConfig) -> None:
         self.network = config.network
         self.ranges = config.ranges
         self.properties = properties = config.properties
+        self.timesteps = properties.timesteps
+        self.disturbance_window = properties.disturbance_window
         self.profile = config.scenario_profiles[properties.scenario]
         self.rng = Random(properties.seed)
         self.timestep = 0  # index of the next step to execute
@@ -261,7 +270,7 @@ class Simulation:
 
     @property
     def finished(self) -> bool:
-        return self.timestep >= self.properties.timesteps
+        return self.timestep >= self.timesteps
 
     def step(self) -> None:
         """Execute one timestep; its record is then ``self.trace[-1]``.
@@ -271,10 +280,8 @@ class Simulation:
         disturbance, (4) normalize and record, (5) advance.
         """
         t = self.timestep
-        if t >= self.properties.timesteps:  # self.finished, without the property call
-            raise SimulationError(
-                f"run already finished after {self.properties.timesteps} timesteps"
-            )
+        if t >= self.timesteps:  # self.finished, without the property call
+            raise SimulationError(f"run already finished after {self.timesteps} timesteps")
 
         topology = self.current_topology
         adaptation: Optional[Topology] = None
@@ -291,7 +298,7 @@ class Simulation:
         if overrides:
             base = self._with_overrides(base)
 
-        window = self.properties.disturbance_window  # inclusive [start, end]; None = whole run
+        window = self.disturbance_window  # inclusive [start, end]; None = whole run
         if window is None or window[0] <= t <= window[1]:
             profile = self.profile
             effects = profile.mst_effects if topology is _MST else profile.rt_effects
@@ -317,13 +324,12 @@ class Simulation:
         # Non-overridden derived metrics follow the (possibly overridden) link
         # count, keeping them consistent with the closed-form products.
         ratio = links / base.active_links if base.active_links else 1.0
-        return Monitorables(
-            active_links=links,
-            bandwidth_consumption=overrides.get(
-                "bandwidth_consumption", base.bandwidth_consumption * ratio
-            ),
-            time_to_write=overrides.get("time_to_write", base.time_to_write * ratio),
-        )
+        # Unchecked: the effector checked each override when it queued it.
+        return _new_monitorables((
+            links,
+            overrides.get("bandwidth_consumption", base.bandwidth_consumption * ratio),
+            overrides.get("time_to_write", base.time_to_write * ratio),
+        ))
 
 
 @dataclass(frozen=True)

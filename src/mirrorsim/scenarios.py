@@ -17,6 +17,7 @@ from .network import (
     MirrorNetwork,
     Monitorables,
     Topology,
+    _new_monitorables,
     check_positive_range,
     round_half_up,
 )
@@ -137,6 +138,8 @@ def apply_disturbance(
     rescaled to the disturbed link count before their own factors apply,
     keeping them consistent with the closed-form products. The step decides
     whether the disturbance window is open and which topology's set applies.
+    The base and the factors were checked upstream, so the record is built
+    unchecked.
     """
     # Each factor is rng.uniform(lower, upper), written out as its documented
     # expression: the same draw and the same value.
@@ -154,6 +157,6 @@ def apply_disturbance(
     links = active_links * links_factor
     links = round_half_up(links) if links < network.total_links else network.total_links
     ratio = links / active_links if active_links else 1.0
-    return Monitorables(
+    return _new_monitorables((
         links, bandwidth * ratio * bandwidth_factor, write_time * ratio * write_time_factor
-    )
+    ))

@@ -349,12 +349,24 @@ class WireError(RuntimeError):
 
 # Error codes after which the session goes on -> the in-process exception.
 _RECOVERABLE = {"not_observable": ProbeError, "invalid_value": EffectorError}
-# Probe reply kind -> the in-process type of its value.
-_DECODE = {
-    "topology": Topology,
-    "value": int,
-    "monitorables": lambda m: None if m is None else Monitorables(**m),
-}
+def _integer(value: object) -> int:
+    """A JSON integer as it is: a float, a bool or a string raises ValueError
+    rather than being truncated or converted."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _monitorables(fields: Optional[dict]) -> Optional[Monitorables]:
+    if fields is None:
+        return None
+    monitorables = Monitorables(**fields)
+    _integer(monitorables.active_links)
+    return monitorables
+
+
+# Probe reply kind -> the decoder of its value into the in-process type.
+_DECODE = {"topology": Topology, "value": _integer, "monitorables": _monitorables}
 
 
 def _read(rfile, kind: Optional[str] = None) -> dict:
@@ -388,12 +400,13 @@ def connect(rfile, wfile) -> tuple[SimpleNamespace, SimpleNamespace, Callable[[]
 
     Each call is one request; the methods are built from ``PROBE_REPLIES`` and
     ``EFFECTOR_FIELDS``. An error reply the session survives raises as in
-    process (``_RECOVERABLE``); any other, and any reply not of the grammar,
-    raises WireError.
+    process (``_RECOVERABLE``); any other, a reply of another kind than the
+    request's (a probe's value, ``ack``, ``step_complete``), and any reply not
+    of the grammar, raises WireError.
     """
     seqs = count(1)
 
-    def request(kind: str, **fields) -> dict:
+    def request(kind: str, reply_kind: str, **fields) -> dict:
         seq = next(seqs)
         # Not the strict encoder: the server's effector refuses a NaN, as in process.
         wfile.write(json.dumps({"seq": seq, "kind": kind, **fields}) + "\n")
@@ -406,19 +419,22 @@ def connect(rfile, wfile) -> tuple[SimpleNamespace, SimpleNamespace, Callable[[]
             if not isinstance(code, str):
                 raise WireError(f"expected an error code, got {reply}")
             raise _RECOVERABLE.get(code, WireError)(f"{code}: {reply.get('detail')}")
+        if reply["kind"] != reply_kind:
+            raise WireError(f"expected {reply_kind} for request {seq}, got {reply}")
         return reply
 
     def probe(kind: str, reply_kind: str):
-        return lambda: _field(request(kind), reply_kind, _DECODE[reply_kind])
+        return lambda: _field(request(kind, reply_kind), reply_kind, _DECODE[reply_kind])
 
     def effector(kind: str, names: tuple):
-        return lambda *args: request(kind, **{
+        return lambda *args: request(kind, "ack", **{
             name: arg.value if isinstance(arg, Topology) else arg for name, arg in zip(names, args)
         })
 
     probes = {kind: probe(kind, reply) for kind, (reply, _) in PROBE_REPLIES.items()}
     effectors = {kind: effector(kind, names) for kind, names in EFFECTOR_FIELDS.items()}
-    return SimpleNamespace(**probes), SimpleNamespace(**effectors), partial(request, "step")
+    return (SimpleNamespace(**probes), SimpleNamespace(**effectors),
+            partial(request, "step", "step_complete"))
 
 
 def run_remote(manager, rfile, wfile) -> SatisfactionSummary:

@@ -8,20 +8,24 @@ normalization bases recomputed per call, and the trace CSV formatted one
 row at a time. The
 library's kernels must return equal values and leave the random stream in
 the same state; the CSV renderer must write the same bytes. The contract tests pin what the step path relies on: the
-records are immutable and ``Monitorables`` is checked on every construction.
+records are immutable, ``Monitorables`` is checked on every public
+construction, and the step kernels, which build theirs unchecked, only ever
+build values that pass that check.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import pickle
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorsim.config import config_from_mapping
+from mirrorsim.management import EffectorError
 from mirrorsim.managers import create_manager
 from mirrorsim.network import (
     Monitorables,
@@ -228,6 +232,81 @@ def test_negative_monitorables_raise(fields):
         Monitorables._make(fields)
     with pytest.raises(ValueError):
         Monitorables(0, 0.0, 0.0)._replace(**dict(zip(Monitorables._fields, fields)))
+
+
+# Unit ranges up to 1e290 still load for runs this short: the worst step stays
+# finite, so the config accepts them and the step must keep them finite.
+unit_ranges = st.one_of(bounds(0.1, 100.0), bounds(1.0, 1e290))
+# Load overrides, within the effector's bound or past it (then refused).
+loads = st.one_of(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=0.0))
+
+
+@st.composite
+def config_mappings(draw, scenario):
+    """A valid config mapping for ``scenario`` with a short run."""
+    timesteps = draw(st.integers(min_value=1, max_value=12))
+    # Four sorted percentages: the RT range sits at or above the MST range.
+    pct = sorted(draw(st.lists(st.floats(0.5, 100.0), min_size=4, max_size=4)))
+    sides = st.dictionaries(st.sampled_from(FACTOR_NAMES), bounds(0.05, 4.0), max_size=3)
+    return {
+        "number_of_mirrors": draw(st.integers(min_value=2, max_value=60)),
+        "timesteps": timesteps,
+        "scenario": scenario.value,
+        "seed": draw(seeds),
+        "alpha": draw(st.one_of(st.just(1.0), st.floats(min_value=0.01, max_value=1.0))),
+        "bandwidth_per_link_range": list(draw(unit_ranges)),
+        "unit_write_time_range": list(draw(unit_ranges)),
+        "mst_active_links_range_pct": pct[:2],
+        "rt_active_links_range_pct": pct[2:],
+        "disturbances": draw(st.dictionaries(
+            st.sampled_from([s.value for s in ScenarioId]),
+            st.dictionaries(st.sampled_from(["mst", "rt"]), sides, max_size=2),
+            max_size=3,
+        )),
+        "disturbance_window": draw(st.one_of(
+            st.none(),
+            st.lists(st.integers(0, timesteps - 1), min_size=2, max_size=2).map(sorted),
+        )),
+    }
+
+
+def effector_calls(total_links):
+    """One effector call between two steps: (method name, its arguments)."""
+    return st.one_of(
+        st.tuples(st.just("set_active_links"), st.tuples(st.integers(0, total_links))),
+        st.tuples(st.just("set_time_to_write"), st.tuples(loads)),
+        st.tuples(st.just("set_bandwidth_consumption"), st.tuples(loads)),
+        st.tuples(st.just("set_current_topology"), st.tuples(topologies)),
+        st.tuples(st.just("set_network_topology"),
+                  st.tuples(st.integers(0, 3), topologies)),  # steps ahead
+    )
+
+
+@pytest.mark.parametrize("scenario", list(ScenarioId), ids=lambda s: s.value)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_step_of_a_loaded_config_passes_the_monitorables_check(scenario, data):
+    # The step builds its Monitorables unchecked, trusting the config and the
+    # effector; the checked constructor must accept every one it builds.
+    config = config_from_mapping(data.draw(config_mappings(scenario)))
+    sim = build_simulation(config)
+    calls = effector_calls(config.network.total_links)
+    while not sim.finished:
+        for name, args in data.draw(st.lists(calls, max_size=3)):
+            if name == "set_network_topology":
+                args = (sim.timestep + args[0], args[1])
+                if args[0] >= config.properties.timesteps:
+                    continue
+            try:
+                getattr(sim.effector, name)(*args)
+            except EffectorError:
+                assert name in ("set_time_to_write", "set_bandwidth_consumption")
+        sim.step()
+        monitorables = sim.latest_monitorables
+        assert Monitorables(*monitorables) == monitorables
+        assert type(monitorables.active_links) is int
+        record = sim.trace[-1]
+        assert all(map(math.isfinite, record[3:8])), record
 
 
 def test_run_result_pickles_equal():

@@ -139,6 +139,26 @@ def test_a_malformed_reply_raises_wire_error(line):
         probe.get_active_links()
 
 
+def test_a_reply_of_another_kind_than_step_complete_raises_wire_error():
+    _, _, step = connect(io.StringIO('{"seq": 0, "re": 1, "kind": "ack"}\n'), io.StringIO())
+    with pytest.raises(WireError, match="expected step_complete"):
+        step()
+
+
+@pytest.mark.parametrize("value", ["3.7", "true", '"12"'])
+def test_a_probe_value_that_is_not_a_json_integer_raises_wire_error(value):
+    # int() would truncate 3.7 to 3 and turn true into 1 and "12" into 12.
+    reply = '{"seq": 0, "re": 1, "kind": "value", "value": %s}\n' % value
+    probe, _, _ = connect(io.StringIO(reply), io.StringIO())
+    with pytest.raises(WireError, match="expected an integer"):
+        probe.get_active_links()
+    reply = ('{"seq": 0, "re": 1, "kind": "monitorables", "monitorables": {"active_links": %s,'
+             ' "bandwidth_consumption": 1.0, "time_to_write": 1.0}}\n' % value)
+    probe, _, _ = connect(io.StringIO(reply), io.StringIO())
+    with pytest.raises(WireError, match="active_links"):
+        probe.get_monitorables()
+
+
 @pytest.mark.parametrize("lines", [
     pytest.param(['{"seq": 0, "kind": "hello", "protocol": 1}'], id="hello_with_no_config"),
     pytest.param(['{"seq": 0, "kind": "hello", "config": {}}'], id="hello_with_no_timesteps"),

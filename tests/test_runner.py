@@ -320,6 +320,31 @@ def test_probe_and_record_views_come_from_the_step_monitorables(make_config, mon
     assert len(disturbed) == 20
 
 
+def test_the_step_calls_each_kernel_through_the_runner_globals(make_config, monkeypatch):
+    # Tests and the benchmark's tracer replace the kernels here; a step that
+    # inlined one would silently bypass them.
+    calls = {}
+
+    def counting(name):
+        kernel = getattr(mirrorsim.runner, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args)
+
+        return wrapper
+
+    kernels = ("sample_base_monitorables", "apply_disturbance", "normalize")
+    for name in kernels:
+        monkeypatch.setattr(mirrorsim.runner, name, counting(name))
+    sim = build_simulation(make_config(scenario="S3", seed=5, timesteps=30))
+    for steps in range(1, 31):
+        if steps % 4 == 0:
+            sim.effector.set_current_topology(sim.current_topology.other())
+        sim.step()
+        assert calls == dict.fromkeys(kernels, steps)
+
+
 def test_a_long_run_retains_at_most_64_bytes_per_step(make_config):
     # The trace is held as typed columns: 5 doubles, one int64 and one code
     # byte a step, plus the arrays' spare capacity.
