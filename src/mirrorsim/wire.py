@@ -349,6 +349,8 @@ class WireError(RuntimeError):
 
 # Error codes after which the session goes on -> the in-process exception.
 _RECOVERABLE = {"not_observable": ProbeError, "invalid_value": EffectorError}
+
+
 def _integer(value: object) -> int:
     """A JSON integer as it is: a float, a bool or a string raises ValueError
     rather than being truncated or converted."""
