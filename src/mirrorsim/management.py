@@ -33,6 +33,15 @@ class CommandKind(enum.Enum):
     SET_CURRENT_TOPOLOGY = "set_current_topology"
 
 
+# The members the effector logs, as module constants: on CPython 3.10 and 3.11
+# a member read through its class costs several times a global read.
+_SET_NETWORK_TOPOLOGY = CommandKind.SET_NETWORK_TOPOLOGY
+_SET_ACTIVE_LINKS = CommandKind.SET_ACTIVE_LINKS
+_SET_TIME_TO_WRITE = CommandKind.SET_TIME_TO_WRITE
+_SET_BANDWIDTH_CONSUMPTION = CommandKind.SET_BANDWIDTH_CONSUMPTION
+_SET_CURRENT_TOPOLOGY = CommandKind.SET_CURRENT_TOPOLOGY
+
+
 class EffectorCommand(NamedTuple):
     """One adaptation command as issued, for auditing and replay: an immutable
     named tuple, since a long run logs one per switch."""
@@ -132,7 +141,7 @@ class Effector:
             )
         # Last command for a target wins; the log keeps every issue.
         self._sim._topology_schedule[timestep] = target
-        self._log(CommandKind.SET_NETWORK_TOPOLOGY, target, target_timestep=timestep)
+        self._log(_SET_NETWORK_TOPOLOGY, target, target_timestep=timestep)
 
     def set_current_topology(self, topology: object) -> None:
         """Switch topology for the next executed step.
@@ -142,7 +151,7 @@ class Effector:
         self._check_running()
         target = self._parse_topology(topology)
         self._sim._topology_schedule[self._sim.timestep] = target
-        self._log(CommandKind.SET_CURRENT_TOPOLOGY, target)
+        self._log(_SET_CURRENT_TOPOLOGY, target)
 
     def set_active_links(self, active_links: int) -> None:
         """Override the next step's sampled active-link count (one step only)."""
@@ -157,21 +166,21 @@ class Effector:
                 f" {self._sim.network.total_links}"
             )
         self._sim._pending_overrides["active_links"] = active_links
-        self._log(CommandKind.SET_ACTIVE_LINKS, active_links)
+        self._log(_SET_ACTIVE_LINKS, active_links)
 
     def set_time_to_write(self, time_to_write: float) -> None:
         """Override the next step's write time in ms (one step only)."""
         self._check_running()
         value = self._checked_load("time_to_write", time_to_write)
         self._sim._pending_overrides["time_to_write"] = value
-        self._log(CommandKind.SET_TIME_TO_WRITE, value)
+        self._log(_SET_TIME_TO_WRITE, value)
 
     def set_bandwidth_consumption(self, bandwidth_consumption: float) -> None:
         """Override the next step's bandwidth in GBps (one step only)."""
         self._check_running()
         value = self._checked_load("bandwidth_consumption", bandwidth_consumption)
         self._sim._pending_overrides["bandwidth_consumption"] = value
-        self._log(CommandKind.SET_BANDWIDTH_CONSUMPTION, value)
+        self._log(_SET_BANDWIDTH_CONSUMPTION, value)
 
     def _check_running(self) -> None:
         sim = self._sim

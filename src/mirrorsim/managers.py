@@ -15,7 +15,7 @@ from random import Random
 from typing import Optional
 
 from .config import SatisfactionThresholds
-from .network import MirrorNetwork, Topology
+from .network import MirrorNetwork, Topology, _MST, _RT
 from .runner import NormalizedMetrics, column_means, normalize
 
 WINDOW_LENGTH = 5
@@ -116,10 +116,10 @@ class ThresholdRuleManager:
         means = column_means(window)
         current = probe.get_current_topology()
         thresholds = self.thresholds
-        if means.active_links_pct < thresholds.min_active_links_pct and current is Topology.MST:
+        if means.active_links_pct < thresholds.min_active_links_pct and current is _MST:
             self.last_adaptation_timestep = tick
             return _SWITCH_FOR_RELIABILITY
-        if current is Topology.RT:
+        if current is _RT:
             if means.bandwidth_pct > thresholds.max_bandwidth_pct:
                 self.last_adaptation_timestep = tick
                 return _SWITCH_FOR_COST

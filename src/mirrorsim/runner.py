@@ -23,6 +23,7 @@ from .network import (
     MirrorNetwork,
     Monitorables,
     Topology,
+    _MST,
     _new_monitorables,
     sample_base_monitorables,
 )
@@ -68,19 +69,35 @@ def column_means(rows: Iterable[tuple[float, float, float]]) -> NormalizedMetric
     return _new_normalized((links / count, bandwidth / count, write_time / count))
 
 
+# The last call of normalize as (monitorables, network, result), replaced as a
+# whole. The threshold manager normalizes the probed Monitorables, the very
+# object the step just normalized, so its call returns the step's result.
+# Both keys are immutable and held here, so an identity match cannot be a
+# reused id. The sentinels match no argument.
+_last_normalized: tuple = (object(), object(), None)
+
+
 def normalize(monitorables: Monitorables, network: MirrorNetwork) -> NormalizedMetrics:
     """Express the three monitorables as percentages of their per-step maxima.
 
     The basis is total_links for the link count and total_links times the
     upper bound of the corresponding unit range for the derived metrics, so
     inflation scenarios can push the load percentages above 100.
+    A call with the same two objects (``is``) as the previous call returns
+    that call's result.
     """
+    global _last_normalized
+    last_monitorables, last_network, last_result = _last_normalized
+    if monitorables is last_monitorables and network is last_network:
+        return last_result
     active_links, bandwidth, write_time = monitorables
-    return _new_normalized((
+    result = _new_normalized((
         100.0 * active_links / network.total_links,
         100.0 * bandwidth / network.bandwidth_basis,
         100.0 * write_time / network.write_time_basis,
     ))
+    _last_normalized = (monitorables, network, result)
+    return result
 
 
 class TraceRecord(NamedTuple):
@@ -111,7 +128,6 @@ _NORMALIZED_COLUMNS = itemgetter(*map(TRACE_FIELDS.index, NormalizedMetrics._fie
 # A row's topology and adaptation share one byte: bit 0 is the topology
 # (0 MST, 1 RT) and bit 1 is set when a switch landed, which is always a
 # switch to that row's topology.
-_MST = Topology.MST
 _TOPOLOGY_OF_CODE = (Topology.MST, Topology.RT, Topology.MST, Topology.RT)
 _ADAPTATION_OF_CODE = (None, None, Topology.MST, Topology.RT)
 # TraceRecord._make without its Python-level length check, for the trace,

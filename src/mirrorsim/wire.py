@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import socket
 import sys
 from functools import partial
 from itertools import count
-from operator import index
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -359,12 +359,35 @@ def _integer(value: object) -> int:
     return value
 
 
+def _number(value: object) -> float:
+    """A JSON number as it is: a bool, a string, and the NaN and infinity
+    tokens that ``json.loads`` takes but JSON has not, raise ValueError."""
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return value
+    raise ValueError(f"expected a number, got {value!r}")
+
+
 def _monitorables(fields: Optional[dict]) -> Optional[Monitorables]:
     if fields is None:
         return None
     monitorables = Monitorables(**fields)
     _integer(monitorables.active_links)
+    _number(monitorables.bandwidth_consumption)
+    _number(monitorables.time_to_write)
     return monitorables
+
+
+def _summary(fields: dict) -> SatisfactionSummary:
+    """A ``run_complete`` summary: the three means must be JSON numbers and the
+    three verdicts JSON bools, else ValueError."""
+    summary = SatisfactionSummary(**fields)
+    for mean in (summary.mean_bandwidth_pct, summary.mean_write_time_pct,
+                 summary.mean_active_links_pct):
+        _number(mean)
+    for verdict in (summary.mc_satisfied, summary.mp_satisfied, summary.mr_satisfied):
+        if type(verdict) is not bool:
+            raise ValueError(f"expected a bool, got {verdict!r}")
+    return summary
 
 
 # Probe reply kind -> the decoder of its value into the in-process type.
@@ -444,7 +467,7 @@ def run_remote(manager, rfile, wfile) -> SatisfactionSummary:
     return its ``run_complete`` summary (the server keeps trace and log). An
     unexpected server message or an early end raises WireError, or a
     ManagerError it caused inside ``decide``."""
-    timesteps = _field(_read(rfile, "hello"), "config", lambda config: index(config["timesteps"]))
+    timesteps = _field(_read(rfile, "hello"), "config",
+                       lambda config: _integer(config["timesteps"]))
     _drive(manager, *connect(rfile, wfile), timesteps)
-    return _field(_read(rfile, "run_complete"), "summary",
-                  lambda summary: SatisfactionSummary(**summary))
+    return _field(_read(rfile, "run_complete"), "summary", _summary)

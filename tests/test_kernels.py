@@ -190,6 +190,47 @@ def test_normalize_matches_reference(data, network, topology, seed):
     assert normalize(monitorables, network) == reference_normalize(monitorables, network)
 
 
+def test_normalize_returns_its_last_result_only_for_the_same_two_objects():
+    network = build_network(25)
+    twin = build_network(25)  # equal, but another object
+    widened = dataclasses.replace(network, bandwidth_per_link_range=(20.0, 40.0))
+    first, second = Monitorables(100, 2500.0, 4000.0), Monitorables(200, 5000.0, 1000.0)
+    copy = Monitorables(*first)
+    calls = [
+        (first, network), (first, network), (second, network), (first, network),
+        (first, twin), (copy, twin), (first, widened), (first, widened), (second, widened),
+        (second, network), (second, twin), (copy, widened), (first, network),
+    ]
+    for monitorables, net in calls:
+        assert normalize(monitorables, net) == reference_normalize(monitorables, net)
+    assert normalize(first, widened).bandwidth_pct != normalize(first, network).bandwidth_pct
+    assert normalize(second, network) is normalize(second, network)
+
+
+def test_each_threshold_observation_is_the_observed_row_percentages():
+    config = config_from_mapping({"scenario": "S3", "seed": 6, "timesteps": 200})
+    manager = create_manager(
+        "threshold", network=config.network, thresholds=config.properties.thresholds, seed=6
+    )
+    sim = build_simulation(config)
+    window = manager.window
+    while not sim.finished:
+        observed = sim.trace[-1] if sim.trace else None
+        before = list(window)
+        decision = manager.decide(sim.probe)
+        if observed is None:
+            assert not window
+        else:
+            # One observation gained: the percentages of the row just stepped.
+            assert list(window)[:-1] == before[-len(window) + 1:]
+            assert type(window[-1]) is NormalizedMetrics
+            assert window[-1] == observed[5:8]
+        if decision.switch_to is not None:
+            sim.effector.set_current_topology(decision.switch_to)
+        sim.step()
+    assert len(sim.command_log) > 0
+
+
 def test_normalization_bases_are_not_fields():
     network = build_network(25)
     assert (network.bandwidth_basis, network.write_time_basis) == (300 * 30.0, 300 * 20.0)

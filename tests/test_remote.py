@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import io
+import json
 import math
 
 import pytest
@@ -169,3 +170,55 @@ def test_a_malformed_session_message_raises_wire_error(lines):
     server = io.StringIO("".join(line + "\n" for line in lines))
     with pytest.raises(WireError):
         run_remote(NullManager(), server, io.StringIO())
+
+
+@pytest.mark.parametrize("field", ["bandwidth_consumption", "time_to_write"])
+@pytest.mark.parametrize("value", [True, False, math.inf])
+def test_a_load_that_is_not_a_json_number_raises_wire_error(field, value):
+    # Monitorables' own check would take true and false for 1 and 0, and
+    # json.loads reads Infinity, which JSON has not.
+    fields = {"active_links": 3, "bandwidth_consumption": 1.0, "time_to_write": 1.0}
+    reply = {"seq": 0, "re": 1, "kind": "monitorables",
+             "monitorables": {**fields, field: value}}
+    probe, _, _ = connect(io.StringIO(json.dumps(reply) + "\n"), io.StringIO())
+    with pytest.raises(WireError, match="expected a number"):
+        probe.get_monitorables()
+
+
+SUMMARY = {
+    "mean_bandwidth_pct": 50.0, "mean_write_time_pct": 40.0, "mean_active_links_pct": 60.0,
+    "mc_satisfied": True, "mp_satisfied": True, "mr_satisfied": False,
+}
+
+
+def _session(timesteps, summary) -> io.StringIO:
+    """A server stream: hello, a step_complete for each of its timesteps (true
+    counted as 1), then run_complete."""
+    steps = int(timesteps)
+    lines = [{"seq": 0, "kind": "hello", "config": {"timesteps": timesteps}}]
+    lines += [{"seq": n, "re": n, "kind": "step_complete"} for n in range(1, steps + 1)]
+    lines.append({"seq": steps + 1, "kind": "run_complete", "summary": summary})
+    return io.StringIO("".join(json.dumps(line) + "\n" for line in lines))
+
+
+def test_a_hello_whose_timesteps_is_a_bool_raises_wire_error():
+    # Without the integer check this drives a 1-step session.
+    requests = io.StringIO()
+    with pytest.raises(WireError, match="expected an integer"):
+        run_remote(NullManager(), _session(True, SUMMARY), requests)
+    assert requests.getvalue() == ""
+
+
+@pytest.mark.parametrize(("field", "value"), [
+    pytest.param(field, value, id=f"{field}={json.dumps(value)}")
+    for field, values in (
+        ("mc_satisfied", ["yes", 0, 1, None]),
+        ("mr_satisfied", ["no", 1.0]),
+        ("mean_bandwidth_pct", [True, "50.0", None, math.nan]),
+        ("mean_active_links_pct", [False, [60.0]]),
+    )
+    for value in values
+])
+def test_a_summary_field_of_the_wrong_json_type_raises_wire_error(field, value):
+    with pytest.raises(WireError, match="bad summary"):
+        run_remote(NullManager(), _session(0, {**SUMMARY, field: value}), io.StringIO())
