@@ -10,7 +10,9 @@ pinned as well, so a change of JSON key order, float formatting or message
 shape changes a digest too. A scripted session pins the server stream of
 the whole request grammar, which the threshold manager does not use in
 full: each probe before and after the first step, all five effectors, a
-refused command and the steps through to ``run_complete``. One long
+refused command and the steps through to ``run_complete``. A second
+scripted session pins a step whose floats are finite but sum past the float
+range, which the server must still send whole. One long
 threshold run pins both its trace and the bytes of its summary JSON: over
 10,000 steps the window means decide switches that sit exactly on a
 threshold, and the run means carry every last digit, so a change of
@@ -30,6 +32,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import sys
 
 from mirrorsim import create_manager, render_trace_csv, run
@@ -78,6 +81,17 @@ GRAMMAR_REQUESTS = (
     {"kind": "set_active_links", "active_links": 300},
     {"kind": "step"},
 )
+# A config that loads and whose single step_complete record holds finite
+# floats that sum past the float range: the percentages are 8.9e307 each.
+OVERFLOW_CONFIG = {
+    "number_of_mirrors": 2, "timesteps": 1, "bandwidth_per_link_range": [1.0, 1.0],
+    "unit_write_time_range": [1.0, 1.0], "mst_active_links_range_pct": [100, 100],
+    "rt_active_links_range_pct": [100, 100],
+    "disturbances": {"S0": {"mst": {
+        "bandwidth_factor": [8.9e305, 8.9e305], "write_time_factor": [8.9e305, 8.9e305],
+    }}},
+}
+OVERFLOW_REQUESTS = ({"kind": "get_monitorables"}, {"kind": "step"})
 
 GOLDEN = {
     ("S0", "null", 7): "f36fcf9fb78cc4a8d991342fe40d30e9a25ae3e366645167ec9dd8365a479a23",
@@ -133,6 +147,8 @@ WIRE_GOLDEN = "e007ab30485a153622b96daec7e6e56087108c89a4a2d5930a0c229a1fa8225f"
 
 GRAMMAR_STREAM_GOLDEN = "0350d15e2534fbe6f35155b249c7b082f172a84ec04328d0247ceec2bad27e8f"
 
+OVERFLOW_STREAM_GOLDEN = "f20fb36cef74c34a51ca9942e86a00e6f0060fc416b7163dcb0c2575470e0fd4"
+
 WIRE_STREAM_GOLDEN = "e2e43bc90857ec1bc8d7aa8f80a494b315f5a16491b1ad50738e79b89e7f5de5"
 
 LONG_TRACE_GOLDEN = "8586796a0a3ac8c43c8169dedb54c86f21c12eb34922c24f18d5a0204f6123e6"
@@ -187,21 +203,31 @@ def wire_stream_digest(scenario: str, seed: int) -> str:
     return hashlib.sha256("".join(harness.received).encode("utf-8")).hexdigest()
 
 
-def grammar_session() -> str:
-    """Every line the server wrote for ``GRAMMAR_REQUESTS``, from ``hello`` to ``run_complete``."""
-    scenario, seed, steps = GRAMMAR_CASE
-    config = config_from_mapping({"scenario": scenario, "seed": seed, "timesteps": steps})
-    requests = "".join(
-        json.dumps({"seq": seq, **request}) + "\n"
-        for seq, request in enumerate(GRAMMAR_REQUESTS, start=1)
+def scripted_session(mapping: dict, requests) -> str:
+    """Every line the server wrote for ``requests``, numbered from 1, over
+    ``io.StringIO``, from ``hello`` to the end of the session."""
+    lines = "".join(
+        json.dumps({"seq": seq, **request}) + "\n" for seq, request in enumerate(requests, start=1)
     )
     served = io.StringIO()
-    WireSession(config, io.StringIO(requests), served).run()
+    WireSession(config_from_mapping(mapping), io.StringIO(lines), served).run()
     return served.getvalue()
 
 
-def grammar_stream_digest() -> str:
-    return hashlib.sha256(grammar_session().encode("utf-8")).hexdigest()
+def grammar_session() -> str:
+    """Every line the server wrote for ``GRAMMAR_REQUESTS``, from ``hello`` to ``run_complete``."""
+    scenario, seed, steps = GRAMMAR_CASE
+    return scripted_session(
+        {"scenario": scenario, "seed": seed, "timesteps": steps}, GRAMMAR_REQUESTS
+    )
+
+
+def overflow_session() -> str:
+    return scripted_session(OVERFLOW_CONFIG, OVERFLOW_REQUESTS)
+
+
+def _text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,7 +256,8 @@ def recomputed_digests() -> list[tuple[str, str, str]]:
         ),
         ("WIRE_GOLDEN", wire_digest(*WIRE_CASE), WIRE_GOLDEN),
         ("WIRE_STREAM_GOLDEN", wire_stream_digest(*WIRE_CASE), WIRE_STREAM_GOLDEN),
-        ("GRAMMAR_STREAM_GOLDEN", grammar_stream_digest(), GRAMMAR_STREAM_GOLDEN),
+        ("GRAMMAR_STREAM_GOLDEN", _text_digest(grammar_session()), GRAMMAR_STREAM_GOLDEN),
+        ("OVERFLOW_STREAM_GOLDEN", _text_digest(overflow_session()), OVERFLOW_STREAM_GOLDEN),
         ("LONG_TRACE_GOLDEN", long_trace, LONG_TRACE_GOLDEN),
         ("LONG_SUMMARY_GOLDEN", long_summary, LONG_SUMMARY_GOLDEN),
     ]
@@ -274,7 +301,21 @@ def test_full_grammar_session_stream_digest():
     assert [message.get("re") for message in messages[1:-1]] == list(
         range(1, len(GRAMMAR_REQUESTS) + 1)
     )
-    assert grammar_stream_digest() == GRAMMAR_STREAM_GOLDEN
+    assert _text_digest(grammar_session()) == GRAMMAR_STREAM_GOLDEN
+
+
+def test_overflowing_step_session_stream_digest():
+    session = overflow_session()
+    messages = [json.loads(line) for line in session.splitlines()]
+    assert [message["kind"] for message in messages] == [
+        "hello", "monitorables", "step_complete", "run_complete",
+    ]
+    record = messages[2]["record"]
+    floats = [record[key] for key in (
+        "bandwidth_gbps", "time_to_write_ms", "active_links_pct", "bandwidth_pct", "write_time_pct",
+    )]
+    assert all(map(math.isfinite, floats)) and math.isinf(sum(floats))
+    assert _text_digest(session) == OVERFLOW_STREAM_GOLDEN
 
 
 def test_long_threshold_trace_digest():
@@ -303,7 +344,9 @@ def print_table() -> None:
     print()
     print(f'WIRE_STREAM_GOLDEN = "{wire_stream_digest(*WIRE_CASE)}"')
     print()
-    print(f'GRAMMAR_STREAM_GOLDEN = "{grammar_stream_digest()}"')
+    print(f'GRAMMAR_STREAM_GOLDEN = "{_text_digest(grammar_session())}"')
+    print()
+    print(f'OVERFLOW_STREAM_GOLDEN = "{_text_digest(overflow_session())}"')
     long_trace, long_summary = long_run_digests(*LONG_CASE)
     print()
     print(f'LONG_TRACE_GOLDEN = "{long_trace}"')
