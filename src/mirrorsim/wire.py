@@ -8,10 +8,10 @@ and ends the session. See docs/protocol.md for the full grammar.
 
 Every server line is the text of ``json.dumps`` with its default separators.
 The three replies a session sends every step, ``step_complete``, the
-``monitorables`` reply and ``ack``, are written from fixed ``%`` templates
-with the same bytes; every other message, and a per-step reply holding a NaN
-or an infinity, goes through the generic strict encoder, which answers the
-latter with ``non_finite_value``.
+``monitorables`` reply and ``ack``, are written only from fixed ``%``
+templates with the same bytes; every other message goes through the generic
+strict encoder. A message that would hold a NaN or an infinity is not sent:
+``non_finite_value`` takes its place and ends the session.
 
 :class:`WireSession` serves a session; :func:`run_remote` is the client.
 """
@@ -69,27 +69,24 @@ EFFECTOR_FIELDS = {
 }
 
 
-def record_payload(record: TraceRecord) -> dict:
-    """The record's fields by name; topologies by value, no switch as None."""
-    timestep, topology, *values, adaptation = record
-    return dict(zip(TRACE_FIELDS, (
-        timestep, topology.value, *values,
-        adaptation.value if adaptation is not None else None,
-    )))
+def _object_template(fields: tuple, codes: str) -> str:
+    """A JSON object of ``fields`` in order, each value a ``%`` slot of its code."""
+    return "{%s}" % ", ".join(
+        "%s: %%%s" % (_encode(field), code) for field, code in zip(fields, codes, strict=True)
+    )
 
 
-# The per-step replies as % templates with the bytes _encode gives the generic
-# path's message: ", " and ": " separators, its key order, %r for a float
-# (float.__repr__, which json calls too) and %d for an int.
+# The per-step replies as % templates with the bytes _encode gives the same
+# message: ", " and ": " separators, the record's own field order, %d for an
+# int, %r for a float (float.__repr__, which json calls too) and %s for a
+# topology's JSON text.
 _STEP_COMPLETE = (
-    '{"seq": %d, "re": %d, "kind": "step_complete", "timestep": %d, "record": {'
-    '"timestep": %d, "topology": %s, "active_links": %d, "bandwidth_gbps": %r, '
-    '"time_to_write_ms": %r, "active_links_pct": %r, "bandwidth_pct": %r, '
-    '"write_time_pct": %r, "adaptation": %s}}\n'
+    '{"seq": %d, "re": %d, "kind": "step_complete", "timestep": %d, "record": '
+    + _object_template(TRACE_FIELDS, "dsdrrrrrs") + "}\n"
 )
 _MONITORABLES = (
-    '{"seq": %d, "re": %d, "kind": "monitorables", "monitorables": {'
-    '"active_links": %d, "bandwidth_consumption": %r, "time_to_write": %r}}\n'
+    '{"seq": %d, "re": %d, "kind": "monitorables", "monitorables": '
+    + _object_template(Monitorables._fields, "drr") + "}\n"
 )
 _NO_MONITORABLES = '{"seq": %d, "re": %d, "kind": "monitorables", "monitorables": null}\n'
 _ACK = {
@@ -101,12 +98,13 @@ _TOPOLOGY_JSON = {None: "null", **{topology: _encode(topology.value) for topolog
 
 
 def _step_line(seq: int, request_seq: int, record: TraceRecord) -> Optional[str]:
-    """The ``step_complete`` line for ``record``, or None when its floats do not
-    sum to a finite number: one of them is a NaN or an infinity, or the sum
-    overflowed. The generic path then sends the reply, or non_finite_value."""
+    """The ``step_complete`` line for ``record``, or None when one of its floats
+    is a NaN or an infinity: ``x * 0.0`` is a zero for every finite ``x``, so
+    their sum is one too and cannot overflow."""
     (timestep, topology, active_links, bandwidth, write_time,
      links_pct, bandwidth_pct, write_time_pct, adaptation) = record
-    if (bandwidth + write_time + links_pct + bandwidth_pct + write_time_pct) * 0.0 != 0.0:
+    if (bandwidth * 0.0 + write_time * 0.0 + links_pct * 0.0 + bandwidth_pct * 0.0
+            + write_time_pct * 0.0) != 0.0:
         return None
     return _STEP_COMPLETE % (
         seq, request_seq, timestep, timestep, _TOPOLOGY_JSON[topology], active_links,
@@ -119,11 +117,11 @@ def _monitorables_line(
     seq: int, request_seq: int, monitorables: Optional[Monitorables]
 ) -> Optional[str]:
     """The ``monitorables`` reply line, or None, as in :func:`_step_line`, when
-    its floats do not sum to a finite number."""
+    one of its floats is a NaN or an infinity."""
     if monitorables is None:
         return _NO_MONITORABLES % (seq, request_seq)
     active_links, bandwidth, write_time = monitorables
-    if (bandwidth + write_time) * 0.0 != 0.0:
+    if bandwidth * 0.0 + write_time * 0.0 != 0.0:
         return None
     return _MONITORABLES % (seq, request_seq, active_links, bandwidth, write_time)
 
@@ -216,21 +214,18 @@ class WireSession:
 
     def _handle_step(self, seq: int) -> bool:
         self.sim.step()
-        record = self.sim.trace[-1]
-        line = _step_line(self._next_seq, seq, record)
-        sent = self._write(line) if line is not None else self._reply(
-            seq,
-            {"kind": "step_complete", "timestep": record.timestep, "record": record_payload(record)},
-        )
-        if not sent or not self.sim.finished:
-            return sent
+        line = _step_line(self._next_seq, seq, self.sim.trace[-1])
+        if line is None:
+            return self._refuse_non_finite(seq, "step_complete")
+        self._write(line)
+        if not self.sim.finished:
+            return True
         summary = evaluate_satisfaction(self.sim.trace, self.config.properties.thresholds)
         if self._send({"kind": "run_complete", "summary": summary.as_dict()}):
             self._summary = summary
         return False  # the session ends with the run
 
     def _handle_probe(self, seq: int, kind: str) -> bool:
-        reply_kind, encode = PROBE_REPLIES[kind]
         try:
             value = getattr(self.sim.probe, kind)()
         except ProbeError as exc:
@@ -238,9 +233,11 @@ class WireSession:
             return True
         if kind == "get_monitorables":
             line = _monitorables_line(self._next_seq, seq, value)
-            if line is not None:
-                return self._write(line)
-        return self._reply(seq, {"kind": reply_kind, reply_kind: encode(value)})
+            if line is None:
+                return self._refuse_non_finite(seq, "monitorables")
+            return self._write(line)
+        reply_kind, encode = PROBE_REPLIES[kind]
+        return self._send({"re": seq, "kind": reply_kind, reply_kind: encode(value)})
 
     def _handle_effector(self, seq: int, kind: str, message: dict) -> bool:
         try:
@@ -278,30 +275,25 @@ class WireSession:
             "disturbance_window": list(window) if window is not None else None,
         }
 
-    def _reply(self, request_seq: int, payload: dict) -> bool:
-        return self._send({"re": request_seq, **payload})
-
     def _send_error(self, request_seq: Optional[int], code: str, detail: str) -> None:
         message = {"kind": "error", "code": code, "detail": detail}
         if request_seq is not None:
             message["re"] = request_seq
         self._send(message)
 
-    def _send(self, message: dict) -> bool:
-        """Write one message; False ends the session.
+    def _refuse_non_finite(self, request_seq: Optional[int], kind: str) -> bool:
+        """Send ``non_finite_value`` in place of a ``kind`` message holding a
+        NaN or an infinity, with its sequence number; False ends the session."""
+        detail = f"the {kind} message holds a number JSON cannot carry (NaN or infinity)"
+        self._send_error(request_seq, "non_finite_value", detail)
+        return False
 
-        A message holding a NaN or an infinity is not sent: a
-        ``non_finite_value`` error takes its sequence number instead.
-        """
+    def _send(self, message: dict) -> bool:
+        """Write one message through the strict encoder; False ends the session."""
         try:
             line = _encode({"seq": self._next_seq, **message})
         except ValueError:
-            self._send_error(
-                message.get("re"),
-                "non_finite_value",
-                f"the {message['kind']} message holds a number JSON cannot carry (NaN or infinity)",
-            )
-            return False
+            return self._refuse_non_finite(message.get("re"), message["kind"])
         return self._write(line + "\n")
 
     def _write(self, line: str) -> bool:

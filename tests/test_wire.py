@@ -42,14 +42,13 @@ from mirrorsim.wire import (
     _encode,
     _monitorables_line,
     _step_line,
-    record_payload,
     run_remote,
     serve_tcp,
 )
 
 PROTOCOL_DOC = Path(__file__).resolve().parent.parent / "docs" / "protocol.md"
 
-from wire_helpers import WireHarness
+from wire_helpers import WireHarness, record_payload
 
 
 def test_hello_opens_the_session(make_config):
@@ -402,13 +401,16 @@ def test_a_non_finite_value_ends_the_session_with_strict_json(make_config, monke
     assert [message["kind"] for message in messages] == ["hello", "ack", "error"]
     assert messages[-1]["code"] == "non_finite_value"
     assert messages[-1]["re"] == 2 and messages[-1]["seq"] == 2
+    assert messages[-1]["detail"] == (
+        "the step_complete message holds a number JSON cannot carry (NaN or infinity)"
+    )
     assert not result.completed
     assert len(result.trace) == 1
 
 
 def test_a_non_finite_monitorables_reply_ends_the_session_with_strict_json(make_config):
     # A fault injected into the probed state stands in for a non-finite value:
-    # the monitorables reply must take the generic path and not go out.
+    # the monitorables template refuses it and the reply must not go out.
     rfile = io.StringIO('{"seq": 1, "kind": "get_monitorables"}\n{"seq": 2, "kind": "step"}\n')
     wfile = io.StringIO()
     session = WireSession(make_config(timesteps=3), rfile, wfile)
@@ -421,12 +423,15 @@ def test_a_non_finite_monitorables_reply_ends_the_session_with_strict_json(make_
     assert [message["kind"] for message in messages] == ["hello", "error"]
     assert messages[-1]["code"] == "non_finite_value"
     assert messages[-1]["re"] == 1 and messages[-1]["seq"] == 1
+    assert messages[-1]["detail"] == (
+        "the monitorables message holds a number JSON cannot carry (NaN or infinity)"
+    )
     assert not result.completed and len(result.trace) == 0
 
 
 def test_a_finite_step_whose_float_sum_overflows_is_sent_whole(make_config, monkeypatch):
-    # The step template's finiteness check sums the row's floats; a finite row
-    # whose sum overflows goes out through the generic encoder instead.
+    # The step template's finiteness check must not overflow on a finite row
+    # whose floats sum past the float range: the template sends it whole.
     def huge_normalize(monitorables, network):
         return NormalizedMetrics(1.7e308, 1.7e308, 0.0)
 
@@ -464,12 +469,7 @@ template_settings = settings(max_examples=300, derandomize=True, deadline=None)
 )
 def test_the_step_template_writes_the_generic_encoders_bytes(seq, request_seq, record):
     line = _step_line(seq, request_seq, record)
-    if line is None:  # the generic path sends it: the floats' sum overflowed
-        assert math.isinf(
-            record.bandwidth_gbps + record.time_to_write_ms + record.active_links_pct
-            + record.bandwidth_pct + record.write_time_pct
-        )
-        return
+    assert line is not None
     message = {
         "seq": seq, "re": request_seq, "kind": "step_complete",
         "timestep": record.timestep, "record": record_payload(record),
@@ -493,12 +493,26 @@ def test_the_monitorables_template_writes_the_generic_encoders_bytes(
     seq, request_seq, monitorables
 ):
     line = _monitorables_line(seq, request_seq, monitorables)
-    if line is None:
-        assert math.isinf(monitorables.bandwidth_consumption + monitorables.time_to_write)
-        return
+    assert line is not None
     encoded = PROBE_REPLIES["get_monitorables"][1](monitorables)
     message = {"seq": seq, "re": request_seq, "kind": "monitorables", "monitorables": encoded}
     assert line == _encode(message) + "\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_the_templates_refuse_exactly_a_nan_or_an_infinity(value):
+    # Each float slot alone, the others at the largest finite float.
+    big = sys.float_info.max
+    record = TraceRecord(0, Topology.MST, 1, big, big, big, big, big, None)
+    for field in ("bandwidth_gbps", "time_to_write_ms", "active_links_pct", "bandwidth_pct",
+                  "write_time_pct"):
+        assert _step_line(1, 1, record._replace(**{field: value})) is None
+    for index in (1, 2):
+        fields = [1, big, big]
+        fields[index] = value
+        assert _monitorables_line(1, 1, tuple.__new__(Monitorables, fields)) is None
+    assert _step_line(1, 1, record) is not None
+    assert _monitorables_line(1, 1, Monitorables(1, big, big)) is not None
 
 
 @template_settings

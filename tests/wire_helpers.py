@@ -1,4 +1,5 @@
-"""Test-side wire client: a scripted line-JSON peer for one server session."""
+"""Test-side wire client: a scripted line-JSON peer for one server session,
+and the reference encoding of a trace record as a wire payload."""
 
 from __future__ import annotations
 
@@ -6,7 +7,18 @@ import json
 import socket
 import threading
 
+from mirrorsim.runner import TRACE_FIELDS, TraceRecord
 from mirrorsim.wire import WireSession
+
+
+def record_payload(record: TraceRecord) -> dict:
+    """The ``step_complete`` record as the generic JSON encoder takes it: the
+    record's fields by name, topologies by value, no switch as None."""
+    timestep, topology, *values, adaptation = record
+    return dict(zip(TRACE_FIELDS, (
+        timestep, topology.value, *values,
+        adaptation.value if adaptation is not None else None,
+    ), strict=True))
 
 
 class WireHarness:
