@@ -351,6 +351,15 @@ def _integer(value: object) -> int:
     return value
 
 
+def _timesteps(config: dict) -> int:
+    """A ``hello`` config's ``timesteps``: a JSON integer ``>= 1``, the config's
+    own bound, else ValueError."""
+    timesteps = _integer(config["timesteps"])
+    if timesteps < 1:
+        raise ValueError(f"expected timesteps >= 1, got {timesteps}")
+    return timesteps
+
+
 def _number(value: object) -> float:
     """A JSON number as it is: a bool, a string, and the NaN and infinity
     tokens that ``json.loads`` takes but JSON has not, raise ValueError."""
@@ -459,7 +468,6 @@ def run_remote(manager, rfile, wfile) -> SatisfactionSummary:
     return its ``run_complete`` summary (the server keeps trace and log). An
     unexpected server message or an early end raises WireError, or a
     ManagerError it caused inside ``decide``."""
-    timesteps = _field(_read(rfile, "hello"), "config",
-                       lambda config: _integer(config["timesteps"]))
+    timesteps = _field(_read(rfile, "hello"), "config", _timesteps)
     _drive(manager, *connect(rfile, wfile), timesteps)
     return _field(_read(rfile, "run_complete"), "summary", _summary)

@@ -163,8 +163,9 @@ def test_a_probe_value_that_is_not_a_json_integer_raises_wire_error(value):
 @pytest.mark.parametrize("lines", [
     pytest.param(['{"seq": 0, "kind": "hello", "protocol": 1}'], id="hello_with_no_config"),
     pytest.param(['{"seq": 0, "kind": "hello", "config": {}}'], id="hello_with_no_timesteps"),
-    pytest.param(['{"seq": 0, "kind": "hello", "config": {"timesteps": 0}}',
-                  '{"seq": 1, "kind": "run_complete"}'], id="run_complete_with_no_summary"),
+    pytest.param(['{"seq": 0, "kind": "hello", "config": {"timesteps": 1}}',
+                  '{"seq": 1, "re": 1, "kind": "step_complete"}',
+                  '{"seq": 2, "kind": "run_complete"}'], id="run_complete_with_no_summary"),
 ])
 def test_a_malformed_session_message_raises_wire_error(lines):
     server = io.StringIO("".join(line + "\n" for line in lines))
@@ -209,6 +210,16 @@ def test_a_hello_whose_timesteps_is_a_bool_raises_wire_error():
     assert requests.getvalue() == ""
 
 
+@pytest.mark.parametrize("timesteps", [-5, 0])
+def test_a_hello_with_no_step_to_run_raises_wire_error(timesteps):
+    # Without the bound the client runs no step and returns the next
+    # run_complete summary as the session's.
+    requests = io.StringIO()
+    with pytest.raises(WireError, match="expected timesteps >= 1"):
+        run_remote(NullManager(), _session(timesteps, SUMMARY), requests)
+    assert requests.getvalue() == ""
+
+
 @pytest.mark.parametrize(("field", "value"), [
     pytest.param(field, value, id=f"{field}={json.dumps(value)}")
     for field, values in (
@@ -221,4 +232,4 @@ def test_a_hello_whose_timesteps_is_a_bool_raises_wire_error():
 ])
 def test_a_summary_field_of_the_wrong_json_type_raises_wire_error(field, value):
     with pytest.raises(WireError, match="bad summary"):
-        run_remote(NullManager(), _session(0, {**SUMMARY, field: value}), io.StringIO())
+        run_remote(NullManager(), _session(1, {**SUMMARY, field: value}), io.StringIO())
