@@ -40,11 +40,15 @@ from mirrorsim.runner import (
     Trace,
     TraceRecord,
     build_simulation,
+    evaluate_satisfaction,
     normalize,
     render_trace_csv,
     run,
 )
 from mirrorsim.scenarios import FACTOR_NAMES, ScenarioId, apply_disturbance
+from mirrorsim.wire import PROBE_REPLIES, _encode, _monitorables_line, _step_line
+
+from wire_helpers import record_payload
 
 
 def reference_sample_base_monitorables(topology, network, ranges, rng):
@@ -328,7 +332,9 @@ def effector_calls(total_links):
 @given(data=st.data())
 def test_every_step_of_a_loaded_config_passes_the_monitorables_check(scenario, data):
     # The step builds its Monitorables unchecked, trusting the config and the
-    # effector; the checked constructor must accept every one it builds.
+    # effector; the checked constructor must accept every one it builds. Every
+    # step's record and monitorables go out whole from the wire templates with
+    # the generic encoder's bytes, and the run's means are finite.
     config = config_from_mapping(data.draw(config_mappings(scenario)))
     sim = build_simulation(config)
     calls = effector_calls(config.network.total_links)
@@ -348,6 +354,21 @@ def test_every_step_of_a_loaded_config_passes_the_monitorables_check(scenario, d
         assert type(monitorables.active_links) is int
         record = sim.trace[-1]
         assert all(map(math.isfinite, record[3:8])), record
+        step_complete = {
+            "seq": 1, "re": 1, "kind": "step_complete", "timestep": record.timestep,
+            "record": record_payload(record),
+        }
+        assert _step_line(1, 1, record) == _encode(step_complete) + "\n"
+        probed = sim.probe.get_monitorables()
+        reply = {
+            "seq": 2, "re": 2, "kind": "monitorables",
+            "monitorables": PROBE_REPLIES["get_monitorables"][1](probed),
+        }
+        assert _monitorables_line(2, 2, probed) == _encode(reply) + "\n"
+    summary = evaluate_satisfaction(sim.trace, config.properties.thresholds)
+    means = (summary.mean_bandwidth_pct, summary.mean_write_time_pct,
+             summary.mean_active_links_pct)
+    assert all(map(math.isfinite, means)), summary
 
 
 def test_run_result_pickles_equal():
