@@ -48,6 +48,7 @@ from mirrorsim.wire import (
 
 PROTOCOL_DOC = Path(__file__).resolve().parent.parent / "docs" / "protocol.md"
 
+from test_golden import grammar_session
 from wire_helpers import WireHarness, record_payload
 
 
@@ -264,6 +265,17 @@ def test_protocol_doc_matches_the_surface(make_config):
         live_record = harness.request("step")["record"]
         harness.recv()  # run_complete
     assert list(live_record) == columns
+
+
+def test_protocol_doc_reply_examples_are_lines_of_the_grammar_session():
+    lines = set(grammar_session().splitlines())
+    examples = re.findall(
+        r'^\{"seq": \d+, "re": \d+, "kind": "(?:monitorables|step_complete)".*$',
+        PROTOCOL_DOC.read_text(encoding="utf-8"), flags=re.MULTILINE,
+    )
+    kinds = {json.loads(example)["kind"] for example in examples}
+    assert kinds == {"monitorables", "step_complete"}
+    assert [example for example in examples if example not in lines] == []
 
 
 def doc_table_keys(heading: str) -> list[str]:
