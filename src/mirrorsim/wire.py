@@ -76,10 +76,9 @@ def _object_template(fields: tuple, codes: str) -> str:
     )
 
 
-# The per-step replies as % templates with the bytes _encode gives the same
-# message: ", " and ": " separators, the record's own field order, %d for an
-# int, %r for a float (float.__repr__, which json calls too) and %s for a
-# topology's JSON text.
+# The per-step replies as % templates with _encode's bytes for the same message:
+# ", " and ": " separators, the record's field order, %d for an int, %r for a
+# float (float.__repr__, which json calls too), %s for a topology's JSON text.
 _STEP_COMPLETE = (
     '{"seq": %d, "re": %d, "kind": "step_complete", "timestep": %d, "record": '
     + _object_template(TRACE_FIELDS, "dsdrrrrrs") + "}\n"
@@ -282,8 +281,7 @@ class WireSession:
         self._send(message)
 
     def _refuse_non_finite(self, request_seq: Optional[int], kind: str) -> bool:
-        """Send ``non_finite_value`` in place of a ``kind`` message holding a
-        NaN or an infinity, with its sequence number; False ends the session."""
+        """Send ``non_finite_value`` in place of a ``kind`` message; False ends the session."""
         detail = f"the {kind} message holds a number JSON cannot carry (NaN or infinity)"
         self._send_error(request_seq, "non_finite_value", detail)
         return False
@@ -352,10 +350,8 @@ def _integer(value: object) -> int:
 
 
 def _timesteps(config: dict) -> int:
-    """A ``hello`` config's ``timesteps``: a JSON integer ``>= 1``, the config's
-    own bound, else ValueError."""
-    timesteps = _integer(config["timesteps"])
-    if timesteps < 1:
+    """A ``hello`` config's ``timesteps``: a JSON integer ``>= 1``, as in the config."""
+    if (timesteps := _integer(config["timesteps"])) < 1:
         raise ValueError(f"expected timesteps >= 1, got {timesteps}")
     return timesteps
 
