@@ -148,9 +148,19 @@ class Effector:
 
         Sugar for :meth:`set_network_topology` targeting the current timestep.
         """
+        sim = self._sim
+        timestep = sim.timestep
+        if timestep < sim.timesteps and isinstance(topology, Topology):
+            # What a manager passes to a running simulation: the checks below
+            # pass and the member is the target, so schedule and log it here.
+            sim._topology_schedule[timestep] = topology
+            sim.command_log.append(
+                tuple.__new__(EffectorCommand, (_SET_CURRENT_TOPOLOGY, topology, timestep, None))
+            )
+            return
         self._check_running()
         target = self._parse_topology(topology)
-        self._sim._topology_schedule[self._sim.timestep] = target
+        sim._topology_schedule[timestep] = target
         self._log(_SET_CURRENT_TOPOLOGY, target)
 
     def set_active_links(self, active_links: int) -> None:

@@ -13,7 +13,6 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 from random import Random
 from typing import NamedTuple
 
@@ -74,11 +73,13 @@ def check_positive_range(name: str, bounds: tuple[float, float]) -> None:
 class MirrorNetwork:
     """Static facts about a fully connected network of data mirrors.
 
-    ``total_links`` (m(m-1)/2 for m mirrors) and the normalization bases
+    ``total_links`` (m(m-1)/2 for m mirrors), the normalization bases
     ``bandwidth_basis`` and ``write_time_basis`` (total_links times the upper
-    bound of the per-link bandwidth and unit write time ranges) are derived at
-    construction and are not fields, so equality, hashing, repr and
-    ``dataclasses.replace`` ignore them.
+    bound of the per-link bandwidth and unit write time ranges) and
+    ``unit_draws`` (the step's two unit draws as ``(lower, upper - lower)``,
+    write time first) are derived at construction and are not fields, so
+    equality, hashing and repr ignore them and ``dataclasses.replace``
+    derives them again.
     """
 
     num_mirrors: int
@@ -114,6 +115,10 @@ class MirrorNetwork:
         object.__setattr__(
             self, "write_time_basis", total_links * self.unit_write_time_range[1]
         )
+        object.__setattr__(self, "unit_draws", tuple(
+            (lower, upper - lower)
+            for lower, upper in (self.unit_write_time_range, self.bandwidth_per_link_range)
+        ))
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,10 @@ class TopologyRanges:
     """Per-topology sampling ranges for the active-link count.
 
     RT keeps more links active than MST, so the RT range must sit entirely at
-    or above the MST range.
+    or above the MST range. Each topology's link draw, ``mst_links_draw`` and
+    ``rt_links_draw``, is derived at construction as ``(lower, width,
+    width.bit_length())`` with ``width = upper - lower + 1``; like
+    ``MirrorNetwork``'s derived values, they are not fields.
     """
 
     mst_active_links_range: tuple[int, int]
@@ -140,6 +148,12 @@ class TopologyRanges:
             raise ValueError(
                 "RT active-link range must not start below the MST range's upper bound"
             )
+        for name, (lower, upper) in (
+            ("mst_links_draw", self.mst_active_links_range),
+            ("rt_links_draw", self.rt_active_links_range),
+        ):
+            width = upper - lower + 1
+            object.__setattr__(self, name, (lower, width, width.bit_length()))
 
 
 class _MonitorablesFields(NamedTuple):
@@ -153,7 +167,11 @@ class Monitorables(_MonitorablesFields):
 
     Every public construction path, ``_make`` and ``_replace`` included, goes
     through the non-negativity check in ``__new__``. Only the step kernels skip
-    it (``_new_monitorables``), since they build from checked inputs.
+    it, with ``tuple.__new__(Monitorables, values)``: their inputs (link ranges
+    >= 1, positive finite unit ranges and factors, alpha in (0, 1], the
+    config's worst-step bound and effector-checked overrides) were checked when
+    the config and the effector accepted them, so every value they build is
+    finite and >= 0.
     """
 
     __slots__ = ()
@@ -168,14 +186,6 @@ class Monitorables(_MonitorablesFields):
     @classmethod
     def _make(cls, iterable) -> "Monitorables":
         return cls(*iterable)
-
-
-# Monitorables without the check in __new__, for the step kernels: their
-# inputs (link ranges >= 1, positive finite unit ranges and factors, alpha in
-# (0, 1], the config's worst-step bound and effector-checked overrides) were
-# checked when the config and the effector accepted them, so every value they
-# build is finite and >= 0.
-_new_monitorables = partial(tuple.__new__, Monitorables)
 
 
 def build_network(
@@ -235,27 +245,24 @@ def sample_base_monitorables(
     unit write time, then the per-link bandwidth. The inputs were checked at
     construction, so the products ``alpha * links * unit`` are taken, and the
     record built, unchecked.
-    The draws are ``rng.randint`` and ``rng.uniform`` written out, so they
-    consume the same random stream and give the same values.
+    The draws are ``rng.randint`` and ``rng.uniform`` written out over the
+    draw constants derived at construction, so they consume the same random
+    stream and give the same values.
     """
-    if topology is _MST:
-        lower, upper = ranges.mst_active_links_range
-    else:
-        lower, upper = ranges.rt_active_links_range
     # rng.randint(lower, upper) as CPython 3.10-3.13 computes it: draw
     # width.bit_length() random bits and redraw while they reach past width.
-    width = upper - lower + 1
-    bits = width.bit_length()
+    lower, width, bits = ranges.mst_links_draw if topology is _MST else ranges.rt_links_draw
     offset = rng.getrandbits(bits)
     while offset >= width:
         offset = rng.getrandbits(bits)
     links = lower + offset
     # Each unit is rng.uniform(lower, upper), written out as its documented
-    # expression.
+    # expression lower + (upper - lower) * random().
     random = rng.random
-    lower, upper = network.unit_write_time_range
-    unit_write_time = lower + (upper - lower) * random()
-    lower, upper = network.bandwidth_per_link_range
-    bandwidth_per_link = lower + (upper - lower) * random()
+    (write_lower, write_width), (bandwidth_lower, bandwidth_width) = network.unit_draws
+    unit_write_time = write_lower + write_width * random()
+    bandwidth_per_link = bandwidth_lower + bandwidth_width * random()
     scale = network.alpha * links
-    return _new_monitorables((links, scale * bandwidth_per_link, scale * unit_write_time))
+    return tuple.__new__(
+        Monitorables, (links, scale * bandwidth_per_link, scale * unit_write_time)
+    )

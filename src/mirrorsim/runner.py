@@ -24,7 +24,6 @@ from .network import (
     Monitorables,
     Topology,
     _MST,
-    _new_monitorables,
     sample_base_monitorables,
 )
 from .scenarios import apply_disturbance, initial_topology
@@ -48,10 +47,6 @@ class NormalizedMetrics(NamedTuple):
     write_time_pct: float
 
 
-# NormalizedMetrics._make without its Python-level length check.
-_new_normalized = partial(tuple.__new__, NormalizedMetrics)
-
-
 def column_means(rows: Iterable[tuple[float, float, float]]) -> NormalizedMetrics:
     """Per-column means, summed left to right from 0.0: the same bits on every
     Python, unlike ``sum()``, which is compensated from CPython 3.12 on.
@@ -66,7 +61,9 @@ def column_means(rows: Iterable[tuple[float, float, float]]) -> NormalizedMetric
         bandwidth += bandwidth_pct
         write_time += write_time_pct
         count += 1
-    return _new_normalized((links / count, bandwidth / count, write_time / count))
+    return tuple.__new__(
+        NormalizedMetrics, (links / count, bandwidth / count, write_time / count)
+    )
 
 
 # The last call of normalize as (monitorables, network, result), replaced as a
@@ -91,7 +88,8 @@ def normalize(monitorables: Monitorables, network: MirrorNetwork) -> NormalizedM
     if monitorables is last_monitorables and network is last_network:
         return last_result
     active_links, bandwidth, write_time = monitorables
-    result = _new_normalized((
+    # NormalizedMetrics._make without its Python-level length check.
+    result = tuple.__new__(NormalizedMetrics, (
         100.0 * active_links / network.total_links,
         100.0 * bandwidth / network.bandwidth_basis,
         100.0 * write_time / network.write_time_basis,
@@ -341,7 +339,7 @@ class Simulation:
         # count, keeping them consistent with the closed-form products.
         ratio = links / base.active_links if base.active_links else 1.0
         # Unchecked: the effector checked each override when it queued it.
-        return _new_monitorables((
+        return tuple.__new__(Monitorables, (
             links,
             overrides.get("bandwidth_consumption", base.bandwidth_consumption * ratio),
             overrides.get("time_to_write", base.time_to_write * ratio),

@@ -17,7 +17,6 @@ from .network import (
     MirrorNetwork,
     Monitorables,
     Topology,
-    _new_monitorables,
     check_positive_range,
     round_half_up,
 )
@@ -50,15 +49,24 @@ class ScenarioId(enum.Enum):
 
 @dataclass(frozen=True)
 class EffectSet:
-    """Multiplier intervals applied to one topology's monitorables."""
+    """Multiplier intervals applied to one topology's monitorables.
+
+    ``factor_draws``, the three factor draws as ``(lower, upper - lower)`` in
+    field order, is derived at construction and is not a field, so equality,
+    hashing and repr ignore it and ``dataclasses.replace`` derives it again.
+    """
 
     active_links_factor: Interval = IDENTITY_INTERVAL
     bandwidth_factor: Interval = IDENTITY_INTERVAL
     write_time_factor: Interval = IDENTITY_INTERVAL
 
     def __post_init__(self) -> None:
-        for name in FACTOR_NAMES:
-            check_positive_range(name, getattr(self, name))
+        intervals = tuple(getattr(self, name) for name in FACTOR_NAMES)
+        for name, interval in zip(FACTOR_NAMES, intervals):
+            check_positive_range(name, interval)
+        object.__setattr__(
+            self, "factor_draws", tuple((lower, upper - lower) for lower, upper in intervals)
+        )
 
     def compose(self, other: "EffectSet") -> "EffectSet":
         """Per-field interval product: both effects applied in sequence."""
@@ -142,14 +150,14 @@ def apply_disturbance(
     unchecked.
     """
     # Each factor is rng.uniform(lower, upper), written out as its documented
-    # expression: the same draw and the same value.
+    # expression lower + (upper - lower) * random(): the same draw and value.
     random = rng.random
-    lower, upper = effects.active_links_factor
-    links_factor = lower + (upper - lower) * random()
-    lower, upper = effects.bandwidth_factor
-    bandwidth_factor = lower + (upper - lower) * random()
-    lower, upper = effects.write_time_factor
-    write_time_factor = lower + (upper - lower) * random()
+    (links_lower, links_width), (bandwidth_lower, bandwidth_width), (
+        write_lower, write_width
+    ) = effects.factor_draws
+    links_factor = links_lower + links_width * random()
+    bandwidth_factor = bandwidth_lower + bandwidth_width * random()
+    write_time_factor = write_lower + write_width * random()
 
     active_links, bandwidth, write_time = base
     # Compared before rounding: a product past the float range is infinite
@@ -157,6 +165,6 @@ def apply_disturbance(
     links = active_links * links_factor
     links = round_half_up(links) if links < network.total_links else network.total_links
     ratio = links / active_links if active_links else 1.0
-    return _new_monitorables((
+    return tuple.__new__(Monitorables, (
         links, bandwidth * ratio * bandwidth_factor, write_time * ratio * write_time_factor
     ))

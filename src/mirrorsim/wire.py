@@ -53,13 +53,14 @@ _encode = json.JSONEncoder(allow_nan=False).encode
 _raw_decode = json.JSONDecoder().raw_decode
 
 # Probe request kind -> (reply kind, encoder); the reply carries the encoded
-# probe result under a key named like the reply kind.
+# probe result under a key named like the reply kind. The monitorables reply
+# is written from its template, so that probe has no encoder.
 PROBE_REPLIES = {
     "get_current_topology": ("topology", lambda topology: topology.value),
     "get_active_links": ("value", int),
     "get_bandwidth_consumption": ("value", int),
     "get_time_to_write": ("value", int),
-    "get_monitorables": ("monitorables", lambda m: None if m is None else m._asdict()),
+    "get_monitorables": ("monitorables", None),
 }
 # Effector request kind -> its fields in call order: the Effector method's
 # parameters are the wire grammar.

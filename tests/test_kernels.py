@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import pickle
+from copy import deepcopy
 from random import Random
 
 import pytest
@@ -45,10 +46,10 @@ from mirrorsim.runner import (
     render_trace_csv,
     run,
 )
-from mirrorsim.scenarios import FACTOR_NAMES, ScenarioId, apply_disturbance
-from mirrorsim.wire import PROBE_REPLIES, _encode, _monitorables_line, _step_line
+from mirrorsim.scenarios import FACTOR_NAMES, EffectSet, ScenarioId, apply_disturbance
+from mirrorsim.wire import _encode, _monitorables_line, _step_line
 
-from wire_helpers import record_payload
+from wire_helpers import monitorables_payload, record_payload
 
 
 def reference_sample_base_monitorables(topology, network, ranges, rng):
@@ -251,6 +252,36 @@ def test_normalization_bases_are_not_fields():
     assert dataclasses.replace(network, num_mirrors=4).total_links == 6
     assert widened != network
     assert build_network(25) == network and hash(build_network(25)) == hash(network)
+    # The step's draw constants are derived the same way, on three classes.
+    ranges = TopologyRanges((105, 150), (180, 270))
+    effects = EffectSet(active_links_factor=(0.4, 0.7), bandwidth_factor=(1.3, 1.6))
+    assert network.unit_draws == ((10.0, 10.0), (20.0, 10.0))
+    assert (ranges.mst_links_draw, ranges.rt_links_draw) == ((105, 46, 6), (180, 91, 7))
+    assert effects.factor_draws == ((0.4, 0.7 - 0.4), (1.3, 1.6 - 1.3), (1.0, 0.0))
+    derived = [
+        (network, ("total_links", "bandwidth_basis", "write_time_basis", "unit_draws")),
+        (ranges, ("mst_links_draw", "rt_links_draw")),
+        (effects, ("factor_draws",)),
+    ]
+    for obj, names in derived:
+        values = [getattr(obj, name) for name in names]
+        assert not set(names) & {field.name for field in dataclasses.fields(obj)}
+        assert not [name for name in names if name in repr(obj)]
+        # Equality and the hash ignore them: a copy with every one blanked
+        # still equals the original and hashes alike.
+        blanked = dataclasses.replace(obj)
+        for name in names:
+            object.__setattr__(blanked, name, None)
+        assert blanked == obj and hash(blanked) == hash(obj)
+        for restored in (pickle.loads(pickle.dumps(obj)), deepcopy(obj)):
+            assert restored == obj
+            assert [getattr(restored, name) for name in names] == values
+    # dataclasses.replace derives them again from the new fields.
+    assert dataclasses.replace(network, unit_write_time_range=(5.0, 8.0)).unit_draws == (
+        (5.0, 3.0), (20.0, 10.0)
+    )
+    assert dataclasses.replace(ranges, mst_active_links_range=(1, 1)).mst_links_draw == (1, 1, 1)
+    assert dataclasses.replace(effects, write_time_factor=(2.0, 3.0)).factor_draws[2] == (2.0, 1.0)
 
 
 def test_records_reject_attribute_assignment():
@@ -362,7 +393,7 @@ def test_every_step_of_a_loaded_config_passes_the_monitorables_check(scenario, d
         probed = sim.probe.get_monitorables()
         reply = {
             "seq": 2, "re": 2, "kind": "monitorables",
-            "monitorables": PROBE_REPLIES["get_monitorables"][1](probed),
+            "monitorables": monitorables_payload(probed),
         }
         assert _monitorables_line(2, 2, probed) == _encode(reply) + "\n"
     summary = evaluate_satisfaction(sim.trace, config.properties.thresholds)

@@ -49,7 +49,7 @@ from mirrorsim.wire import (
 PROTOCOL_DOC = Path(__file__).resolve().parent.parent / "docs" / "protocol.md"
 
 from test_golden import grammar_session
-from wire_helpers import WireHarness, record_payload
+from wire_helpers import WireHarness, monitorables_payload, record_payload
 
 
 def test_hello_opens_the_session(make_config):
@@ -270,11 +270,12 @@ def test_protocol_doc_matches_the_surface(make_config):
 def test_protocol_doc_reply_examples_are_lines_of_the_grammar_session():
     lines = set(grammar_session().splitlines())
     examples = re.findall(
-        r'^\{"seq": \d+, "re": \d+, "kind": "(?:monitorables|step_complete)".*$',
+        r'^\{"seq": \d+, (?:"re": \d+, )?'
+        r'"kind": "(?:hello|monitorables|step_complete|run_complete)".*$',
         PROTOCOL_DOC.read_text(encoding="utf-8"), flags=re.MULTILINE,
     )
     kinds = {json.loads(example)["kind"] for example in examples}
-    assert kinds == {"monitorables", "step_complete"}
+    assert kinds == {"hello", "monitorables", "step_complete", "run_complete"}
     assert [example for example in examples if example not in lines] == []
 
 
@@ -506,7 +507,7 @@ def test_the_monitorables_template_writes_the_generic_encoders_bytes(
 ):
     line = _monitorables_line(seq, request_seq, monitorables)
     assert line is not None
-    encoded = PROBE_REPLIES["get_monitorables"][1](monitorables)
+    encoded = monitorables_payload(monitorables)
     message = {"seq": seq, "re": request_seq, "kind": "monitorables", "monitorables": encoded}
     assert line == _encode(message) + "\n"
 

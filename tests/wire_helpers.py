@@ -1,5 +1,6 @@
 """Test-side wire client: a scripted line-JSON peer for one server session,
-and the reference encoding of a trace record as a wire payload."""
+and the reference encodings of a trace record and of a probed monitorables
+record as wire payloads."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import json
 import socket
 import threading
 
+from mirrorsim.network import Monitorables
 from mirrorsim.runner import TRACE_FIELDS, TraceRecord
 from mirrorsim.wire import WireSession
 
@@ -19,6 +21,12 @@ def record_payload(record: TraceRecord) -> dict:
         timestep, topology.value, *values,
         adaptation.value if adaptation is not None else None,
     ), strict=True))
+
+
+def monitorables_payload(monitorables: Monitorables | None) -> dict | None:
+    """The ``monitorables`` reply's payload as the generic JSON encoder takes
+    it: the fields by name, or None before the first completed step."""
+    return None if monitorables is None else monitorables._asdict()
 
 
 class WireHarness:
