@@ -149,6 +149,7 @@ def test_effectors_refuse_commands_after_the_run_finished(make_config):
     log = tuple(sim.command_log)
     for name, value in (
         ("set_current_topology", "mst"),
+        ("set_current_topology", Topology.MST),
         ("set_active_links", 10),
         ("set_time_to_write", 5.0),
         ("set_bandwidth_consumption", 5.0),
