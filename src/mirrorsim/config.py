@@ -93,6 +93,14 @@ class SimulationProperties:
     disturbance_window: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
+        # A loaded file's schema refuses these first; this catches
+        # ``with_updates`` and a hand-built instance.
+        for name in ("timesteps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.scenario, ScenarioId):
+            raise ValueError(f"scenario must be a ScenarioId, got {self.scenario!r}")
         if self.timesteps < 1:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
         if not 0 <= self.seed <= MAX_SEED:

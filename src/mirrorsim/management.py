@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-from functools import partial
 from typing import NamedTuple, Optional
 
 from .config import DISTURBED_LOADS, largest_factor, step_overflow
@@ -44,7 +43,8 @@ _SET_CURRENT_TOPOLOGY = CommandKind.SET_CURRENT_TOPOLOGY
 
 class EffectorCommand(NamedTuple):
     """One adaptation command as issued, for auditing and replay: an immutable
-    named tuple, since a long run logs one per switch."""
+    named tuple, since a long run logs one per switch. The effector builds each
+    with ``tuple.__new__``, which skips ``_make``'s length check."""
 
     kind: CommandKind
     payload: object
@@ -52,9 +52,17 @@ class EffectorCommand(NamedTuple):
     target_timestep: Optional[int] = None  # SET_NETWORK_TOPOLOGY only
 
 
-# EffectorCommand._make without its Python-level length check, for the
-# effector, which always passes the four fields.
-_new_command = partial(tuple.__new__, EffectorCommand)
+# Every setter's refusal once the last step has run, but set_network_topology's,
+# whose target check covers the end of the run.
+_RUN_FINISHED = "the run has finished: no later step would apply the command"
+
+
+def _parse_topology(topology: object) -> Topology:
+    """``Topology.parse``, its ValueError an :class:`EffectorError`."""
+    try:
+        return Topology.parse(topology)
+    except ValueError as exc:
+        raise EffectorError(str(exc)) from None
 
 
 def _int_text(value: int) -> str:
@@ -112,7 +120,7 @@ class Effector:
     def __init__(self, sim) -> None:
         self._sim = sim
         # Load override -> (its factor's name, the run profile's largest
-        # factor, its normalization basis), for the bound in _checked_load.
+        # factor, its normalization basis), for the bound in _set_load.
         self._load_bounds = {
             load: (factor_name, largest_factor((sim.profile,), factor_name),
                    getattr(sim.network, basis))
@@ -126,87 +134,76 @@ class Effector:
         command for the same target wins. A target at or past the end of the
         run would never land and is rejected.
         """
-        target = self._parse_topology(topology)
+        sim = self._sim
+        target = _parse_topology(topology)
         if not isinstance(timestep, int) or isinstance(timestep, bool):
             raise EffectorError(f"timestep must be an integer, got {timestep!r}")
-        if timestep < self._sim.timestep:
+        if timestep < sim.timestep:
             raise EffectorError(
                 f"cannot target past timestep {_int_text(timestep)}"
-                f" (current is {self._sim.timestep})"
+                f" (current is {sim.timestep})"
             )
-        if timestep >= self._sim.properties.timesteps:
+        if timestep >= sim.timesteps:
             raise EffectorError(
                 f"cannot target timestep {_int_text(timestep)}: the run ends after"
-                f" {self._sim.properties.timesteps} timesteps"
+                f" {sim.timesteps} timesteps"
             )
         # Last command for a target wins; the log keeps every issue.
-        self._sim._topology_schedule[timestep] = target
-        self._log(_SET_NETWORK_TOPOLOGY, target, target_timestep=timestep)
+        sim._topology_schedule[timestep] = target
+        sim.command_log.append(tuple.__new__(
+            EffectorCommand, (_SET_NETWORK_TOPOLOGY, target, sim.timestep, timestep)
+        ))
 
     def set_current_topology(self, topology: object) -> None:
         """Switch topology for the next executed step.
 
-        Sugar for :meth:`set_network_topology` targeting the current timestep.
+        It lands as :meth:`set_network_topology` for the current timestep
+        would, but is logged as ``SET_CURRENT_TOPOLOGY`` with no target
+        timestep, and once the last step has run it raises "the run has
+        finished", as the override setters do.
         """
         sim = self._sim
         timestep = sim.timestep
-        if timestep < sim.timesteps and isinstance(topology, Topology):
-            # What a manager passes to a running simulation: the checks below
-            # pass and the member is the target, so schedule and log it here.
-            sim._topology_schedule[timestep] = topology
-            sim.command_log.append(
-                tuple.__new__(EffectorCommand, (_SET_CURRENT_TOPOLOGY, topology, timestep, None))
-            )
-            return
-        self._check_running()
-        target = self._parse_topology(topology)
-        sim._topology_schedule[timestep] = target
-        self._log(_SET_CURRENT_TOPOLOGY, target)
+        if timestep >= sim.timesteps:
+            raise EffectorError(_RUN_FINISHED)
+        if not isinstance(topology, Topology):  # a manager passes the member
+            topology = _parse_topology(topology)
+        sim._topology_schedule[timestep] = topology
+        sim.command_log.append(
+            tuple.__new__(EffectorCommand, (_SET_CURRENT_TOPOLOGY, topology, timestep, None))
+        )
 
     def set_active_links(self, active_links: int) -> None:
         """Override the next step's sampled active-link count (one step only)."""
-        self._check_running()
+        sim = self._sim
+        if sim.timestep >= sim.timesteps:
+            raise EffectorError(_RUN_FINISHED)
         if not isinstance(active_links, int) or isinstance(active_links, bool):
             raise EffectorError(f"active_links must be an integer, got {active_links!r}")
         if active_links < 0:
             raise EffectorError("active_links must be >= 0")
-        if active_links > self._sim.network.total_links:
+        total_links = sim.network.total_links
+        if active_links > total_links:
             raise EffectorError(
-                f"active_links {_int_text(active_links)} exceeds total links"
-                f" {self._sim.network.total_links}"
+                f"active_links {_int_text(active_links)} exceeds total links {total_links}"
             )
-        self._sim._pending_overrides["active_links"] = active_links
-        self._log(_SET_ACTIVE_LINKS, active_links)
+        sim._pending_overrides["active_links"] = active_links
+        sim.command_log.append(
+            tuple.__new__(EffectorCommand, (_SET_ACTIVE_LINKS, active_links, sim.timestep, None))
+        )
 
     def set_time_to_write(self, time_to_write: float) -> None:
         """Override the next step's write time in ms (one step only)."""
-        self._check_running()
-        value = self._checked_load("time_to_write", time_to_write)
-        self._sim._pending_overrides["time_to_write"] = value
-        self._log(_SET_TIME_TO_WRITE, value)
+        self._set_load(_SET_TIME_TO_WRITE, "time_to_write", time_to_write)
 
     def set_bandwidth_consumption(self, bandwidth_consumption: float) -> None:
         """Override the next step's bandwidth in GBps (one step only)."""
-        self._check_running()
-        value = self._checked_load("bandwidth_consumption", bandwidth_consumption)
-        self._sim._pending_overrides["bandwidth_consumption"] = value
-        self._log(_SET_BANDWIDTH_CONSUMPTION, value)
+        self._set_load(_SET_BANDWIDTH_CONSUMPTION, "bandwidth_consumption", bandwidth_consumption)
 
-    def _check_running(self) -> None:
+    def _set_load(self, kind: CommandKind, name: str, value: object) -> None:
         sim = self._sim
-        if sim.timestep >= sim.timesteps:  # sim.finished, without the property call
-            raise EffectorError("the run has finished: no later step would apply the command")
-
-    @staticmethod
-    def _parse_topology(topology: object) -> Topology:
-        if isinstance(topology, Topology):  # what a manager passes; no parse needed
-            return topology
-        try:
-            return Topology.parse(topology)
-        except ValueError as exc:
-            raise EffectorError(str(exc)) from None
-
-    def _checked_load(self, name: str, value: object) -> float:
+        if sim.timestep >= sim.timesteps:
+            raise EffectorError(_RUN_FINISHED)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise EffectorError(f"{name} must be a number, got {value!r}")
         try:
@@ -220,18 +217,12 @@ class Effector:
         # The override replaces the step's base value; the disturbance then
         # rescales it by the link ratio (at most total_links) and a factor.
         factor_name, factor, basis = self._load_bounds[name]
-        total_links = self._sim.network.total_links
-        overflow = step_overflow(
-            value * total_links * factor, basis, self._sim.properties.timesteps
-        )
+        total_links = sim.network.total_links
+        overflow = step_overflow(value * total_links * factor, basis, sim.timesteps)
         if overflow is not None:
             raise EffectorError(
                 f"{name} {value} with {total_links} links and a {factor_name} up to"
                 f" {factor} lets {overflow} overflow to a non-finite number"
             )
-        return value
-
-    def _log(self, kind: CommandKind, payload: object, target_timestep: Optional[int] = None) -> None:
-        self._sim.command_log.append(
-            _new_command((kind, payload, self._sim.timestep, target_timestep))
-        )
+        sim._pending_overrides[name] = value
+        sim.command_log.append(tuple.__new__(EffectorCommand, (kind, value, sim.timestep, None)))

@@ -265,7 +265,7 @@ class Simulation:
     def __init__(self, config: ExperimentConfig) -> None:
         self.network = config.network
         self.ranges = config.ranges
-        self.properties = properties = config.properties
+        properties = config.properties
         self.timesteps = properties.timesteps
         self.disturbance_window = properties.disturbance_window
         self.profile = config.scenario_profiles[properties.scenario]

@@ -20,7 +20,7 @@ from mirrorsim.cli import (
 )
 from mirrorsim.config import SatisfactionThresholds, default_config_mapping
 from mirrorsim.managers import NullManager
-from mirrorsim.runner import ManagerError
+from mirrorsim.runner import TRACE_CSV_HEADER, ManagerError
 from mirrorsim.wire import run_remote
 
 
@@ -202,11 +202,17 @@ def test_run_plot_data_reads_no_file_back(tmp_path, monkeypatch):
         assert plot_path.read_bytes() == expected.encode("utf-8")
 
 
-def test_plot_data_rejects_malformed_trace(tmp_path):
+def test_plot_data_rejects_malformed_trace(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("timestep,nope\n1,2\n")
     rc = run_cli("plot-data", str(bad))
     assert rc == EXIT_CONFIG_ERROR
+    capsys.readouterr()
+    assert run_cli("plot-data", str(tmp_path / "missing.csv")) == EXIT_CONFIG_ERROR
+    assert "trace file not found" in capsys.readouterr().err
+    bad.write_text(TRACE_CSV_HEADER + "\n0,mst,1\n")
+    assert run_cli("plot-data", str(bad)) == EXIT_CONFIG_ERROR
+    assert "bad row at line 2" in capsys.readouterr().err
     with pytest.raises(ValueError):
         emit_plot_data("timestep,nope\n", SatisfactionThresholds())
 

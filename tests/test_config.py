@@ -73,6 +73,8 @@ def test_omitted_scenario_defaults_to_s0(tmp_path):
 def test_missing_file_raises_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
+    with pytest.raises(ConfigError, match="cannot read configuration file"):
+        load_config(tmp_path)  # a directory
 
 
 def test_malformed_json_raises_syntax_error(tmp_path):
@@ -101,6 +103,7 @@ def test_wrong_type_reports_path():
 
 SCHEMA_ERRORS = [
     # (mapping, the error's path, the rest of its message)
+    ([1, 2], "$", "expected a JSON object, got [1, 2]"),
     ({"number_of_mirrors": "x"}, "number_of_mirrors", "expected an integer, got 'x'"),
     ({"timesteps": "x"}, "timesteps", "expected an integer, got 'x'"),
     ({"scenario": "x"}, "scenario", "unknown scenario id: 'x'"),
@@ -241,6 +244,9 @@ def test_custom_pct_ranges_resolve():
                 "rt_active_links_range_pct": [50.0, 90.0],
             }
         )
+    for pct in ([0, 50], [60, 101], [50, 40]):
+        with pytest.raises(ConfigInvariantError, match="0 < lower <= upper <= 100"):
+            config_from_mapping({"mst_active_links_range_pct": pct})
 
 
 def test_with_updates_revalidates():
@@ -253,6 +259,11 @@ def test_with_updates_revalidates():
     windowed = config_from_mapping({"disturbance_window": [50, 99]})
     with pytest.raises(ValueError):
         windowed.with_updates(timesteps=20)  # window now out of bounds
+    # A wrong type fails here, not later in the run: a float length at
+    # range(), a bool as a 1-step run or seed 1.
+    for name, value in (("timesteps", 2.5), ("timesteps", True), ("seed", True), ("seed", 1.5)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            config.with_updates(**{name: value})
 
 
 def test_properties_direct_validation():
@@ -262,6 +273,11 @@ def test_properties_direct_validation():
         SimulationProperties(disturbance_window=(50, 120))
     with pytest.raises(ValueError):
         SatisfactionThresholds(max_bandwidth_pct=101.0)
+    for name, value in (("timesteps", 2.5), ("timesteps", True), ("seed", True), ("seed", 1.5)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            SimulationProperties(**{name: value})
+    with pytest.raises(ValueError, match="^scenario must be a ScenarioId, got 'S3'$"):
+        SimulationProperties(scenario="S3")
 
 
 @pytest.mark.parametrize(

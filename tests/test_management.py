@@ -228,6 +228,9 @@ def test_scalar_override_rejections(make_config):
     for name in ("time_to_write", "bandwidth_consumption"):
         with pytest.raises(EffectorError, match="too large for a float"):
             getattr(sim.effector, f"set_{name}")(10**400)
+        for value in ("5", None):
+            with pytest.raises(EffectorError, match="must be a number"):
+                getattr(sim.effector, f"set_{name}")(value)
     assert sim.command_log == []
 
 

@@ -133,6 +133,7 @@ def test_a_session_the_server_ends_mid_run_raises(make_config, monkeypatch):
     pytest.param('{"seq": 0, "re": 1}', id="no_kind"),
     pytest.param('{"seq": 0, "re": 1, "kind": "error", "detail": "x"}', id="error_with_no_code"),
     pytest.param('{"seq": 0, "re": 1, "kind": "ack"}', id="probe_reply_with_no_value"),
+    pytest.param('{"seq": 0, "re": 2, "kind": "value", "value": 3}', id="reply_to_another_request"),
 ])
 def test_a_malformed_reply_raises_wire_error(line):
     probe, _, _ = connect(io.StringIO(line + "\n"), io.StringIO())
@@ -161,6 +162,7 @@ def test_a_probe_value_that_is_not_a_json_integer_raises_wire_error(value):
 
 
 @pytest.mark.parametrize("lines", [
+    pytest.param(['{"seq": 0, "kind": "step_complete"}'], id="first_line_not_hello"),
     pytest.param(['{"seq": 0, "kind": "hello", "protocol": 1}'], id="hello_with_no_config"),
     pytest.param(['{"seq": 0, "kind": "hello", "config": {}}'], id="hello_with_no_timesteps"),
     pytest.param(['{"seq": 0, "kind": "hello", "config": {"timesteps": 1}}',

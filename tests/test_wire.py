@@ -327,6 +327,28 @@ def test_a_line_json_cannot_decode_is_malformed(make_config, line):
     assert not result.completed and len(result.trace) == 0
 
 
+@pytest.mark.parametrize("line, detail, reply_to", [
+    ("[1, 2]", "expected a JSON object", None),
+    ("5", "expected a JSON object", None),
+    ('"step"', "expected a JSON object", None),
+    ("null", "expected a JSON object", None),
+    ('{"kind": "step"}', "missing integer 'seq'", None),
+    ('{"seq": true, "kind": "step"}', "missing integer 'seq'", None),
+    ('{"seq": "1", "kind": "step"}', "missing integer 'seq'", None),
+    ('{"seq": 1.0, "kind": "step"}', "missing integer 'seq'", None),
+    ('{"seq": 1}', "missing string 'kind'", 1),
+    ('{"seq": 1, "kind": 5}', "missing string 'kind'", 1),
+])
+def test_a_line_outside_the_request_grammar_is_malformed(make_config, line, detail, reply_to):
+    text = line + '\n{"seq": 2, "kind": "step"}\n'
+    messages, result = _serve_lines(make_config(timesteps=3), text)
+    assert [message["kind"] for message in messages] == ["hello", "error"]
+    error = messages[1]
+    assert (error["code"], error["detail"], error.get("re")) == ("malformed_message", detail, reply_to)
+    assert ("re" in error) == (reply_to is not None)
+    assert not result.completed and len(result.trace) == 0
+
+
 def test_unknown_kind_terminates_session(make_config):
     with WireHarness(make_config(timesteps=3)) as harness:
         harness.recv()
