@@ -67,6 +67,17 @@ THRESHOLD_FIELDS = {
 }
 
 
+def _is_int(value: object) -> bool:
+    """The integer rule of the schema and the run fields: an ``int``, not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    """The number rule of the schema and the run fields: an ``int`` or a ``float``,
+    not a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SatisfactionThresholds:
     """Per-objective bounds on the normalized monitorable means."""
@@ -78,6 +89,8 @@ class SatisfactionThresholds:
     def __post_init__(self) -> None:
         for name in THRESHOLD_FIELDS.values():
             value = getattr(self, name)
+            if not _is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not 0 < value <= 100:
                 raise ValueError(f"{name} must be in (0, 100], got {value}")
 
@@ -97,7 +110,7 @@ class SimulationProperties:
         # ``with_updates`` and a hand-built instance.
         for name in ("timesteps", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.scenario, ScenarioId):
             raise ValueError(f"scenario must be a ScenarioId, got {self.scenario!r}")
@@ -107,6 +120,11 @@ class SimulationProperties:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.disturbance_window is not None:
             start, end = self.disturbance_window
+            if not (_is_int(start) and _is_int(end)):
+                raise ValueError(
+                    f"disturbance_window must be a pair of integers,"
+                    f" got {self.disturbance_window!r}"
+                )
             if not (0 <= start <= end < self.timesteps):
                 raise ValueError(
                     f"disturbance_window [{start}, {end}] must lie within"
@@ -218,19 +236,17 @@ class ExperimentConfig:
             changes["seed"] = seed
         if timesteps is not None:
             changes["timesteps"] = timesteps
-        if not changes:
-            return self
         return replace(self, properties=replace(self.properties, **changes))
 
 
 def _as_int(value: object, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ConfigSchemaError(path, f"expected an integer, got {value!r}")
     return value
 
 
 def _as_number(value: object, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigSchemaError(path, f"expected a number, got {value!r}")
     try:
         return float(value)

@@ -136,24 +136,20 @@ class TopologyRanges:
     rt_active_links_range: tuple[int, int]
 
     def __post_init__(self) -> None:
-        for name, (lower, upper) in (
-            ("mst_active_links_range", self.mst_active_links_range),
-            ("rt_active_links_range", self.rt_active_links_range),
+        for name, draw_name, (lower, upper) in (
+            ("mst_active_links_range", "mst_links_draw", self.mst_active_links_range),
+            ("rt_active_links_range", "rt_links_draw", self.rt_active_links_range),
         ):
             if lower < 1:
                 raise ValueError(f"{name} lower bound must be >= 1, got {lower}")
             if lower > upper:
                 raise ValueError(f"{name} is inverted: [{lower}, {upper}]")
+            width = upper - lower + 1
+            object.__setattr__(self, draw_name, (lower, width, width.bit_length()))
         if self.rt_active_links_range[0] < self.mst_active_links_range[1]:
             raise ValueError(
                 "RT active-link range must not start below the MST range's upper bound"
             )
-        for name, (lower, upper) in (
-            ("mst_links_draw", self.mst_active_links_range),
-            ("rt_links_draw", self.rt_active_links_range),
-        ):
-            width = upper - lower + 1
-            object.__setattr__(self, name, (lower, width, width.bit_length()))
 
 
 class _MonitorablesFields(NamedTuple):

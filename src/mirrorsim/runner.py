@@ -137,31 +137,26 @@ class Trace(Sequence):
     """A run's trace: a read-only sequence of :class:`TraceRecord`, row ``i``
     being timestep ``i``.
 
-    The rows are held in three typed columns, about 50 bytes a step: one byte
-    for the topology and adaptation, an ``array`` of the active-link counts
-    and one ``array`` of the five float fields, interleaved row by row. Each
-    record is built when it is read. Indexing, slicing (a tuple of records),
-    iteration, ``len`` and pickling behave like a tuple of records; a trace
-    equals another trace with the same columns, and a tuple or list of equal
-    records. Only :meth:`Simulation.step` appends to it.
+    The rows are held in one typed column per record field after
+    ``timestep``, about 49 bytes a step: one byte for the topology and
+    adaptation, an ``array`` of the active-link counts and one ``array`` for
+    each of the five float fields. Each record is built when it is read.
+    Indexing, slicing (a tuple of records), iteration, ``len`` and pickling
+    behave like a tuple of records; a trace equals another trace with the
+    same columns, and a tuple or list of equal records. Only
+    :meth:`Simulation.step` appends to it.
     """
 
     __slots__ = ("_columns",)
     __hash__ = None
 
     def __init__(self) -> None:
-        # In TraceRecord field order, timestep (the row index) left out.
+        # Column i is TraceRecord field i + 1; timestep is the row index.
         self._columns = (
             bytearray(),  # topology and adaptation code
             array("q"),  # active_links
-            array("d"),  # bandwidth_gbps ... write_time_pct, five per row
+            *(array("d") for _ in range(5)),  # bandwidth_gbps ... write_time_pct
         )
-
-    def _writers(self) -> tuple:
-        """The step's row writers: append a code, append a link count, extend
-        the floats by a row's five values."""
-        codes, links, floats = self._columns
-        return codes.append, links.append, floats.extend
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -173,23 +168,19 @@ class Trace(Sequence):
             row = range(len(self))[index]
         except IndexError:
             raise IndexError("trace index out of range") from None
-        codes, links, floats = self._columns
+        codes, links, bandwidth, write_time, links_pct, bandwidth_pct, write_time_pct = (
+            self._columns
+        )
         code = codes[row]
         return _new_record((
-            row, _TOPOLOGY_OF_CODE[code], links[row], *floats[5 * row:5 * row + 5],
-            _ADAPTATION_OF_CODE[code],
+            row, _TOPOLOGY_OF_CODE[code], links[row], bandwidth[row], write_time[row],
+            links_pct[row], bandwidth_pct[row], write_time_pct[row], _ADAPTATION_OF_CODE[code],
         ))
 
     def __iter__(self):
-        codes, links, floats = self._columns
-        # zip draws its arguments in order for each row, so one iterator over
-        # the interleaved floats, passed five times, yields a row's five
-        # fields in turn. The row range comes first and ends the zip before
-        # a sixth draw.
-        values = iter(floats)
+        codes, *values = self._columns
         return map(_new_record, zip(
-            range(len(codes)), map(_TOPOLOGY_OF_CODE.__getitem__, codes), links,
-            values, values, values, values, values,
+            range(len(codes)), map(_TOPOLOGY_OF_CODE.__getitem__, codes), *values,
             map(_ADAPTATION_OF_CODE.__getitem__, codes),
         ))
 
@@ -230,17 +221,14 @@ def evaluate_satisfaction(
 ) -> SatisfactionSummary:
     """Arithmetic means over the whole trace, compared inclusively.
 
-    A :class:`Trace` is folded straight from the three ``*_pct`` fields of its
-    float column, with no record built; any other sequence of records, record
-    by record.
+    A :class:`Trace` is folded straight from its three ``*_pct`` columns,
+    with no record built; any other sequence of records, record by record.
     """
     if not trace:
         raise ValueError("cannot evaluate an empty trace")
     if isinstance(trace, Trace):
-        # Strided views: no copy, and only the three percentages are boxed.
-        # They die with the fold, so the trace can grow again after it.
-        floats = memoryview(trace._columns[2])
-        rows = zip(floats[2::5], floats[3::5], floats[4::5])
+        *_, links_pct, bandwidth_pct, write_time_pct = trace._columns
+        rows = zip(links_pct, bandwidth_pct, write_time_pct)
     else:
         rows = map(_NORMALIZED_COLUMNS, trace)
     mean_active_links, mean_bandwidth, mean_write_time = column_means(rows)
@@ -273,7 +261,8 @@ class Simulation:
         self.timestep = 0  # index of the next step to execute
         self.current_topology = initial_topology(properties.scenario, self.rng)
         self.trace = Trace()
-        self._append_code, self._append_links, self._extend_floats = self.trace._writers()
+        # One append per trace column, in TraceRecord field order.
+        self._appends = tuple(column.append for column in self.trace._columns)
         self.latest_monitorables: Optional[Monitorables] = None  # set by each step
         self.command_log: list[EffectorCommand] = []
         # Only the effector writes these, so every queued command is logged.
@@ -324,9 +313,15 @@ class Simulation:
         active_links, bandwidth, write_time = disturbed
         links_pct, bandwidth_pct, write_time_pct = normalize(disturbed, network)
         code = 0 if topology is _MST else 1
-        self._append_code(code if adaptation is None else code | 2)
-        self._append_links(active_links)
-        self._extend_floats((bandwidth, write_time, links_pct, bandwidth_pct, write_time_pct))
+        (append_code, append_links, append_bandwidth, append_write_time,
+         append_links_pct, append_bandwidth_pct, append_write_time_pct) = self._appends
+        append_code(code if adaptation is None else code | 2)
+        append_links(active_links)
+        append_bandwidth(bandwidth)
+        append_write_time(write_time)
+        append_links_pct(links_pct)
+        append_bandwidth_pct(bandwidth_pct)
+        append_write_time_pct(write_time_pct)
 
         if overrides:
             overrides.clear()  # overrides live for exactly one step

@@ -153,7 +153,7 @@ def test_io_error_exit_code(tmp_path):
     assert rc == EXIT_IO_ERROR
 
 
-def test_plot_data_long_format(tmp_path):
+def test_plot_data_long_format(tmp_path, capsys):
     out = tmp_path / "results"
     run_cli("run", "--scenario", "S0", "--seeds", "5", "--timesteps", "100",
             "--output-dir", str(out))
@@ -161,6 +161,11 @@ def test_plot_data_long_format(tmp_path):
     plot_path = tmp_path / "plot.csv"
     rc = run_cli("plot-data", str(trace_path), "--output", str(plot_path))
     assert rc == EXIT_OK
+
+    # Without --output the same table goes to stdout.
+    capsys.readouterr()
+    assert run_cli("plot-data", str(trace_path)) == EXIT_OK
+    assert capsys.readouterr().out.encode("utf-8") == plot_path.read_bytes()
 
     lines = plot_path.read_text().splitlines()
     assert lines[0] == PLOT_CSV_HEADER

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -266,6 +267,10 @@ def test_with_updates_revalidates():
             config.with_updates(**{name: value})
 
 
+def test_with_updates_with_no_change_rebuilds_an_equal_config():
+    assert default_config().with_updates() == default_config()
+
+
 def test_properties_direct_validation():
     with pytest.raises(ValueError):
         SimulationProperties(timesteps=0)
@@ -278,6 +283,15 @@ def test_properties_direct_validation():
             SimulationProperties(**{name: value})
     with pytest.raises(ValueError, match="^scenario must be a ScenarioId, got 'S3'$"):
         SimulationProperties(scenario="S3")
+    # The schema's number and integer rules: a bool or a string is no bound,
+    # and a window's ends are integers.
+    for value in (True, "50"):
+        with pytest.raises(ValueError, match=f"^max_bandwidth_pct must be a number, got {value!r}$"):
+            SatisfactionThresholds(max_bandwidth_pct=value)
+    for window in ((0.5, 2.5), (True, 2)):
+        message = f"disturbance_window must be a pair of integers, got {window!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimulationProperties(disturbance_window=window)
 
 
 @pytest.mark.parametrize(

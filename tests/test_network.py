@@ -70,12 +70,19 @@ def test_pct_ranges_clamp_for_tiny_networks():
 
 
 def test_topology_ranges_ordering_invariant():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^RT active-link range must not start below"):
         TopologyRanges(mst_active_links_range=(100, 160), rt_active_links_range=(150, 200))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mst_active_links_range lower bound must be >= 1"):
         TopologyRanges(mst_active_links_range=(0, 10), rt_active_links_range=(10, 20))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^mst_active_links_range is inverted: \[20, 10\]$"):
         TopologyRanges(mst_active_links_range=(20, 10), rt_active_links_range=(20, 30))
+    # Each range is checked, MST first, before the RT range is compared with the MST one.
+    with pytest.raises(ValueError, match=r"^mst_active_links_range is inverted: \[20, 10\]$"):
+        TopologyRanges(mst_active_links_range=(20, 10), rt_active_links_range=(0, 30))
+    with pytest.raises(ValueError, match="^rt_active_links_range lower bound must be >= 1"):
+        TopologyRanges(mst_active_links_range=(100, 160), rt_active_links_range=(0, 200))
+    with pytest.raises(ValueError, match=r"^rt_active_links_range is inverted: \[150, 140\]$"):
+        TopologyRanges(mst_active_links_range=(100, 160), rt_active_links_range=(150, 140))
 
 
 def test_topology_parse():
