@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .config import (
     CONFIG_PATH_ENV_VAR,
+    MAX_SEED,
     THRESHOLD_FIELDS,
     ConfigError,
     ExperimentConfig,
@@ -66,6 +67,8 @@ def _parse_seeds(spec: str) -> list[int]:
             start, end = int(start_text), int(end_text)
             if end < start:
                 raise ValueError(f"empty seed range: {token!r}")
+            if start < 0 or end > MAX_SEED:  # checked before the range is expanded
+                raise ValueError(f"seed range {token!r} must lie within 0..{MAX_SEED}")
             seeds.extend(range(start, end + 1))
         else:
             seeds.append(int(token))
@@ -212,6 +215,8 @@ def _cmd_serve(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if args.output_dir:  # made before serving, so a bad path loses no session
+        Path(args.output_dir).mkdir(parents=True, exist_ok=True)
     if args.stdio:
         result = serve_stdio(config)
     else:
@@ -221,9 +226,7 @@ def _cmd_serve(args) -> int:
         result = serve_tcp(config, args.host, args.port, ready_callback=announce)
 
     if args.output_dir:
-        output_dir = Path(args.output_dir)
-        output_dir.mkdir(parents=True, exist_ok=True)
-        _write_run(output_dir, "wire", config, result, plot_data=False)
+        _write_run(Path(args.output_dir), "wire", config, result, plot_data=False)
     return EXIT_OK if result.completed else EXIT_ABORTED
 
 
@@ -307,7 +310,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

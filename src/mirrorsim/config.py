@@ -22,6 +22,8 @@ from .network import (
     DEFAULT_UNIT_WRITE_TIME_RANGE,
     MirrorNetwork,
     TopologyRanges,
+    _is_int,
+    _is_number,
     build_network,
     topology_ranges_from_pct,
 )
@@ -65,17 +67,6 @@ THRESHOLD_FIELDS = {
     "write_time_pct": "max_write_time_pct",
     "active_links_pct": "min_active_links_pct",
 }
-
-
-def _is_int(value: object) -> bool:
-    """The integer rule of the schema and the run fields: an ``int``, not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: object) -> bool:
-    """The number rule of the schema and the run fields: an ``int`` or a ``float``,
-    not a ``bool``."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .config import DISTURBED_LOADS, largest_factor, step_overflow
-from .network import Monitorables, Topology, round_half_up
+from .network import Monitorables, Topology, _is_int, _is_number, round_half_up
 
 
 class ProbeError(RuntimeError):
@@ -136,7 +136,7 @@ class Effector:
         """
         sim = self._sim
         target = _parse_topology(topology)
-        if not isinstance(timestep, int) or isinstance(timestep, bool):
+        if not _is_int(timestep):
             raise EffectorError(f"timestep must be an integer, got {timestep!r}")
         if timestep < sim.timestep:
             raise EffectorError(
@@ -178,7 +178,7 @@ class Effector:
         sim = self._sim
         if sim.timestep >= sim.timesteps:
             raise EffectorError(_RUN_FINISHED)
-        if not isinstance(active_links, int) or isinstance(active_links, bool):
+        if not _is_int(active_links):
             raise EffectorError(f"active_links must be an integer, got {active_links!r}")
         if active_links < 0:
             raise EffectorError("active_links must be >= 0")
@@ -204,7 +204,7 @@ class Effector:
         sim = self._sim
         if sim.timestep >= sim.timesteps:
             raise EffectorError(_RUN_FINISHED)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise EffectorError(f"{name} must be a number, got {value!r}")
         try:
             value = float(value)
@@ -212,7 +212,7 @@ class Effector:
             raise EffectorError(
                 f"{name} must be a finite value >= 0, got an integer too large for a float"
             ) from None
-        if math.isnan(value) or math.isinf(value) or value < 0:
+        if not math.isfinite(value) or value < 0:
             raise EffectorError(f"{name} must be a finite value >= 0, got {value}")
         # The override replaces the step's base value; the disturbance then
         # rescales it by the link ratio (at most total_links) and a factor.

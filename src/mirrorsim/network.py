@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 from random import Random
 from typing import NamedTuple
@@ -58,8 +57,20 @@ _MST = Topology.MST
 _RT = Topology.RT
 
 
+def _is_int(value: object) -> bool:
+    """The integer rule of every boundary: an ``int``, not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    """The number rule of every boundary: an ``int`` or a ``float``, not a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def check_positive_range(name: str, bounds: tuple[float, float]) -> None:
     lower, upper = bounds
+    if not (_is_number(lower) and _is_number(upper)):
+        raise ValueError(f"{name} bounds must be numbers, got {bounds!r}")
     # The step path trusts these bounds, so NaN and infinity stop here.
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise ValueError(f"{name} bounds must be finite, got [{lower}, {upper}]")
@@ -88,22 +99,19 @@ class MirrorNetwork:
     alpha: float
 
     def __post_init__(self) -> None:
+        if not _is_int(self.num_mirrors):
+            raise ValueError(f"num_mirrors must be an integer, got {self.num_mirrors!r}")
         if self.num_mirrors < 2:
             raise ValueError(f"need at least 2 mirrors, got {self.num_mirrors}")
         total_links = self.num_mirrors * (self.num_mirrors - 1) // 2
-        # Compared exactly: a link count past the float range cannot be
-        # converted into the float bases at all.
-        if total_links > sys.float_info.max:
-            raise ValueError(
-                f"{self.num_mirrors} mirrors give more links than a float holds,"
-                " so the normalization bases would be non-finite"
-            )
-        # The trace stores link counts as signed 64-bit integers.
+        # The trace stores link counts as int64s (total_links may be too long to print).
         if total_links > MAX_TOTAL_LINKS:
             raise ValueError(
-                f"{self.num_mirrors} mirrors give {total_links} links, more than"
-                f" the trace's link column holds ({MAX_TOTAL_LINKS})"
+                f"{self.num_mirrors} mirrors give more links than the trace's"
+                f" link column holds ({MAX_TOTAL_LINKS})"
             )
+        if not _is_number(self.alpha):
+            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         check_positive_range("bandwidth_per_link_range", self.bandwidth_per_link_range)
@@ -140,6 +148,8 @@ class TopologyRanges:
             ("mst_active_links_range", "mst_links_draw", self.mst_active_links_range),
             ("rt_active_links_range", "rt_links_draw", self.rt_active_links_range),
         ):
+            if not (_is_int(lower) and _is_int(upper)):
+                raise ValueError(f"{name} must be a pair of integers, got {(lower, upper)!r}")
             if lower < 1:
                 raise ValueError(f"{name} lower bound must be >= 1, got {lower}")
             if lower > upper:

@@ -330,9 +330,9 @@ class Simulation:
     def _with_overrides(self, base: Monitorables) -> Monitorables:
         overrides = self._pending_overrides
         links = int(overrides.get("active_links", base.active_links))
-        # Non-overridden derived metrics follow the (possibly overridden) link
-        # count, keeping them consistent with the closed-form products.
-        ratio = links / base.active_links if base.active_links else 1.0
+        # Non-overridden loads follow the (possibly overridden) link count, as the
+        # closed-form products do; a fresh sample's count is at least 1.
+        ratio = links / base.active_links
         # Unchecked: the effector checked each override when it queued it.
         return tuple.__new__(Monitorables, (
             links,

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 from .config import THRESHOLD_FIELDS, ExperimentConfig
 from .management import CommandKind, Effector, EffectorError, ProbeError
-from .network import Monitorables, Topology
+from .network import Monitorables, Topology, _is_int, _is_number
 from .runner import (
     TRACE_FIELDS,
     RunResult,
@@ -190,7 +190,7 @@ class WireSession:
             return False
 
         seq = message.get("seq")
-        if isinstance(seq, bool) or not isinstance(seq, int):
+        if not _is_int(seq):
             self._send_error(None, "malformed_message", "missing integer 'seq'")
             return False
         if self._last_client_seq is not None and seq <= self._last_client_seq:
@@ -345,7 +345,7 @@ _RECOVERABLE = {"not_observable": ProbeError, "invalid_value": EffectorError}
 def _integer(value: object) -> int:
     """A JSON integer as it is: a float, a bool or a string raises ValueError
     rather than being truncated or converted."""
-    if type(value) is not int:
+    if not _is_int(value):
         raise ValueError(f"expected an integer, got {value!r}")
     return value
 
@@ -360,7 +360,7 @@ def _timesteps(config: dict) -> int:
 def _number(value: object) -> float:
     """A JSON number as it is: a bool, a string, and the NaN and infinity
     tokens that ``json.loads`` takes but JSON has not, raise ValueError."""
-    if type(value) is int or (type(value) is float and math.isfinite(value)):
+    if _is_int(value) or (_is_number(value) and math.isfinite(value)):
         return value
     raise ValueError(f"expected a number, got {value!r}")
 

@@ -108,6 +108,9 @@ def test_a_config_file_json_cannot_decode_exits_with_config_error(tmp_path, caps
 @pytest.mark.parametrize("argv", [
     ("--manager", "random", "--timesteps", str(10**400)),
     ("--seeds", f"0,{2**64}", "--timesteps", "5"),  # the second seed is out of range
+    # Range ends past the seed range are refused before the range is expanded.
+    ("--seeds", f"0..{2**64}"),
+    (f"--seeds=-{2**70}..0",),
 ])
 def test_a_config_error_anywhere_in_the_batch_writes_nothing(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -282,6 +285,22 @@ def test_serve_stdio_aborted_session_marks_incomplete(tmp_path):
     assert len(trace.splitlines()) == 2
 
 
+def test_serve_makes_its_output_dir_before_the_session(tmp_path):
+    # The output directory cannot be made under a plain file: the server must
+    # fail before its hello, not after a session whose artifacts it then loses.
+    not_a_dir = tmp_path / "not-a-dir"
+    not_a_dir.write_text("")
+    served = subprocess.run(
+        [sys.executable, "-m", "mirrorsim", "serve", "--stdio", "--timesteps", "2",
+         "--output-dir", str(not_a_dir / "served")],
+        input='{"seq": 1, "kind": "step"}\n{"seq": 2, "kind": "step"}\n',
+        capture_output=True, text=True, timeout=60,
+    )
+    assert served.returncode == EXIT_IO_ERROR
+    assert served.stdout == ""
+    assert "i/o error" in served.stderr
+
+
 @pytest.mark.parametrize("port", ["70000", "-1"])
 def test_serve_rejects_a_port_outside_the_tcp_range(tmp_path, capsys, port):
     out = tmp_path / "served"
@@ -298,8 +317,8 @@ def test_json_artifacts_refuse_non_finite_values(tmp_path):
 
 def test_a_config_that_would_overflow_exits_with_config_error(tmp_path):
     config = tmp_path / "configuration.json"
-    # The second has more links than a float holds, the third more than the
-    # trace's 64-bit link column holds.
+    # The second and the third have more links than the trace's 64-bit link
+    # column holds.
     for mapping in (
         {"bandwidth_per_link_range": [1, 1e308], "timesteps": 20},
         {"number_of_mirrors": 10**200},

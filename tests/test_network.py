@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mirrorsim.network import (
+    MirrorNetwork,
     Topology,
     TopologyRanges,
     build_network,
@@ -31,6 +32,13 @@ def test_rejects_fewer_than_two_mirrors():
         build_network(0)
 
 
+@pytest.mark.parametrize("num_mirrors", [25.5, True, "25"])
+def test_rejects_a_mirror_count_that_is_not_an_integer(num_mirrors):
+    # build_network passes the count through, so build the network by hand.
+    with pytest.raises(ValueError, match="^num_mirrors must be an integer"):
+        MirrorNetwork(num_mirrors, (20.0, 30.0), (10.0, 20.0), 1.0)
+
+
 def test_rejects_bad_parameter_ranges():
     with pytest.raises(ValueError):
         build_network(5, bandwidth_per_link_range=(30.0, 20.0))
@@ -44,16 +52,21 @@ def test_rejects_bad_parameter_ranges():
     "field", ["bandwidth_per_link_range", "unit_write_time_range"]
 )
 @pytest.mark.parametrize(
-    "bounds", [(20.0, math.nan), (math.nan, 30.0), (10.0, math.inf), (-math.inf, 30.0)]
+    "bounds",
+    [
+        (20.0, math.nan), (math.nan, 30.0), (10.0, math.inf), (-math.inf, 30.0),
+        # Not numbers at all: a bool and strings are refused before any comparison.
+        (True, 30.0), ("20", "30"),
+    ],
 )
 def test_rejects_non_finite_parameter_ranges(field, bounds):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{field} bounds must be"):
         build_network(25, **{field: bounds})
 
 
-@pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
+@pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, True, "1"])
 def test_rejects_alpha_outside_unit_interval(alpha):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^alpha must be"):
         build_network(5, alpha=alpha)
 
 
@@ -83,6 +96,15 @@ def test_topology_ranges_ordering_invariant():
         TopologyRanges(mst_active_links_range=(100, 160), rt_active_links_range=(0, 200))
     with pytest.raises(ValueError, match=r"^rt_active_links_range is inverted: \[150, 140\]$"):
         TopologyRanges(mst_active_links_range=(100, 160), rt_active_links_range=(150, 140))
+    # Each bound must be an int (a bool is not), before any comparison.
+    with pytest.raises(ValueError, match=r"^mst_active_links_range must be a pair of integers"):
+        TopologyRanges(mst_active_links_range=(1.5, 3), rt_active_links_range=(4, 5))
+    with pytest.raises(ValueError, match=r"^mst_active_links_range must be a pair of integers"):
+        TopologyRanges(mst_active_links_range=(1, True), rt_active_links_range=(4, 5))
+    with pytest.raises(ValueError, match=r"^rt_active_links_range must be a pair of integers"):
+        TopologyRanges(mst_active_links_range=(1, 3), rt_active_links_range=("4", "5"))
+    with pytest.raises(ValueError, match=r"^rt_active_links_range must be a pair of integers"):
+        TopologyRanges(mst_active_links_range=(1, 3), rt_active_links_range=(4, 5.0))
 
 
 def test_topology_parse():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
 import io
 import json
@@ -462,6 +463,47 @@ def test_a_non_finite_monitorables_reply_ends_the_session_with_strict_json(make_
         "the monitorables message holds a number JSON cannot carry (NaN or infinity)"
     )
     assert not result.completed and len(result.trace) == 0
+
+
+def test_a_non_finite_summary_ends_the_session_with_strict_json(make_config, monkeypatch):
+    # A fault injected into the summary stands in for a non-finite mean: the
+    # strict encoder refuses the run_complete message, which answers no request.
+    evaluate = mirrorsim.wire.evaluate_satisfaction
+
+    def infinite_summary(*args):
+        return dataclasses.replace(evaluate(*args), mean_bandwidth_pct=math.inf)
+
+    monkeypatch.setattr(mirrorsim.wire, "evaluate_satisfaction", infinite_summary)
+    text = "".join(f'{{"seq": {seq}, "kind": "step"}}\n' for seq in (1, 2))
+    wfile = io.StringIO()
+    result = WireSession(make_config(timesteps=2), io.StringIO(text), wfile).run()
+    messages = [
+        json.loads(line, parse_constant=_reject_constant)
+        for line in wfile.getvalue().splitlines()
+    ]
+    assert [message["kind"] for message in messages] == [
+        "hello", "step_complete", "step_complete", "error"
+    ]
+    assert messages[-1]["code"] == "non_finite_value"
+    assert "re" not in messages[-1]
+    assert messages[-1]["detail"] == (
+        "the run_complete message holds a number JSON cannot carry (NaN or infinity)"
+    )
+    assert not result.completed and len(result.trace) == 2
+
+
+class _GoneClient(io.StringIO):
+    """A reply stream whose client went away: every write breaks the pipe."""
+
+    def write(self, text):
+        raise BrokenPipeError
+
+
+def test_a_client_that_went_away_does_not_stop_the_queued_steps(make_config):
+    text = "".join(f'{{"seq": {seq}, "kind": "step"}}\n' for seq in (1, 2, 3))
+    result = WireSession(make_config(seed=4, timesteps=3), io.StringIO(text), _GoneClient()).run()
+    assert len(result.trace) == 3
+    assert result.completed
 
 
 def test_a_finite_step_whose_float_sum_overflows_is_sent_whole(make_config, monkeypatch):
