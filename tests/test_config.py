@@ -314,10 +314,11 @@ def test_properties_direct_validation():
             "timesteps": 50000,
             "disturbances": {"S2": {"rt": {"bandwidth_factor": [1e302, 1e302]}}},
         },
-        # Integers past the float range: the run length and a number the
-        # schema reads as a float.
+        # Integers past the float range: the run length and numbers the
+        # schema reads as floats, in the network and in a scenario's effects.
         {"timesteps": 10**400},
         {"bandwidth_per_link_range": [1, 10**400]},
+        {"disturbances": {"S2": {"rt": {"bandwidth_factor": [1, 10**400]}}}},
     ],
 )
 def test_configs_whose_worst_step_overflows_are_rejected(mapping):
