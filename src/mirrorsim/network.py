@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from random import Random
 from typing import NamedTuple
@@ -21,6 +22,7 @@ DEFAULT_ALPHA = 1.0
 DEFAULT_MST_ACTIVE_LINKS_RANGE_PCT = (35.0, 50.0)
 DEFAULT_RT_ACTIVE_LINKS_RANGE_PCT = (60.0, 90.0)
 MAX_TOTAL_LINKS = 2**63 - 1  # 2**32 mirrors is the most that fit
+_FLOAT_MAX = sys.float_info.max
 
 
 def round_half_up(value: float) -> int:
@@ -71,8 +73,9 @@ def check_positive_range(name: str, bounds: tuple[float, float]) -> None:
     lower, upper = bounds
     if not (_is_number(lower) and _is_number(upper)):
         raise ValueError(f"{name} bounds must be numbers, got {bounds!r}")
-    # The step path trusts these bounds, so NaN and infinity stop here.
-    if not (math.isfinite(lower) and math.isfinite(upper)):
+    # The step path trusts these bounds, so NaN, infinity and ints past the
+    # float range stop here (an int compares with a float exactly; NaN fails).
+    if not (abs(lower) <= _FLOAT_MAX and abs(upper) <= _FLOAT_MAX):
         raise ValueError(f"{name} bounds must be finite, got [{lower}, {upper}]")
     if not lower > 0:
         raise ValueError(f"{name} lower bound must be > 0, got {lower}")
@@ -223,10 +226,10 @@ def topology_ranges_from_pct(
     Bounds are rounded half-up and clamped into [1, total_links].
     """
     for name, (lower, upper) in (("mst", mst_range_pct), ("rt", rt_range_pct)):
-        if not 0 < lower <= upper <= 100:
+        if not (_is_number(lower) and _is_number(upper) and 0 < lower <= upper <= 100):
             raise ValueError(
                 f"{name} active-link percentage range must satisfy"
-                f" 0 < lower <= upper <= 100, got [{lower}, {upper}]"
+                f" 0 < lower <= upper <= 100, got [{lower!r}, {upper!r}]"
             )
 
     def resolve(pct: float) -> int:

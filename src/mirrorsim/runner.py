@@ -66,36 +66,21 @@ def column_means(rows: Iterable[tuple[float, float, float]]) -> NormalizedMetric
     )
 
 
-# The last call of normalize as (monitorables, network, result), replaced as a
-# whole. The threshold manager normalizes the probed Monitorables, the very
-# object the step just normalized, so its call returns the step's result.
-# Both keys are immutable and held here, so an identity match cannot be a
-# reused id. The sentinels match no argument.
-_last_normalized: tuple = (object(), object(), None)
-
-
 def normalize(monitorables: Monitorables, network: MirrorNetwork) -> NormalizedMetrics:
     """Express the three monitorables as percentages of their per-step maxima.
 
     The basis is total_links for the link count and total_links times the
     upper bound of the corresponding unit range for the derived metrics, so
-    inflation scenarios can push the load percentages above 100.
-    A call with the same two objects (``is``) as the previous call returns
-    that call's result.
+    inflation scenarios can push the load percentages above 100. A
+    :class:`Trace` derives its ``*_pct`` fields with the same expression.
     """
-    global _last_normalized
-    last_monitorables, last_network, last_result = _last_normalized
-    if monitorables is last_monitorables and network is last_network:
-        return last_result
     active_links, bandwidth, write_time = monitorables
     # NormalizedMetrics._make without its Python-level length check.
-    result = tuple.__new__(NormalizedMetrics, (
+    return tuple.__new__(NormalizedMetrics, (
         100.0 * active_links / network.total_links,
         100.0 * bandwidth / network.bandwidth_basis,
         100.0 * write_time / network.write_time_basis,
     ))
-    _last_normalized = (monitorables, network, result)
-    return result
 
 
 class TraceRecord(NamedTuple):
@@ -131,31 +116,35 @@ _ADAPTATION_OF_CODE = (None, None, Topology.MST, Topology.RT)
 # TraceRecord._make without its Python-level length check, for the trace,
 # which always passes the nine fields.
 _new_record = partial(tuple.__new__, TraceRecord)
+_CHUNK = 1024  # rows a trace reader derives, and records one CSV % call formats
 
 
 class Trace(Sequence):
     """A run's trace: a read-only sequence of :class:`TraceRecord`, row ``i``
     being timestep ``i``.
 
-    The rows are held in one typed column per record field after
-    ``timestep``, about 49 bytes a step: one byte for the topology and
-    adaptation, an ``array`` of the active-link counts and one ``array`` for
-    each of the five float fields. Each record is built when it is read.
-    Indexing, slicing (a tuple of records), iteration, ``len`` and pickling
-    behave like a tuple of records; a trace equals another trace with the
-    same columns, and a tuple or list of equal records. Only
-    :meth:`Simulation.step` appends to it.
+    The trace holds only what each step drew, one typed column per field,
+    about 25 bytes a step: one byte for the topology and adaptation, an
+    ``array`` of the active-link counts and one ``array`` each for the
+    bandwidth and the write time. Each record is built when it is read, its
+    ``*_pct`` fields derived from the run's network as :func:`normalize`
+    derives them. Indexing, slicing (a tuple of records), iteration, ``len``
+    and pickling behave like a tuple of records; a trace equals another trace
+    with the same network and columns, and a tuple or list of equal records.
+    Only :meth:`Simulation.step` appends to it.
     """
 
-    __slots__ = ("_columns",)
+    __slots__ = ("_network", "_columns")
     __hash__ = None
 
-    def __init__(self) -> None:
+    def __init__(self, network: MirrorNetwork) -> None:
+        self._network = network
         # Column i is TraceRecord field i + 1; timestep is the row index.
         self._columns = (
             bytearray(),  # topology and adaptation code
             array("q"),  # active_links
-            *(array("d") for _ in range(5)),  # bandwidth_gbps ... write_time_pct
+            array("d"),  # bandwidth_gbps
+            array("d"),  # time_to_write_ms
         )
 
     def __len__(self) -> int:
@@ -168,31 +157,45 @@ class Trace(Sequence):
             row = range(len(self))[index]
         except IndexError:
             raise IndexError("trace index out of range") from None
-        codes, links, bandwidth, write_time, links_pct, bandwidth_pct, write_time_pct = (
-            self._columns
-        )
-        code = codes[row]
+        code, *drawn = [column[row] for column in self._columns]
         return _new_record((
-            row, _TOPOLOGY_OF_CODE[code], links[row], bandwidth[row], write_time[row],
-            links_pct[row], bandwidth_pct[row], write_time_pct[row], _ADAPTATION_OF_CODE[code],
+            row, _TOPOLOGY_OF_CODE[code], *drawn, *normalize(drawn, self._network),
+            _ADAPTATION_OF_CODE[code],
         ))
 
+    def _chunks(self):
+        """The rows ``_CHUNK`` at a time: each chunk's timesteps, its slice of
+        each column and its three ``*_pct`` columns, each value derived as
+        :func:`normalize` derives it, ``100.0 * value / basis``."""
+        codes, *drawn = self._columns
+        network = self._network
+        bases = network.total_links, network.bandwidth_basis, network.write_time_basis
+        for start in range(0, len(codes), _CHUNK):
+            stop = start + _CHUNK
+            values = [column[start:stop] for column in drawn]
+            yield (range(start, stop), codes[start:stop], *values, *(
+                [100.0 * value / basis for value in column]
+                for column, basis in zip(values, bases)
+            ))
+
     def __iter__(self):
-        codes, *values = self._columns
-        return map(_new_record, zip(
-            range(len(codes)), map(_TOPOLOGY_OF_CODE.__getitem__, codes), *values,
-            map(_ADAPTATION_OF_CODE.__getitem__, codes),
-        ))
+        return chain.from_iterable(
+            map(_new_record, zip(
+                timesteps, map(_TOPOLOGY_OF_CODE.__getitem__, codes), *values,
+                map(_ADAPTATION_OF_CODE.__getitem__, codes),
+            ))
+            for timesteps, codes, *values in self._chunks()
+        )
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Trace):
-            return self._columns == other._columns
+            return self._network == other._network and self._columns == other._columns
         if isinstance(other, (tuple, list)):
             return len(self) == len(other) and all(map(eq, self, other))
         return NotImplemented
 
     def __reduce__(self):
-        return (Trace, (), self._columns)
+        return (Trace, (self._network,), self._columns)
 
     def __setstate__(self, columns) -> None:
         self._columns = columns
@@ -221,14 +224,13 @@ def evaluate_satisfaction(
 ) -> SatisfactionSummary:
     """Arithmetic means over the whole trace, compared inclusively.
 
-    A :class:`Trace` is folded straight from its three ``*_pct`` columns,
-    with no record built; any other sequence of records, record by record.
+    A :class:`Trace` is folded from the ``*_pct`` columns of its chunks, with
+    no record built; any other sequence of records, record by record.
     """
     if not trace:
         raise ValueError("cannot evaluate an empty trace")
     if isinstance(trace, Trace):
-        *_, links_pct, bandwidth_pct, write_time_pct = trace._columns
-        rows = zip(links_pct, bandwidth_pct, write_time_pct)
+        rows = chain.from_iterable(zip(*chunk[-3:]) for chunk in trace._chunks())
     else:
         rows = map(_NORMALIZED_COLUMNS, trace)
     mean_active_links, mean_bandwidth, mean_write_time = column_means(rows)
@@ -260,7 +262,7 @@ class Simulation:
         self.rng = Random(properties.seed)
         self.timestep = 0  # index of the next step to execute
         self.current_topology = initial_topology(properties.scenario, self.rng)
-        self.trace = Trace()
+        self.trace = Trace(self.network)
         # One append per trace column, in TraceRecord field order.
         self._appends = tuple(column.append for column in self.trace._columns)
         self.latest_monitorables: Optional[Monitorables] = None  # set by each step
@@ -280,7 +282,7 @@ class Simulation:
 
         Fixed order: (1) apply due topology commands, (2) sample base
         monitorables and apply effector overrides, (3) apply the scenario
-        disturbance, (4) normalize and record, (5) advance.
+        disturbance, (4) record, (5) advance.
         """
         t = self.timestep
         if t >= self.timesteps:  # self.finished, without the property call
@@ -311,17 +313,12 @@ class Simulation:
 
         self.latest_monitorables = disturbed
         active_links, bandwidth, write_time = disturbed
-        links_pct, bandwidth_pct, write_time_pct = normalize(disturbed, network)
         code = 0 if topology is _MST else 1
-        (append_code, append_links, append_bandwidth, append_write_time,
-         append_links_pct, append_bandwidth_pct, append_write_time_pct) = self._appends
+        append_code, append_links, append_bandwidth, append_write_time = self._appends
         append_code(code if adaptation is None else code | 2)
         append_links(active_links)
         append_bandwidth(bandwidth)
         append_write_time(write_time)
-        append_links_pct(links_pct)
-        append_bandwidth_pct(bandwidth_pct)
-        append_write_time_pct(write_time_pct)
 
         if overrides:
             overrides.clear()  # overrides live for exactly one step
@@ -412,7 +409,6 @@ def replay(log: Sequence[EffectorCommand], config: ExperimentConfig) -> RunResul
 
 TRACE_CSV_HEADER = ",".join(TRACE_FIELDS)
 _CSV_ROW = "%s,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%s\n"
-_CSV_CHUNK = 1024  # records formatted by one % call
 # The cell of a topology or adaptation field; no switch is an empty cell.
 _CELL_OF = {None: "", **{topology: topology.value for topology in Topology}}
 
@@ -426,7 +422,7 @@ def render_trace_csv(trace: Sequence[TraceRecord]) -> str:
     parts = [TRACE_CSV_HEADER + "\n"]
     width = len(TRACE_FIELDS)
     records = iter(trace)
-    while chunk := tuple(islice(records, _CSV_CHUNK)):
+    while chunk := tuple(islice(records, _CHUNK)):
         cells = list(chain.from_iterable(chunk))
         cells[1::width] = map(_CELL_OF.__getitem__, cells[1::width])
         cells[width - 1::width] = map(_CELL_OF.__getitem__, cells[width - 1::width])

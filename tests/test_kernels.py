@@ -195,7 +195,7 @@ def test_normalize_matches_reference(data, network, topology, seed):
     assert normalize(monitorables, network) == reference_normalize(monitorables, network)
 
 
-def test_normalize_returns_its_last_result_only_for_the_same_two_objects():
+def test_normalize_computes_each_call_from_its_two_arguments():
     network = build_network(25)
     twin = build_network(25)  # equal, but another object
     widened = dataclasses.replace(network, bandwidth_per_link_range=(20.0, 40.0))
@@ -209,7 +209,6 @@ def test_normalize_returns_its_last_result_only_for_the_same_two_objects():
     for monitorables, net in calls:
         assert normalize(monitorables, net) == reference_normalize(monitorables, net)
     assert normalize(first, widened).bandwidth_pct != normalize(first, network).bandwidth_pct
-    assert normalize(second, network) is normalize(second, network)
 
 
 def test_each_threshold_observation_is_the_observed_row_percentages():
@@ -400,6 +399,9 @@ def test_every_step_of_a_loaded_config_passes_the_monitorables_check(scenario, d
     means = (summary.mean_bandwidth_pct, summary.mean_write_time_pct,
              summary.mean_active_links_pct)
     assert all(map(math.isfinite, means)), summary
+    # The chunk reader derives the same rows, and the same means, as the one-row path.
+    assert list(sim.trace) == [sim.trace[i] for i in range(len(sim.trace))]
+    assert summary == evaluate_satisfaction(list(sim.trace), config.properties.thresholds)
 
 
 def test_run_result_pickles_equal():
@@ -437,6 +439,12 @@ def test_render_trace_csv_matches_reference_across_chunk_edges():
         expected = reference_render_trace_csv(sim.trace)
         assert render_trace_csv(sim.trace) == expected
         assert render_trace_csv(list(sim.trace)) == expected
+        if length:
+            # The chunk reader and the one-row path agree on every row and mean.
+            assert list(sim.trace) == [sim.trace[i] for i in range(length)]
+            thresholds = config.properties.thresholds
+            assert (evaluate_satisfaction(sim.trace, thresholds)
+                    == evaluate_satisfaction(list(sim.trace), thresholds))
     # Both topologies and both kinds of adaptation cell were rendered.
     assert {record.topology for record in sim.trace} == set(Topology)
     assert {record.adaptation for record in sim.trace} == {None, *Topology}

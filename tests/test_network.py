@@ -57,6 +57,8 @@ def test_rejects_bad_parameter_ranges():
         (20.0, math.nan), (math.nan, 30.0), (10.0, math.inf), (-math.inf, 30.0),
         # Not numbers at all: a bool and strings are refused before any comparison.
         (True, 30.0), ("20", "30"),
+        # Ints past the float range, either side.
+        (1, 10**400), (-(10**400), 30.0),
     ],
 )
 def test_rejects_non_finite_parameter_ranges(field, bounds):
@@ -105,6 +107,12 @@ def test_topology_ranges_ordering_invariant():
         TopologyRanges(mst_active_links_range=(1, 3), rt_active_links_range=("4", "5"))
     with pytest.raises(ValueError, match=r"^rt_active_links_range must be a pair of integers"):
         TopologyRanges(mst_active_links_range=(1, 3), rt_active_links_range=(4, 5.0))
+    # Each percentage bound must be a number (a bool is not), before any comparison.
+    network = build_network(25)
+    with pytest.raises(ValueError, match=r"^mst active-link percentage range .*\['35', '50'\]$"):
+        topology_ranges_from_pct(network, ("35", "50"))
+    with pytest.raises(ValueError, match=r"^rt active-link percentage range .*\[True, 50\]$"):
+        topology_ranges_from_pct(network, (35, 50), (True, 50))
 
 
 def test_topology_parse():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
 import pickle
@@ -342,12 +343,15 @@ def test_the_step_calls_each_kernel_through_the_runner_globals(make_config, monk
         if steps % 4 == 0:
             sim.effector.set_current_topology(sim.current_topology.other())
         sim.step()
-        assert calls == dict.fromkeys(kernels, steps)
+        # The step stores what it drew; normalize runs only when a row is read.
+        assert calls == dict.fromkeys(kernels[:2], steps)
+    sim.trace[-1]
+    assert calls["normalize"] == 1
 
 
-def test_a_long_run_retains_at_most_64_bytes_per_step(make_config):
-    # The trace is held as typed columns: 5 doubles, one int64 and one code
-    # byte a step, plus the arrays' spare capacity.
+def test_a_long_run_retains_at_most_32_bytes_per_step(make_config):
+    # The trace holds only what the step drew, as typed columns: 2 doubles,
+    # one int64 and one code byte a step, plus the arrays' spare capacity.
     steps = 20_000
     config = make_config(timesteps=steps, seed=3)
     run(NullManager(), make_config(timesteps=10, seed=3))  # warm any lazy caches
@@ -362,7 +366,7 @@ def test_a_long_run_retains_at_most_64_bytes_per_step(make_config):
     finally:
         tracemalloc.stop()
     assert len(result.trace) == steps
-    assert retained / steps <= 64
+    assert retained / steps <= 32
 
 
 def stepped_records(make_config):
@@ -408,7 +412,8 @@ def test_trace_equality_and_pickling(make_config):
     assert trace != tuple(records[:-1])
     assert trace != records[:-1] + [records[-1]._replace(active_links=1)]
     assert trace != "not a trace"
-    assert Trace() == () and Trace() == [] and Trace() != trace
+    empty = Trace(sim.network)
+    assert empty == () and empty == [] and empty != trace
     other = build_simulation(make_config(scenario="S3", seed=7, timesteps=12))
     for _ in range(12):
         other.step()
@@ -419,6 +424,18 @@ def test_trace_equality_and_pickling(make_config):
     assert type(restored) is Trace
     assert restored == trace
     assert list(restored) == records
+
+
+def test_a_trace_derives_its_percentages_from_its_own_network(make_config):
+    sim, records = stepped_records(make_config)
+    wider = dataclasses.replace(sim.network, num_mirrors=26)
+    moved = Trace(wider)
+    moved.__setstate__(sim.trace.__reduce__()[2])  # the same drawn columns
+    assert moved != sim.trace
+    assert [record[:5] for record in moved] == [record[:5] for record in records]
+    assert [record[5:8] for record in moved] == [
+        normalize(record[2:5], wider) for record in records
+    ]
 
 
 def test_evaluate_satisfaction_folds_a_trace_like_its_records(make_config):

@@ -49,7 +49,10 @@ def test_scenario_parse():
 @pytest.mark.parametrize("name", ["active_links_factor", "bandwidth_factor", "write_time_factor"])
 @pytest.mark.parametrize(
     "bounds",
-    [(1.0, math.nan), (math.nan, 1.0), (1.0, math.inf), (True, True), (1.0, True), ("1", "2")],
+    [
+        (1.0, math.nan), (math.nan, 1.0), (1.0, math.inf), (True, True), (1.0, True), ("1", "2"),
+        (1, 10**400),  # an int past the float range
+    ],
 )
 def test_effect_set_rejects_non_finite_bounds(name, bounds):
     with pytest.raises(ValueError, match=f"^{name} bounds must be"):
