@@ -22,6 +22,7 @@ from .network import (
     DEFAULT_UNIT_WRITE_TIME_RANGE,
     MirrorNetwork,
     TopologyRanges,
+    _int_text,
     _is_int,
     _is_number,
     build_network,
@@ -83,7 +84,7 @@ class SatisfactionThresholds:
             if not _is_number(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
             if not 0 < value <= 100:
-                raise ValueError(f"{name} must be in (0, 100], got {value}")
+                raise ValueError(f"{name} must be in (0, 100], got {_int_text(value)}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ class SimulationProperties:
         if not isinstance(self.scenario, ScenarioId):
             raise ValueError(f"scenario must be a ScenarioId, got {self.scenario!r}")
         if self.timesteps < 1:
-            raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
+            raise ValueError(f"timesteps must be >= 1, got {_int_text(self.timesteps)}")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.disturbance_window is not None:
@@ -118,8 +119,8 @@ class SimulationProperties:
                 )
             if not (0 <= start <= end < self.timesteps):
                 raise ValueError(
-                    f"disturbance_window [{start}, {end}] must lie within"
-                    f" [0, {self.timesteps})"
+                    f"disturbance_window [{_int_text(start)}, {_int_text(end)}] must lie"
+                    f" within [0, {_int_text(self.timesteps)})"
                 )
 
 
@@ -131,15 +132,19 @@ def step_overflow(worst: float, basis: float, timesteps: int) -> Optional[str]:
     that sum is bounded by twice their product, the factor 2 a margin for the
     rounding of each addition.
     """
-    percentage = 100.0 * worst / basis
-    if not (math.isfinite(worst) and math.isfinite(basis) and math.isfinite(percentage)):
+    try:
+        percentage = 100.0 * worst / basis
+        finite = math.isfinite(worst) and math.isfinite(basis) and math.isfinite(percentage)
+    except OverflowError:  # an int value or basis past the float range
+        finite = False
+    if not finite:
         return "a step's value or its percentage"
     try:
         summed = 2.0 * percentage * timesteps
     except OverflowError:  # timesteps past the float range
         summed = math.inf
     if not math.isfinite(summed):
-        return f"the sum of {timesteps} step percentages"
+        return f"the sum of {_int_text(timesteps)} step percentages"
     return None
 
 
@@ -190,7 +195,7 @@ class ExperimentConfig:
         ):
             if upper > network.total_links:
                 raise ValueError(
-                    f"{name} upper bound {upper} exceeds the network's"
+                    f"{name} upper bound {_int_text(upper)} exceeds the network's"
                     f" {network.total_links} links"
                 )
         missing = [scenario.value for scenario in ScenarioId
@@ -242,7 +247,9 @@ def _as_number(value: object, path: str) -> float:
     try:
         return float(value)
     except OverflowError:  # an integer past the float range
-        raise ConfigInvariantError(f"{path}: {value} overflows to a non-finite number") from None
+        raise ConfigInvariantError(
+            f"{path}: {_int_text(value)} overflows to a non-finite number"
+        ) from None
 
 
 def _as_pair(value: object, path: str, parse_item=_as_number, shape="[lower, upper]") -> tuple:

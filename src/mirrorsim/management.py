@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .config import DISTURBED_LOADS, largest_factor, step_overflow
-from .network import Monitorables, Topology, _is_int, _is_number, round_half_up
+from .network import Monitorables, Topology, _int_text, _is_int, _is_number, round_half_up
 
 
 class ProbeError(RuntimeError):
@@ -63,20 +63,6 @@ def _parse_topology(topology: object) -> Topology:
         return Topology.parse(topology)
     except ValueError as exc:
         raise EffectorError(str(exc)) from None
-
-
-def _int_text(value: int) -> str:
-    """``str(value)``, or its digit count past the interpreter's limit on
-    integer-to-text conversion, where ``str`` raises ValueError."""
-    try:
-        return str(value)
-    except ValueError:
-        magnitude = abs(value)
-        digits = int(magnitude.bit_length() * math.log10(2))  # the count or one short
-        if magnitude >= 10**digits:
-            digits += 1
-        sign = "a negative" if value < 0 else "an"
-        return f"{sign} integer of {digits} digits"
 
 
 class Probe:

@@ -69,6 +69,22 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _int_text(value: object) -> str:
+    """The one rule for printing a value in a boundary message: ``repr(value)``
+    (``str(value)`` for an ``int`` or a ``float``), or an int's digit count
+    past the interpreter's limit on integer-to-text conversion, where
+    ``repr`` raises ValueError."""
+    try:
+        return repr(value)
+    except ValueError:
+        magnitude = abs(value)
+        digits = int(magnitude.bit_length() * math.log10(2))  # the count or one short
+        if magnitude >= 10**digits:
+            digits += 1
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {digits} digits"
+
+
 def check_positive_range(name: str, bounds: tuple[float, float]) -> None:
     lower, upper = bounds
     if not (_is_number(lower) and _is_number(upper)):
@@ -76,7 +92,9 @@ def check_positive_range(name: str, bounds: tuple[float, float]) -> None:
     # The step path trusts these bounds, so NaN, infinity and ints past the
     # float range stop here (an int compares with a float exactly; NaN fails).
     if not (abs(lower) <= _FLOAT_MAX and abs(upper) <= _FLOAT_MAX):
-        raise ValueError(f"{name} bounds must be finite, got [{lower}, {upper}]")
+        raise ValueError(
+            f"{name} bounds must be finite, got [{_int_text(lower)}, {_int_text(upper)}]"
+        )
     if not lower > 0:
         raise ValueError(f"{name} lower bound must be > 0, got {lower}")
     if lower > upper:
@@ -105,18 +123,18 @@ class MirrorNetwork:
         if not _is_int(self.num_mirrors):
             raise ValueError(f"num_mirrors must be an integer, got {self.num_mirrors!r}")
         if self.num_mirrors < 2:
-            raise ValueError(f"need at least 2 mirrors, got {self.num_mirrors}")
+            raise ValueError(f"need at least 2 mirrors, got {_int_text(self.num_mirrors)}")
         total_links = self.num_mirrors * (self.num_mirrors - 1) // 2
         # The trace stores link counts as int64s (total_links may be too long to print).
         if total_links > MAX_TOTAL_LINKS:
             raise ValueError(
-                f"{self.num_mirrors} mirrors give more links than the trace's"
+                f"{_int_text(self.num_mirrors)} mirrors give more links than the trace's"
                 f" link column holds ({MAX_TOTAL_LINKS})"
             )
         if not _is_number(self.alpha):
             raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+            raise ValueError(f"alpha must be in (0, 1], got {_int_text(self.alpha)}")
         check_positive_range("bandwidth_per_link_range", self.bandwidth_per_link_range)
         check_positive_range("unit_write_time_range", self.unit_write_time_range)
         object.__setattr__(self, "total_links", total_links)
@@ -154,9 +172,11 @@ class TopologyRanges:
             if not (_is_int(lower) and _is_int(upper)):
                 raise ValueError(f"{name} must be a pair of integers, got {(lower, upper)!r}")
             if lower < 1:
-                raise ValueError(f"{name} lower bound must be >= 1, got {lower}")
+                raise ValueError(f"{name} lower bound must be >= 1, got {_int_text(lower)}")
             if lower > upper:
-                raise ValueError(f"{name} is inverted: [{lower}, {upper}]")
+                raise ValueError(
+                    f"{name} is inverted: [{_int_text(lower)}, {_int_text(upper)}]"
+                )
             width = upper - lower + 1
             object.__setattr__(self, draw_name, (lower, width, width.bit_length()))
         if self.rt_active_links_range[0] < self.mst_active_links_range[1]:
@@ -229,7 +249,7 @@ def topology_ranges_from_pct(
         if not (_is_number(lower) and _is_number(upper) and 0 < lower <= upper <= 100):
             raise ValueError(
                 f"{name} active-link percentage range must satisfy"
-                f" 0 < lower <= upper <= 100, got [{lower!r}, {upper!r}]"
+                f" 0 < lower <= upper <= 100, got [{_int_text(lower)}, {_int_text(upper)}]"
             )
 
     def resolve(pct: float) -> int:

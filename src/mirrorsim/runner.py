@@ -12,7 +12,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 from operator import eq, itemgetter
 from random import Random
 from typing import NamedTuple, Optional
@@ -116,7 +116,7 @@ _ADAPTATION_OF_CODE = (None, None, Topology.MST, Topology.RT)
 # TraceRecord._make without its Python-level length check, for the trace,
 # which always passes the nine fields.
 _new_record = partial(tuple.__new__, TraceRecord)
-_CHUNK = 1024  # rows a trace reader derives, and records one CSV % call formats
+_CHUNK = 1024  # rows a trace reader derives, and rows one CSV % call formats
 
 
 class Trace(Sequence):
@@ -409,28 +409,27 @@ def replay(log: Sequence[EffectorCommand], config: ExperimentConfig) -> RunResul
 
 TRACE_CSV_HEADER = ",".join(TRACE_FIELDS)
 _CSV_ROW = "%s,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%s\n"
-# The cell of a topology or adaptation field; no switch is an empty cell.
-_CELL_OF = {None: "", **{topology: topology.value for topology in Topology}}
+# The topology and adaptation cells of each code byte; no switch is an empty cell.
+_TOPOLOGY_CELL = tuple(topology.value for topology in _TOPOLOGY_OF_CODE)
+_ADAPTATION_CELL = tuple(getattr(switch, "value", "") for switch in _ADAPTATION_OF_CODE)
 
 
-def render_trace_csv(trace: Sequence[TraceRecord]) -> str:
+def render_trace_csv(trace: Trace) -> str:
     """Fixed-format CSV (6 decimal places) so equal traces render byte-equal.
 
-    Records are formatted a chunk at a time, so a long trace holds one string
-    per chunk, not one per row, until the text is joined.
+    The trace's columns are formatted a chunk at a time, one ``%`` call per
+    chunk and no record built, so a long trace holds one string per chunk,
+    not one per row, until the text is joined.
     """
     parts = [TRACE_CSV_HEADER + "\n"]
-    width = len(TRACE_FIELDS)
-    records = iter(trace)
-    while chunk := tuple(islice(records, _CHUNK)):
-        cells = list(chain.from_iterable(chunk))
-        cells[1::width] = map(_CELL_OF.__getitem__, cells[1::width])
-        cells[width - 1::width] = map(_CELL_OF.__getitem__, cells[width - 1::width])
-        parts.append((_CSV_ROW * len(chunk)) % tuple(cells))
+    for timesteps, codes, *values in trace._chunks():
+        rows = zip(timesteps, map(_TOPOLOGY_CELL.__getitem__, codes), *values,
+                   map(_ADAPTATION_CELL.__getitem__, codes))
+        parts.append((_CSV_ROW * len(codes)) % tuple(chain.from_iterable(rows)))
     return "".join(parts)
 
 
-def write_trace_csv(trace: Sequence[TraceRecord], path) -> str:
+def write_trace_csv(trace: Trace, path) -> str:
     """Write ``render_trace_csv(trace)`` to ``path`` and return the text written."""
     text = render_trace_csv(trace)
     with open(path, "w", encoding="utf-8", newline="") as handle:

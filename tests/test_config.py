@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
@@ -18,7 +19,7 @@ from mirrorsim.config import (
     default_config_mapping,
     load_config,
 )
-from mirrorsim.network import Topology, build_network, topology_ranges_from_pct
+from mirrorsim.network import Topology, TopologyRanges, build_network, topology_ranges_from_pct
 from mirrorsim.runner import build_simulation
 from mirrorsim.scenarios import DisturbanceProfile, EffectSet, ScenarioId, scenario_profile
 
@@ -324,6 +325,46 @@ def test_properties_direct_validation():
 def test_configs_whose_worst_step_overflows_are_rejected(mapping):
     with pytest.raises(ConfigInvariantError, match="non-finite"):
         config_from_mapping(mapping)
+
+
+def test_a_hand_built_network_whose_basis_overflows_is_rejected():
+    # The int bound is within the float range; its basis, 300 x 10**306, is not.
+    network = build_network(25, bandwidth_per_link_range=(1, 10**306))
+    with pytest.raises(
+        ValueError,
+        match="^bandwidth_per_link_range upper bound 1000.* lets a step's value or its"
+        " percentage overflow to a non-finite number$",
+    ):
+        dataclasses.replace(default_config(), network=network)
+
+
+HUGE = 10**5000  # more digits than the interpreter converts to text
+
+
+@pytest.mark.parametrize(("build", "names"), [
+    (lambda: build_network(25, bandwidth_per_link_range=(1, HUGE)),
+     "bandwidth_per_link_range bounds must be finite"),
+    (lambda: EffectSet(bandwidth_factor=(1, HUGE)), "bandwidth_factor bounds must be finite"),
+    (lambda: topology_ranges_from_pct(build_network(25), (1, HUGE)),
+     "mst active-link percentage range"),
+    (lambda: TopologyRanges((HUGE, 1), (HUGE, HUGE)), "mst_active_links_range is inverted"),
+    (lambda: dataclasses.replace(
+        default_config(), ranges=TopologyRanges((1, HUGE), (HUGE, HUGE))
+    ), "mst_active_links_range upper bound"),
+    (lambda: SatisfactionThresholds(max_bandwidth_pct=HUGE), "max_bandwidth_pct must be in"),
+    (lambda: SimulationProperties(timesteps=5, disturbance_window=(0, HUGE)),
+     "disturbance_window"),
+    (lambda: build_network(HUGE), "mirrors give more links"),
+    (lambda: build_network(25, alpha=HUGE), "alpha must be in"),
+    (lambda: default_config().with_updates(timesteps=HUGE), "step percentages overflow"),
+], ids=["unit_range", "effect_set", "range_pct", "link_ranges", "config_ranges",
+        "threshold", "window", "mirrors", "alpha", "timesteps"])
+def test_an_integer_too_long_for_text_is_named_by_its_digit_count(build, names):
+    # str() of such an integer raises the interpreter's own ValueError, which
+    # names no field; each boundary prints its digit count instead.
+    with pytest.raises(ValueError, match=names) as refused:
+        build()
+    assert "an integer of 5001 digits" in str(refused.value)
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorsim import runner
 from mirrorsim.config import config_from_mapping
 from mirrorsim.management import EffectorError
 from mirrorsim.managers import create_manager
@@ -402,6 +403,8 @@ def test_every_step_of_a_loaded_config_passes_the_monitorables_check(scenario, d
     # The chunk reader derives the same rows, and the same means, as the one-row path.
     assert list(sim.trace) == [sim.trace[i] for i in range(len(sim.trace))]
     assert summary == evaluate_satisfaction(list(sim.trace), config.properties.thresholds)
+    # The column renderer writes the record-based reference's bytes.
+    assert render_trace_csv(sim.trace) == reference_render_trace_csv(sim.trace)
 
 
 def test_run_result_pickles_equal():
@@ -416,12 +419,18 @@ def test_run_result_pickles_equal():
     assert type(restored.trace[0]) is TraceRecord
 
 
-# Lengths around the renderer's 1,024-record chunks: none, one, one short of
+def forbidden(name):
+    def call(*args):
+        raise AssertionError(f"{name} was called")
+    return call
+
+
+# Lengths around the renderer's 1,024-row chunks: none, one, one short of
 # a chunk, a whole chunk, one over, and two chunks and one row.
 RENDER_LENGTHS = (0, 1, 1023, 1024, 1025, 2049)
 
 
-def test_render_trace_csv_matches_reference_across_chunk_edges():
+def test_render_trace_csv_matches_reference_across_chunk_edges(monkeypatch):
     config = config_from_mapping(
         {"scenario": "S3", "seed": 9, "timesteps": max(RENDER_LENGTHS)}
     )
@@ -437,8 +446,11 @@ def test_render_trace_csv_matches_reference_across_chunk_edges():
             sim.step()
         assert isinstance(sim.trace, Trace) and len(sim.trace) == length
         expected = reference_render_trace_csv(sim.trace)
-        assert render_trace_csv(sim.trace) == expected
-        assert render_trace_csv(list(sim.trace)) == expected
+        # Rendering reads the columns: it builds no record and calls no normalize.
+        with monkeypatch.context() as patched:
+            for name in ("_new_record", "normalize"):
+                patched.setattr(runner, name, forbidden(name))
+            assert render_trace_csv(sim.trace) == expected
         if length:
             # The chunk reader and the one-row path agree on every row and mean.
             assert list(sim.trace) == [sim.trace[i] for i in range(length)]

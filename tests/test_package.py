@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -82,3 +84,20 @@ def test_the_package_version_is_the_project_version():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     versions = re.findall(r'^version = "([^"]*)"$', pyproject, flags=re.MULTILINE)
     assert versions == [mirrorsim.__version__]
+
+
+def test_the_package_imports_on_the_standard_library_alone():
+    # ``python -S`` skips site-packages, where pytest and hypothesis live; the
+    # package, its CLI and its wire module must import without them.
+    script = (
+        "import sys\n"
+        "import mirrorsim, mirrorsim.cli, mirrorsim.wire\n"
+        "top = {name.partition('.')[0] for name in sys.modules}\n"
+        "print(sorted(top - set(sys.stdlib_module_names)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "['__main__', 'mirrorsim']"
