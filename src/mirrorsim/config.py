@@ -25,6 +25,7 @@ from .network import (
     _int_text,
     _is_int,
     _is_number,
+    _pair_text,
     build_network,
     topology_ranges_from_pct,
 )
@@ -115,7 +116,7 @@ class SimulationProperties:
             if not (_is_int(start) and _is_int(end)):
                 raise ValueError(
                     f"disturbance_window must be a pair of integers,"
-                    f" got {self.disturbance_window!r}"
+                    f" got {_pair_text(self.disturbance_window)}"
                 )
             if not (0 <= start <= end < self.timesteps):
                 raise ValueError(

@@ -15,12 +15,15 @@ from random import Random
 from typing import Optional
 
 from .config import SatisfactionThresholds
-from .network import MirrorNetwork, Topology, _MST, _RT
-from .runner import NormalizedMetrics, column_means, normalize
+from .network import MirrorNetwork, Monitorables, Topology, _MST, _RT
+from .runner import window_mean_pct
+from .runner import normalize  # noqa: F401 -- unused; perfbench's tracer patches managers.normalize
 
 WINDOW_LENGTH = 5
 COOLDOWN = 3
 SWITCH_PROBABILITY = 0.1
+# Monitorables field positions: the columns the threshold rules fold.
+_LINKS, _BANDWIDTH, _WRITE_TIME = 0, 1, 2
 
 MANAGER_NAMES = ("null", "random", "threshold")
 
@@ -78,23 +81,25 @@ class RandomManager:
 
 
 class ThresholdRuleManager:
-    """Rule-based MAPE-K loop over a sliding window of normalized monitorables.
+    """Rule-based MAPE-K loop over a sliding window of probed monitorables.
 
     The loop's knowledge is two attributes: ``window``, the last
-    ``WINDOW_LENGTH`` normalized observations, and ``last_adaptation_timestep``,
-    the tick of the last switch (None before the first). Analyze compares
-    window means against the thresholds. Plan follows the topology trade-off:
-    a reliability violation under MST switches to RT (reliability outranks the
-    other objectives); a cost or performance violation under RT switches to
-    MST. A cooldown suppresses switches for ``COOLDOWN`` timesteps after each
-    one. Under scenarios where both topologies violate some objective this
-    manager oscillates by design.
+    ``WINDOW_LENGTH`` probed ``Monitorables`` (the probe's own objects, oldest
+    first), and ``last_adaptation_timestep``, the tick of the last switch (None
+    before the first). Analyze compares window means, as percentages of the
+    network's normalization bases, against the thresholds, and folds only the
+    columns the current topology's rules read. Plan follows the topology
+    trade-off: a reliability violation under MST switches to RT (reliability
+    outranks the other objectives); a cost or performance violation under RT
+    switches to MST. A cooldown suppresses switches for ``COOLDOWN`` timesteps
+    after each one. Under scenarios where both topologies violate some
+    objective this manager oscillates by design.
     """
 
     def __init__(self, network: MirrorNetwork, thresholds: SatisfactionThresholds) -> None:
         self.network = network
         self.thresholds = thresholds
-        self.window: deque[NormalizedMetrics] = deque(maxlen=WINDOW_LENGTH)
+        self.window: deque[Monitorables] = deque(maxlen=WINDOW_LENGTH)
         self.last_adaptation_timestep: Optional[int] = None
         self._tick = 0  # one decide() per timestep, so ticks count timesteps
 
@@ -105,7 +110,7 @@ class ThresholdRuleManager:
 
         monitorables = probe.get_monitorables()
         if monitorables is not None:
-            window.append(normalize(monitorables, self.network))
+            window.append(monitorables)
         if not window:
             return _NO_OBSERVATIONS
 
@@ -113,17 +118,21 @@ class ThresholdRuleManager:
         if last_switch is not None and tick - last_switch <= COOLDOWN:
             return _COOLDOWN
 
-        means = column_means(window)
         current = probe.get_current_topology()
+        network = self.network
         thresholds = self.thresholds
-        if means.active_links_pct < thresholds.min_active_links_pct and current is _MST:
-            self.last_adaptation_timestep = tick
-            return _SWITCH_FOR_RELIABILITY
-        if current is _RT:
-            if means.bandwidth_pct > thresholds.max_bandwidth_pct:
+        if current is _MST:
+            links_pct = window_mean_pct(window, _LINKS, network.total_links)
+            if links_pct < thresholds.min_active_links_pct:
+                self.last_adaptation_timestep = tick
+                return _SWITCH_FOR_RELIABILITY
+        elif current is _RT:
+            bandwidth_pct = window_mean_pct(window, _BANDWIDTH, network.bandwidth_basis)
+            if bandwidth_pct > thresholds.max_bandwidth_pct:
                 self.last_adaptation_timestep = tick
                 return _SWITCH_FOR_COST
-            if means.write_time_pct > thresholds.max_write_time_pct:
+            write_time_pct = window_mean_pct(window, _WRITE_TIME, network.write_time_basis)
+            if write_time_pct > thresholds.max_write_time_pct:
                 self.last_adaptation_timestep = tick
                 return _SWITCH_FOR_PERFORMANCE
         return _WITHIN_THRESHOLDS

@@ -85,10 +85,20 @@ def _int_text(value: object) -> str:
         return f"{sign} integer of {digits} digits"
 
 
+def _pair_text(pair: object) -> str:
+    """``repr(pair)`` with each element of a tuple or list pair printed by
+    ``_int_text`` inside the container's own brackets."""
+    if type(pair) is tuple:
+        return f"({_int_text(pair[0])}, {_int_text(pair[1])})"
+    if type(pair) is list:
+        return f"[{_int_text(pair[0])}, {_int_text(pair[1])}]"
+    return _int_text(pair)
+
+
 def check_positive_range(name: str, bounds: tuple[float, float]) -> None:
     lower, upper = bounds
     if not (_is_number(lower) and _is_number(upper)):
-        raise ValueError(f"{name} bounds must be numbers, got {bounds!r}")
+        raise ValueError(f"{name} bounds must be numbers, got {_pair_text(bounds)}")
     # The step path trusts these bounds, so NaN, infinity and ints past the
     # float range stop here (an int compares with a float exactly; NaN fails).
     if not (abs(lower) <= _FLOAT_MAX and abs(upper) <= _FLOAT_MAX):
@@ -170,7 +180,9 @@ class TopologyRanges:
             ("rt_active_links_range", "rt_links_draw", self.rt_active_links_range),
         ):
             if not (_is_int(lower) and _is_int(upper)):
-                raise ValueError(f"{name} must be a pair of integers, got {(lower, upper)!r}")
+                raise ValueError(
+                    f"{name} must be a pair of integers, got {_pair_text((lower, upper))}"
+                )
             if lower < 1:
                 raise ValueError(f"{name} lower bound must be >= 1, got {_int_text(lower)}")
             if lower > upper:

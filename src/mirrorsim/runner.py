@@ -83,6 +83,19 @@ def normalize(monitorables: Monitorables, network: MirrorNetwork) -> NormalizedM
     ))
 
 
+def window_mean_pct(rows: Sequence[Sequence[float]], index: int, basis: float) -> float:
+    """The mean of column ``index`` of ``rows`` as a percentage of ``basis``.
+
+    Each term is ``normalize``'s expression and the fold is ``column_means``'
+    (left to right from 0.0), so the mean has the bits of the matching
+    ``column_means`` field over the normalized rows.
+    """
+    total = 0.0
+    for row in rows:
+        total += 100.0 * row[index] / basis
+    return total / len(rows)
+
+
 class TraceRecord(NamedTuple):
     """One timestep's trace row: the topology in effect, the disturbed
     monitorables, their normalized percentages and the topology switch if one

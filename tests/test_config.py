@@ -367,6 +367,22 @@ def test_an_integer_too_long_for_text_is_named_by_its_digit_count(build, names):
     assert "an integer of 5001 digits" in str(refused.value)
 
 
+@pytest.mark.parametrize(("build", "message"), [
+    (lambda: build_network(25, bandwidth_per_link_range=(HUGE, "1")),
+     "bandwidth_per_link_range bounds must be numbers, got (an integer of 5001 digits, '1')"),
+    (lambda: TopologyRanges((HUGE, 1.5), (1, 1)),
+     "mst_active_links_range must be a pair of integers, got (an integer of 5001 digits, 1.5)"),
+    (lambda: SimulationProperties(disturbance_window=[HUGE, 1.5]),
+     "disturbance_window must be a pair of integers, got [an integer of 5001 digits, 1.5]"),
+], ids=["unit_range", "link_ranges", "window"])
+def test_a_pair_of_the_wrong_type_prints_a_long_integer_by_its_digit_count(build, message):
+    # The pair keeps its own brackets; an element too long for text is
+    # printed by its digit count, as a lone value is.
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize(
     "mapping",
     [

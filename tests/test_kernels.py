@@ -4,13 +4,15 @@ The references below are the plain versions of the per-step kernels: the
 topology's range picked by a conditional expression, bounds
 splatted into ``rng.uniform(*...)``, each derived metric as
 ``network.alpha * links * unit``, the link clamp as ``min``/``max`` and the
-normalization bases recomputed per call, and the trace CSV formatted one
-row at a time. The
-library's kernels must return equal values and leave the random stream in
-the same state; the CSV renderer must write the same bytes. The contract tests pin what the step path relies on: the
-records are immutable, ``Monitorables`` is checked on every public
-construction, and the step kernels, which build theirs unchecked, only ever
-build values that pass that check.
+normalization bases recomputed per call, the trace CSV formatted one row
+at a time, and the threshold manager's tick normalizing every observation
+and folding all three window columns. The library's kernels must return
+equal values and leave the random stream in the same state; the CSV
+renderer must write the same bytes, and the manager must return the same
+decisions from the same probe calls. The contract tests pin what the step
+path relies on: the records are immutable, ``Monitorables`` is checked on
+every public construction, and the step kernels, which build theirs
+unchecked, only ever build values that pass that check.
 """
 
 from __future__ import annotations
@@ -18,17 +20,19 @@ from __future__ import annotations
 import dataclasses
 import math
 import pickle
+from collections import deque
 from copy import deepcopy
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorsim import runner
-from mirrorsim.config import config_from_mapping
+from mirrorsim import managers, runner
+from mirrorsim.config import THRESHOLD_FIELDS, config_from_mapping
 from mirrorsim.management import EffectorError
-from mirrorsim.managers import create_manager
+from mirrorsim.managers import COOLDOWN, WINDOW_LENGTH, create_manager
 from mirrorsim.network import (
     Monitorables,
     Topology,
@@ -42,10 +46,12 @@ from mirrorsim.runner import (
     Trace,
     TraceRecord,
     build_simulation,
+    column_means,
     evaluate_satisfaction,
     normalize,
     render_trace_csv,
     run,
+    window_mean_pct,
 )
 from mirrorsim.scenarios import FACTOR_NAMES, EffectSet, ScenarioId, apply_disturbance
 from mirrorsim.wire import _encode, _monitorables_line, _step_line
@@ -92,6 +98,43 @@ def reference_normalize(monitorables, network):
         * monitorables.time_to_write
         / (network.total_links * network.unit_write_time_range[1]),
     )
+
+
+def reference_knowledge(network, thresholds):
+    """The threshold manager's knowledge for ``reference_decide``."""
+    return SimpleNamespace(
+        network=network, thresholds=thresholds, window=deque(maxlen=WINDOW_LENGTH),
+        last_adaptation_timestep=None, tick=0,
+    )
+
+
+def reference_decide(knowledge, probe):
+    """The threshold manager's tick over a window of normalized observations,
+    with all three column means folded before any rule reads one."""
+    tick = knowledge.tick
+    knowledge.tick += 1
+    monitorables = probe.get_monitorables()
+    if monitorables is not None:
+        knowledge.window.append(normalize(monitorables, knowledge.network))
+    if not knowledge.window:
+        return managers._NO_OBSERVATIONS
+    last_switch = knowledge.last_adaptation_timestep
+    if last_switch is not None and tick - last_switch <= COOLDOWN:
+        return managers._COOLDOWN
+    means = column_means(knowledge.window)
+    current = probe.get_current_topology()
+    thresholds = knowledge.thresholds
+    if means.active_links_pct < thresholds.min_active_links_pct and current is Topology.MST:
+        knowledge.last_adaptation_timestep = tick
+        return managers._SWITCH_FOR_RELIABILITY
+    if current is Topology.RT:
+        if means.bandwidth_pct > thresholds.max_bandwidth_pct:
+            knowledge.last_adaptation_timestep = tick
+            return managers._SWITCH_FOR_COST
+        if means.write_time_pct > thresholds.max_write_time_pct:
+            knowledge.last_adaptation_timestep = tick
+            return managers._SWITCH_FOR_PERFORMANCE
+    return managers._WITHIN_THRESHOLDS
 
 
 def reference_render_trace_csv(trace):
@@ -226,14 +269,76 @@ def test_each_threshold_observation_is_the_observed_row_percentages():
         if observed is None:
             assert not window
         else:
-            # One observation gained: the percentages of the row just stepped.
+            # One observation gained: the probed monitorables of the row just stepped.
             assert list(window)[:-1] == before[-len(window) + 1:]
-            assert type(window[-1]) is NormalizedMetrics
-            assert window[-1] == observed[5:8]
+            assert window[-1] is sim.probe.get_monitorables()
+            assert window[-1] == observed[2:5]
         if decision.switch_to is not None:
             sim.effector.set_current_topology(decision.switch_to)
         sim.step()
     assert len(sim.command_log) > 0
+
+
+class RecordingProbe:
+    """Forwards to a probe and logs the name of each call."""
+
+    def __init__(self, probe):
+        self._probe = probe
+        self.calls = []
+
+    def get_monitorables(self):
+        self.calls.append("get_monitorables")
+        return self._probe.get_monitorables()
+
+    def get_current_topology(self):
+        self.calls.append("get_current_topology")
+        return self._probe.get_current_topology()
+
+
+@st.composite
+def threshold_runs(draw, scenario):
+    """A config mapping for ``scenario`` with drawn thresholds and disturbances."""
+    sides = st.dictionaries(st.sampled_from(FACTOR_NAMES), bounds(0.05, 4.0), max_size=3)
+    percentage = st.floats(min_value=0.0, max_value=100.0, exclude_min=True)
+    return {
+        "scenario": scenario.value,
+        "seed": draw(seeds),
+        "timesteps": draw(st.integers(min_value=1, max_value=60)),
+        "thresholds": {key: draw(percentage) for key in THRESHOLD_FIELDS},
+        "disturbances": draw(st.dictionaries(
+            st.sampled_from([s.value for s in ScenarioId]),
+            st.dictionaries(st.sampled_from(["mst", "rt"]), sides, max_size=2),
+            max_size=3,
+        )),
+    }
+
+
+@pytest.mark.parametrize("scenario", list(ScenarioId), ids=lambda s: s.value)
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_threshold_decisions_match_the_reference_analysis(scenario, data):
+    # The manager folds only the columns its rules read, straight from the
+    # probed rows; every tick must return the decision object the reference
+    # returns and make the same probe calls in the same order. Each window
+    # mean must have the bits of the reference's mean over normalized rows.
+    config = config_from_mapping(data.draw(threshold_runs(scenario)))
+    network, thresholds = config.network, config.properties.thresholds
+    bases = (network.total_links, network.bandwidth_basis, network.write_time_basis)
+    manager = create_manager("threshold", network=network, thresholds=thresholds, seed=0)
+    knowledge = reference_knowledge(network, thresholds)
+    sim = build_simulation(config)
+    while not sim.finished:
+        probe, reference_probe = RecordingProbe(sim.probe), RecordingProbe(sim.probe)
+        decision = manager.decide(probe)
+        assert decision is reference_decide(knowledge, reference_probe)
+        assert probe.calls == reference_probe.calls
+        if manager.window:
+            means = [window_mean_pct(manager.window, index, basis)
+                     for index, basis in enumerate(bases)]
+            assert means == list(column_means(knowledge.window))
+        if decision.switch_to is not None:
+            sim.effector.set_current_topology(decision.switch_to)
+        sim.step()
 
 
 def test_normalization_bases_are_not_fields():

@@ -171,9 +171,7 @@ def test_knowledge_base_window_caps():
         assert manager.decide(probe).rationale == "within thresholds"
     assert len(manager.window) == WINDOW_LENGTH
     # The window holds the newest observations, oldest first.
-    assert [metrics.active_links_pct for metrics in manager.window] == [
-        100.0 * links / NETWORK.total_links for links in range(152, 157)
-    ]
+    assert [m.active_links for m in manager.window] == list(range(152, 157))
 
 
 def test_create_manager_registry():
