@@ -83,7 +83,7 @@ class SatisfactionThresholds:
         for name in THRESHOLD_FIELDS.values():
             value = getattr(self, name)
             if not _is_number(value):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+                raise ValueError(f"{name} must be a number, got {_int_text(value)}")
             if not 0 < value <= 100:
                 raise ValueError(f"{name} must be in (0, 100], got {_int_text(value)}")
 
@@ -104,9 +104,9 @@ class SimulationProperties:
         for name in ("timesteps", "seed"):
             value = getattr(self, name)
             if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ValueError(f"{name} must be an integer, got {_int_text(value)}")
         if not isinstance(self.scenario, ScenarioId):
-            raise ValueError(f"scenario must be a ScenarioId, got {self.scenario!r}")
+            raise ValueError(f"scenario must be a ScenarioId, got {_int_text(self.scenario)}")
         if self.timesteps < 1:
             raise ValueError(f"timesteps must be >= 1, got {_int_text(self.timesteps)}")
         if not 0 <= self.seed <= MAX_SEED:
@@ -238,13 +238,13 @@ class ExperimentConfig:
 
 def _as_int(value: object, path: str) -> int:
     if not _is_int(value):
-        raise ConfigSchemaError(path, f"expected an integer, got {value!r}")
+        raise ConfigSchemaError(path, f"expected an integer, got {_int_text(value)}")
     return value
 
 
 def _as_number(value: object, path: str) -> float:
     if not _is_number(value):
-        raise ConfigSchemaError(path, f"expected a number, got {value!r}")
+        raise ConfigSchemaError(path, f"expected a number, got {_int_text(value)}")
     try:
         return float(value)
     except OverflowError:  # an integer past the float range
@@ -255,7 +255,7 @@ def _as_number(value: object, path: str) -> float:
 
 def _as_pair(value: object, path: str, parse_item=_as_number, shape="[lower, upper]") -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigSchemaError(path, f"expected a {shape} pair, got {value!r}")
+        raise ConfigSchemaError(path, f"expected a {shape} pair, got {_int_text(value)}")
     return (parse_item(value[0], f"{path}[0]"), parse_item(value[1], f"{path}[1]"))
 
 
@@ -265,7 +265,7 @@ def _as_window(value: object, path: str) -> Optional[tuple[int, int]]:
 
 def _as_object(value: object, path: str) -> dict:
     if not isinstance(value, dict):
-        raise ConfigSchemaError(path, f"expected an object, got {value!r}")
+        raise ConfigSchemaError(path, f"expected an object, got {_int_text(value)}")
     return value
 
 
@@ -341,7 +341,7 @@ def default_config_mapping() -> dict:
 def config_from_mapping(raw: Mapping) -> ExperimentConfig:
     """Validate a parsed configuration mapping and build the domain objects."""
     if not isinstance(raw, Mapping):
-        raise ConfigSchemaError("$", f"expected a JSON object, got {raw!r}")
+        raise ConfigSchemaError("$", f"expected a JSON object, got {_int_text(raw)}")
     unknown = set(raw) - set(SCHEMA)
     if unknown:
         raise ConfigSchemaError(sorted(unknown)[0], "unknown configuration key")

@@ -123,7 +123,7 @@ class Effector:
         sim = self._sim
         target = _parse_topology(topology)
         if not _is_int(timestep):
-            raise EffectorError(f"timestep must be an integer, got {timestep!r}")
+            raise EffectorError(f"timestep must be an integer, got {_int_text(timestep)}")
         if timestep < sim.timestep:
             raise EffectorError(
                 f"cannot target past timestep {_int_text(timestep)}"
@@ -165,7 +165,7 @@ class Effector:
         if sim.timestep >= sim.timesteps:
             raise EffectorError(_RUN_FINISHED)
         if not _is_int(active_links):
-            raise EffectorError(f"active_links must be an integer, got {active_links!r}")
+            raise EffectorError(f"active_links must be an integer, got {_int_text(active_links)}")
         if active_links < 0:
             raise EffectorError("active_links must be >= 0")
         total_links = sim.network.total_links
@@ -191,7 +191,7 @@ class Effector:
         if sim.timestep >= sim.timesteps:
             raise EffectorError(_RUN_FINISHED)
         if not _is_number(value):
-            raise EffectorError(f"{name} must be a number, got {value!r}")
+            raise EffectorError(f"{name} must be a number, got {_int_text(value)}")
         try:
             value = float(value)
         except OverflowError:

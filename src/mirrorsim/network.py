@@ -45,18 +45,23 @@ class Topology(enum.Enum):
 
     @classmethod
     def parse(cls, name: object) -> "Topology":
+        """The member itself, or the member whose value is ``name``'s text
+        stripped and lower-cased, found in a dict of the members by value,
+        which costs a fraction of ``Enum.__call__``."""
         if isinstance(name, cls):
             return name
+        # ValueError: str() of an int past the digit limit, or of a value holding one.
         try:
-            return cls(str(name).strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown topology name: {name!r}") from None
+            return _TOPOLOGY_OF_NAME[str(name).strip().lower()]
+        except (KeyError, ValueError):
+            raise ValueError(f"unknown topology name: {_int_text(name)}") from None
 
 
 # The members as module constants for the per-step paths: on CPython 3.10 and
 # 3.11 a member read through its class costs several times a global read.
 _MST = Topology.MST
 _RT = Topology.RT
+_TOPOLOGY_OF_NAME = {member.value: member for member in Topology}
 
 
 def _is_int(value: object) -> bool:
@@ -71,12 +76,14 @@ def _is_number(value: object) -> bool:
 
 def _int_text(value: object) -> str:
     """The one rule for printing a value in a boundary message: ``repr(value)``
-    (``str(value)`` for an ``int`` or a ``float``), or an int's digit count
-    past the interpreter's limit on integer-to-text conversion, where
-    ``repr`` raises ValueError."""
+    (``str(value)`` for an ``int`` or a ``float``), or, where ``repr`` raises
+    ValueError past the interpreter's limit on integer-to-text conversion, an
+    int's digit count or any other value's type name."""
     try:
         return repr(value)
     except ValueError:
+        if not isinstance(value, int):  # a container holding such an int
+            return f"a {type(value).__name__} too long to print"
         magnitude = abs(value)
         digits = int(magnitude.bit_length() * math.log10(2))  # the count or one short
         if magnitude >= 10**digits:
@@ -131,7 +138,7 @@ class MirrorNetwork:
 
     def __post_init__(self) -> None:
         if not _is_int(self.num_mirrors):
-            raise ValueError(f"num_mirrors must be an integer, got {self.num_mirrors!r}")
+            raise ValueError(f"num_mirrors must be an integer, got {_int_text(self.num_mirrors)}")
         if self.num_mirrors < 2:
             raise ValueError(f"need at least 2 mirrors, got {_int_text(self.num_mirrors)}")
         total_links = self.num_mirrors * (self.num_mirrors - 1) // 2
@@ -142,7 +149,7 @@ class MirrorNetwork:
                 f" link column holds ({MAX_TOTAL_LINKS})"
             )
         if not _is_number(self.alpha):
-            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
+            raise ValueError(f"alpha must be a number, got {_int_text(self.alpha)}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {_int_text(self.alpha)}")
         check_positive_range("bandwidth_per_link_range", self.bandwidth_per_link_range)

@@ -13,6 +13,12 @@ templates with the same bytes; every other message goes through the generic
 strict encoder. A message that would hold a NaN or an infinity is not sent:
 ``non_finite_value`` takes its place and ends the session.
 
+A session serves each request through one table from request kind to handler,
+built when the session is: the probe and effector methods of its own
+simulation are bound into it once, so a request costs one lookup past the
+checks every request gets. The ``step_complete`` record is built from the
+values the step itself drew, not read back from the trace.
+
 :class:`WireSession` serves a session; :func:`run_remote` is the client.
 """
 
@@ -28,6 +34,7 @@ from itertools import count
 from types import SimpleNamespace
 from typing import Callable, Optional
 
+from . import runner
 from .config import THRESHOLD_FIELDS, ExperimentConfig
 from .management import CommandKind, Effector, EffectorError, ProbeError
 from .network import Monitorables, Topology, _is_int, _is_number
@@ -36,7 +43,6 @@ from .runner import (
     RunResult,
     SatisfactionSummary,
     Simulation,
-    TraceRecord,
     _drive,
     build_simulation,
     evaluate_satisfaction,
@@ -50,7 +56,8 @@ DECODE_ERRORS = "surrogateescape"
 # The generic strict encoder of outgoing messages: the bytes of json.dumps for
 # finite values, and a ValueError instead of a bare NaN or Infinity token.
 _encode = json.JSONEncoder(allow_nan=False).encode
-_raw_decode = json.JSONDecoder().raw_decode
+# The decoder's scanner, which raw_decode wraps in a Python frame.
+_scan_once = json.JSONDecoder().scan_once
 
 # Probe request kind -> (reply kind, encoder); the reply carries the encoded
 # probe result under a key named like the reply kind. The monitorables reply
@@ -97,8 +104,9 @@ _ACK = {
 _TOPOLOGY_JSON = {None: "null", **{topology: _encode(topology.value) for topology in Topology}}
 
 
-def _step_line(seq: int, request_seq: int, record: TraceRecord) -> Optional[str]:
-    """The ``step_complete`` line for ``record``, or None when one of its floats
+def _step_line(seq: int, request_seq: int, record: tuple) -> Optional[str]:
+    """The ``step_complete`` line for ``record``, a :class:`TraceRecord` or any
+    tuple of its nine fields in order, or None when one of its floats
     is a NaN or an infinity: ``x * 0.0`` is a zero for every finite ``x``, so
     their sum is one too and cannot overflow."""
     (timestep, topology, active_links, bandwidth, write_time,
@@ -128,17 +136,25 @@ def _monitorables_line(
 
 def _loads(line: str):
     """``json.loads(line)`` for a line with no surrounding whitespace: one
-    ``raw_decode`` when it takes the whole line, else ``json.loads`` itself,
-    so a line that fails raises exactly what ``json.loads`` raises."""
+    scan when it takes the whole line, else ``json.loads`` itself, so a line
+    that fails raises exactly what ``json.loads`` raises."""
     try:
-        message, end = _raw_decode(line)
-    except (ValueError, RecursionError):
+        message, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):  # StopIteration: no value at 0
         end = None
     return message if end == len(line) else json.loads(line)
 
 
 class WireSession:
-    """One client session over text streams (one JSON message per line)."""
+    """One client session over text streams (one JSON message per line).
+
+    ``_handlers`` maps each request kind to its handler, called as
+    ``handler(seq, message)``. It is built once per session: the probe and
+    effector methods of this session's own ``sim.probe`` and ``sim.effector``
+    are bound into it, each effector with its field names and ``ack``
+    template, so answers still go through :class:`Probe` and
+    :class:`Effector`.
+    """
 
     def __init__(self, config: ExperimentConfig, rfile, wfile) -> None:
         self.config = config
@@ -148,6 +164,19 @@ class WireSession:
         self._next_seq = 0
         self._last_client_seq: Optional[int] = None
         self._summary: Optional[SatisfactionSummary] = None  # set by the final step
+        probe, effector = self.sim.probe, self.sim.effector
+        self._handlers: dict[str, Callable[[int, dict], bool]] = {
+            "step": self._handle_step,
+            **{
+                kind: partial(self._handle_probe, getattr(probe, kind), reply_kind, encode)
+                for kind, (reply_kind, encode) in PROBE_REPLIES.items() if encode is not None
+            },
+            "get_monitorables": partial(self._handle_monitorables, probe.get_monitorables),
+            **{
+                kind: partial(self._handle_effector, getattr(effector, kind), names, _ACK[kind])
+                for kind, names in EFFECTOR_FIELDS.items()
+            },
+        }
 
     def run(self) -> RunResult:
         open_ = self._send(
@@ -199,58 +228,69 @@ class WireSession:
         self._last_client_seq = seq
 
         kind = message.get("kind")
-        if not isinstance(kind, str):
+        if not isinstance(kind, str):  # before the lookup: a list or object is unhashable
             self._send_error(seq, "malformed_message", "missing string 'kind'")
             return False
+        handler = self._handlers.get(kind)
+        if handler is None:
+            self._send_error(seq, "unknown_kind", f"unknown message kind: {kind!r}")
+            return False
+        return handler(seq, message)
 
-        if kind == "step":
-            return self._handle_step(seq)
-        if kind in PROBE_REPLIES:
-            return self._handle_probe(seq, kind)
-        if kind in EFFECTOR_FIELDS:
-            return self._handle_effector(seq, kind, message)
-        self._send_error(seq, "unknown_kind", f"unknown message kind: {kind!r}")
-        return False
-
-    def _handle_step(self, seq: int) -> bool:
-        self.sim.step()
-        line = _step_line(self._next_seq, seq, self.sim.trace[-1])
+    def _handle_step(self, seq: int, message: dict) -> bool:
+        """Step, and reply with the row the step drew, built as ``Trace``
+        builds it: a switch landed exactly when the topology changed."""
+        sim = self.sim
+        before = sim.current_topology
+        sim.step()
+        topology = sim.current_topology
+        drawn = sim.latest_monitorables
+        line = _step_line(self._next_seq, seq, (
+            sim.timestep - 1, topology, *drawn, *runner.normalize(drawn, sim.network),
+            None if topology is before else topology,
+        ))
         if line is None:
             return self._refuse_non_finite(seq, "step_complete")
         self._write(line)
-        if not self.sim.finished:
+        if sim.timestep < sim.timesteps:
             return True
-        summary = evaluate_satisfaction(self.sim.trace, self.config.properties.thresholds)
+        summary = evaluate_satisfaction(sim.trace, self.config.properties.thresholds)
         if self._send({"kind": "run_complete", "summary": summary.as_dict()}):
             self._summary = summary
         return False  # the session ends with the run
 
-    def _handle_probe(self, seq: int, kind: str) -> bool:
+    def _handle_probe(
+        self, probe: Callable, reply_kind: str, encode: Callable, seq: int, message: dict
+    ) -> bool:
         try:
-            value = getattr(self.sim.probe, kind)()
+            value = probe()
         except ProbeError as exc:
             self._send_error(seq, "not_observable", str(exc))  # session continues
             return True
-        if kind == "get_monitorables":
-            line = _monitorables_line(self._next_seq, seq, value)
-            if line is None:
-                return self._refuse_non_finite(seq, "monitorables")
-            return self._write(line)
-        reply_kind, encode = PROBE_REPLIES[kind]
         return self._send({"re": seq, "kind": reply_kind, reply_kind: encode(value)})
 
-    def _handle_effector(self, seq: int, kind: str, message: dict) -> bool:
+    def _handle_monitorables(self, get_monitorables: Callable, seq: int, message: dict) -> bool:
+        """The template reply; ``get_monitorables`` answers None before the
+        first step rather than raising ProbeError."""
+        line = _monitorables_line(self._next_seq, seq, get_monitorables())
+        if line is None:
+            return self._refuse_non_finite(seq, "monitorables")
+        return self._write(line)
+
+    def _handle_effector(
+        self, effector: Callable, names: tuple, ack: str, seq: int, message: dict
+    ) -> bool:
         try:
-            args = [message[name] for name in EFFECTOR_FIELDS[kind]]
+            args = [message[name] for name in names]
         except KeyError as exc:
             self._send_error(seq, "malformed_message", f"missing field {exc.args[0]!r}")
             return False
         try:
-            getattr(self.sim.effector, kind)(*args)
+            effector(*args)
         except EffectorError as exc:
             self._send_error(seq, "invalid_value", str(exc))  # session continues
             return True
-        return self._write(_ACK[kind] % (self._next_seq, seq))
+        return self._write(ack % (self._next_seq, seq))
 
     def _config_summary(self) -> dict:
         network = self.config.network

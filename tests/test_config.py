@@ -19,6 +19,7 @@ from mirrorsim.config import (
     default_config_mapping,
     load_config,
 )
+from mirrorsim.management import EffectorError
 from mirrorsim.network import Topology, TopologyRanges, build_network, topology_ranges_from_pct
 from mirrorsim.runner import build_simulation
 from mirrorsim.scenarios import DisturbanceProfile, EffectSet, ScenarioId, scenario_profile
@@ -380,6 +381,54 @@ def test_a_pair_of_the_wrong_type_prints_a_long_integer_by_its_digit_count(build
     # printed by its digit count, as a lone value is.
     with pytest.raises(ValueError) as refused:
         build()
+    assert str(refused.value) == message
+
+
+def _effector():
+    return build_simulation(default_config()).effector
+
+
+@pytest.mark.parametrize(("build", "error", "message"), [
+    (lambda: build_network(25, bandwidth_per_link_range=([HUGE], 1)), ValueError,
+     "bandwidth_per_link_range bounds must be numbers, got (a list too long to print, 1)"),
+    (lambda: SatisfactionThresholds(max_bandwidth_pct=[HUGE]), ValueError,
+     "max_bandwidth_pct must be a number, got a list too long to print"),
+    (lambda: SimulationProperties(timesteps=[HUGE]), ValueError,
+     "timesteps must be an integer, got a list too long to print"),
+    (lambda: _effector().set_active_links([HUGE]), EffectorError,
+     "active_links must be an integer, got a list too long to print"),
+    (lambda: _effector().set_time_to_write([HUGE]), EffectorError,
+     "time_to_write must be a number, got a list too long to print"),
+    (lambda: _effector().set_network_topology([HUGE], "mst"), EffectorError,
+     "timestep must be an integer, got a list too long to print"),
+    (lambda: build_network({HUGE}), ValueError,
+     "num_mirrors must be an integer, got a set too long to print"),
+    (lambda: build_network(25, alpha=(HUGE,)), ValueError,
+     "alpha must be a number, got a tuple too long to print"),
+    (lambda: SimulationProperties(scenario=[HUGE]), ValueError,
+     "scenario must be a ScenarioId, got a list too long to print"),
+    (lambda: _effector().set_current_topology([HUGE]), EffectorError,
+     "unknown topology name: a list too long to print"),
+    (lambda: config_from_mapping({"timesteps": [HUGE]}), ConfigSchemaError,
+     "timesteps: expected an integer, got a list too long to print"),
+    (lambda: config_from_mapping({"alpha": [HUGE]}), ConfigSchemaError,
+     "alpha: expected a number, got a list too long to print"),
+    (lambda: config_from_mapping({"unit_write_time_range": [HUGE]}), ConfigSchemaError,
+     "unit_write_time_range: expected a [lower, upper] pair, got a list too long to print"),
+    (lambda: config_from_mapping({"thresholds": [HUGE]}), ConfigSchemaError,
+     "thresholds: expected an object, got a list too long to print"),
+    (lambda: config_from_mapping([HUGE]), ConfigSchemaError,
+     "$: expected a JSON object, got a list too long to print"),
+], ids=["unit_range", "threshold", "timesteps", "active_links", "time_to_write",
+        "target_timestep", "mirrors", "alpha", "scenario", "topology", "schema_integer",
+        "schema_number", "schema_pair", "schema_object", "schema_mapping"])
+def test_a_value_holding_an_integer_too_long_for_text_is_named_by_its_type(build, error, message):
+    # repr() of a container holding such an integer raises the interpreter's
+    # ValueError, which names no field; each boundary prints the container's
+    # type instead, and refuses with its own error type.
+    with pytest.raises(error) as refused:
+        build()
+    assert type(refused.value) is error
     assert str(refused.value) == message
 
 

@@ -124,6 +124,28 @@ def test_topology_parse():
         Topology.parse("ring")
 
 
+def _parse_through_the_enum(name):
+    """``Topology.parse`` as it was written over ``Enum.__call__``."""
+    if isinstance(name, Topology):
+        return name
+    try:
+        return Topology(str(name).strip().lower())
+    except ValueError:
+        raise ValueError(f"unknown topology name: {name!r}") from None
+
+
+@pytest.mark.parametrize("name", [Topology.RT, "MST", " rt\n", "Rt", "", "x", 5, None])
+def test_topology_parse_answers_as_the_enum_lookup_did(name):
+    try:
+        expected = _parse_through_the_enum(name)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            Topology.parse(name)
+        assert str(refused.value) == str(exc)
+    else:
+        assert Topology.parse(name) is expected
+
+
 @pytest.mark.parametrize(
     "value,expected", [(0.5, 1), (1.5, 2), (2.4, 2), (2.5, 3), (2.6, 3), (2100.6, 2101)]
 )

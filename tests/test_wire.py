@@ -213,6 +213,59 @@ def test_a_served_run_and_an_in_process_run_give_one_result(make_config):
     assert result == run(NullManager(), config)
 
 
+def _effector_script_in_process(sim, timesteps: int) -> tuple[list[dict], list]:
+    """A client script of every effector kind, driven on ``sim`` in process:
+    the requests, and the in-process probe's monitorables before each step.
+
+    In each six-step cycle a ``set_network_topology`` for the next step and a
+    ``set_current_topology`` each switch the topology, and a second
+    ``set_current_topology`` names the topology already in effect.
+    """
+    requests, probed = [], []
+    for t in range(timesteps):
+        current = sim.current_topology
+        kind, fields = [
+            ("set_active_links", {"active_links": 100 + t}),
+            ("set_network_topology", {"timestep": t + 1, "topology": current.other().value}),
+            ("set_time_to_write", {"time_to_write": 1000.0 + t}),
+            ("set_current_topology", {"topology": current.other().value}),
+            ("set_bandwidth_consumption", {"bandwidth_consumption": 2000.0 + t}),
+            ("set_current_topology", {"topology": current.value}),
+        ][t % 6]
+        requests += [{"kind": "get_monitorables"}, {"kind": kind, **fields}, {"kind": "step"}]
+        probed.append(monitorables_payload(sim.probe.get_monitorables()))
+        getattr(sim.effector, kind)(*fields.values())
+        sim.step()
+    return requests, probed
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("scenario", [f"S{index}" for index in range(7)])
+def test_each_step_reply_is_the_row_the_trace_reads_back(make_config, scenario, seed):
+    # The step reply is built from the step's own draw; it must be the row
+    # the trace derives on read, through switches landed by either topology
+    # command and a command naming the topology already in effect.
+    timesteps = 24
+    config = make_config(scenario=scenario, seed=seed, timesteps=timesteps)
+    sim = mirrorsim.runner.build_simulation(config)
+    requests, probed = _effector_script_in_process(sim, timesteps)
+    assert [record.adaptation is not None for record in sim.trace] == [
+        t % 6 in (2, 3) for t in range(timesteps)
+    ]
+    text = "".join(
+        json.dumps({"seq": seq, **request}) + "\n" for seq, request in enumerate(requests, 1)
+    )
+    messages, result = _serve_lines(config, text)
+    assert result.completed and result.trace == sim.trace
+    replies = {kind: [message for message in messages if message["kind"] == kind]
+               for kind in ("step_complete", "monitorables", "ack")}
+    assert len(replies["ack"]) == timesteps
+    assert [reply["monitorables"] for reply in replies["monitorables"]] == probed
+    assert [reply["record"] for reply in replies["step_complete"]] == [
+        record_payload(result.trace[t]) for t in range(timesteps)
+    ]
+
+
 def test_hello_thresholds_use_the_config_file_keys(make_config):
     messages, result = _serve_lines(make_config(timesteps=1), "")
     thresholds = messages[0]["config"]["thresholds"]
@@ -356,6 +409,32 @@ def test_unknown_kind_terminates_session(make_config):
         reply = harness.request("reboot")
         assert reply["kind"] == "error" and reply["code"] == "unknown_kind"
         assert harness.recv_eof()
+
+
+@pytest.mark.parametrize("kind", ["[]", "{}", "null", "true", "1.5"])
+def test_a_kind_that_is_not_a_string_is_malformed(make_config, kind):
+    # A list or an object cannot key the handler table; no kind that is not a
+    # string reaches it.
+    text = f'{{"seq": 7, "kind": {kind}}}\n{{"seq": 8, "kind": "step"}}\n'
+    messages, result = _serve_lines(make_config(timesteps=3), text)
+    assert [message["kind"] for message in messages] == ["hello", "error"]
+    error = messages[1]
+    assert (error["code"], error["detail"], error["re"]) == (
+        "malformed_message", "missing string 'kind'", 7
+    )
+    assert len(result.trace) == 0
+
+
+@pytest.mark.parametrize("kind", ["run", "_handle_step", "__init__", "probe"])
+def test_a_name_of_the_session_or_the_simulation_is_an_unknown_kind(make_config, kind):
+    text = f'{{"seq": 4, "kind": {json.dumps(kind)}}}\n{{"seq": 5, "kind": "step"}}\n'
+    messages, result = _serve_lines(make_config(timesteps=3), text)
+    assert [message["kind"] for message in messages] == ["hello", "error"]
+    error = messages[1]
+    assert (error["code"], error["detail"], error["re"]) == (
+        "unknown_kind", f"unknown message kind: {kind!r}", 4
+    )
+    assert len(result.trace) == 0
 
 
 def test_missing_field_terminates_session(make_config):
