@@ -15,7 +15,7 @@ from random import Random
 from typing import Optional
 
 from .config import SatisfactionThresholds
-from .network import MirrorNetwork, Monitorables, Topology, _MST, _RT
+from .network import MirrorNetwork, Monitorables, Topology, _MST, _RT, _int_text
 from .runner import window_mean_pct
 from .runner import normalize  # noqa: F401 -- unused; perfbench's tracer patches managers.normalize
 
@@ -154,4 +154,4 @@ def create_manager(
         return RandomManager(Random(f"manager:{seed}"))
     if name == "threshold":
         return ThresholdRuleManager(network, thresholds)
-    raise ValueError(f"unknown manager name: {name!r} (expected one of {MANAGER_NAMES})")
+    raise ValueError(f"unknown manager name: {_int_text(name)} (expected one of {MANAGER_NAMES})")

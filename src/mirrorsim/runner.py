@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain
-from operator import eq, itemgetter
+from operator import eq
 from random import Random
 from typing import NamedTuple, Optional
 
@@ -47,25 +47,6 @@ class NormalizedMetrics(NamedTuple):
     write_time_pct: float
 
 
-def column_means(rows: Iterable[tuple[float, float, float]]) -> NormalizedMetrics:
-    """Per-column means, summed left to right from 0.0: the same bits on every
-    Python, unlike ``sum()``, which is compensated from CPython 3.12 on.
-
-    ``rows`` may be a lazy iterable, so a long trace is folded without a
-    second list of rows.
-    """
-    links = bandwidth = write_time = 0.0
-    count = 0
-    for links_pct, bandwidth_pct, write_time_pct in rows:
-        links += links_pct
-        bandwidth += bandwidth_pct
-        write_time += write_time_pct
-        count += 1
-    return tuple.__new__(
-        NormalizedMetrics, (links / count, bandwidth / count, write_time / count)
-    )
-
-
 def normalize(monitorables: Monitorables, network: MirrorNetwork) -> NormalizedMetrics:
     """Express the three monitorables as percentages of their per-step maxima.
 
@@ -86,9 +67,9 @@ def normalize(monitorables: Monitorables, network: MirrorNetwork) -> NormalizedM
 def window_mean_pct(rows: Sequence[Sequence[float]], index: int, basis: float) -> float:
     """The mean of column ``index`` of ``rows`` as a percentage of ``basis``.
 
-    Each term is ``normalize``'s expression and the fold is ``column_means``'
-    (left to right from 0.0), so the mean has the bits of the matching
-    ``column_means`` field over the normalized rows.
+    Each term is ``normalize``'s expression, summed left to right from 0.0
+    as the run summary's means are: the same bits on every Python, unlike
+    ``sum()``, which is compensated from CPython 3.12 on.
     """
     total = 0.0
     for row in rows:
@@ -119,7 +100,6 @@ class TraceRecord(NamedTuple):
 # The one definition of a trace row: the CSV header and rows, the wire's
 # ``record`` payload and the plot-data columns all follow this order.
 TRACE_FIELDS = TraceRecord._fields
-_NORMALIZED_COLUMNS = itemgetter(*map(TRACE_FIELDS.index, NormalizedMetrics._fields))
 
 # A row's topology and adaptation share one byte: bit 0 is the topology
 # (0 MST, 1 RT) and bit 1 is set when a switch landed, which is always a
@@ -232,21 +212,28 @@ class SatisfactionSummary:
         return asdict(self)
 
 
-def evaluate_satisfaction(
-    trace: Sequence[TraceRecord], thresholds: SatisfactionThresholds
-) -> SatisfactionSummary:
+def _mean_pct(column, basis: float) -> float:
+    """The mean of ``column`` as a percentage of ``basis``, each term
+    ``normalize``'s expression, summed left to right from 0.0."""
+    total = 0.0
+    for value in column:
+        total += 100.0 * value / basis
+    return total / len(column)
+
+
+def evaluate_satisfaction(trace: Trace, thresholds: SatisfactionThresholds) -> SatisfactionSummary:
     """Arithmetic means over the whole trace, compared inclusively.
 
-    A :class:`Trace` is folded from the ``*_pct`` columns of its chunks, with
-    no record built; any other sequence of records, record by record.
+    Each mean is folded straight from the trace's stored column, with no
+    record built.
     """
     if not trace:
         raise ValueError("cannot evaluate an empty trace")
-    if isinstance(trace, Trace):
-        rows = chain.from_iterable(zip(*chunk[-3:]) for chunk in trace._chunks())
-    else:
-        rows = map(_NORMALIZED_COLUMNS, trace)
-    mean_active_links, mean_bandwidth, mean_write_time = column_means(rows)
+    network = trace._network
+    _, links, bandwidth, write_time = trace._columns
+    mean_active_links = _mean_pct(links, network.total_links)
+    mean_bandwidth = _mean_pct(bandwidth, network.bandwidth_basis)
+    mean_write_time = _mean_pct(write_time, network.write_time_basis)
     return SatisfactionSummary(
         mean_bandwidth_pct=mean_bandwidth,
         mean_write_time_pct=mean_write_time,

@@ -17,6 +17,7 @@ from .network import (
     MirrorNetwork,
     Monitorables,
     Topology,
+    _int_text,
     check_positive_range,
     round_half_up,
 )
@@ -44,7 +45,7 @@ class ScenarioId(enum.Enum):
         try:
             return cls(str(name).strip().upper())
         except ValueError:
-            raise ValueError(f"unknown scenario id: {name!r}") from None
+            raise ValueError(f"unknown scenario id: {_int_text(name)}") from None
 
 
 @dataclass(frozen=True)

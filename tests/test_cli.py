@@ -61,6 +61,22 @@ def test_run_batch_over_scenarios_and_seeds(tmp_path):
     assert all(row[6] == "false" for row in s1_rows)  # mr_satisfied column
     s2_rows = [row.split(",") for row in rows if row.startswith("S2,")]
     assert all(row[7] == "false" for row in s2_rows)  # mc_satisfied column
+    # Each rollup row carries its run's summary: the means at six places and
+    # the verdicts as JSON bools.
+    runs = [dict(zip(ROLLUP_CSV_HEADER.split(","), row.split(","))) for row in rows]
+    assert [(cells["scenario"], cells["seed"]) for cells in runs] == [
+        (scenario, str(seed)) for scenario in ("S1", "S2") for seed in range(5)
+    ]
+    for cells in runs:
+        name = f"{cells['scenario']}_{cells['manager']}_seed{cells['seed']}_summary.json"
+        summary = json.loads((out / name).read_text())
+        assert cells == {
+            "scenario": cells["scenario"], "seed": cells["seed"], "manager": "null",
+            **{key: f"{summary[key]:.6f}" for key in (
+                "mean_active_links_pct", "mean_bandwidth_pct", "mean_write_time_pct")},
+            **{key: json.dumps(summary[key]) for key in (
+                "mr_satisfied", "mc_satisfied", "mp_satisfied")},
+        }
 
 
 def test_run_is_reproducible(tmp_path):

@@ -20,6 +20,7 @@ from mirrorsim.config import (
     load_config,
 )
 from mirrorsim.management import EffectorError
+from mirrorsim.managers import create_manager
 from mirrorsim.network import Topology, TopologyRanges, build_network, topology_ranges_from_pct
 from mirrorsim.runner import build_simulation
 from mirrorsim.scenarios import DisturbanceProfile, EffectSet, ScenarioId, scenario_profile
@@ -419,9 +420,18 @@ def _effector():
      "thresholds: expected an object, got a list too long to print"),
     (lambda: config_from_mapping([HUGE]), ConfigSchemaError,
      "$: expected a JSON object, got a list too long to print"),
+    (lambda: ScenarioId.parse([HUGE]), ValueError,
+     "unknown scenario id: a list too long to print"),
+    (lambda: ScenarioId.parse(HUGE), ValueError,
+     "unknown scenario id: an integer of 5001 digits"),
+    (lambda: create_manager([HUGE], network=build_network(25),
+                            thresholds=SatisfactionThresholds(), seed=0), ValueError,
+     "unknown manager name: a list too long to print"
+     " (expected one of ('null', 'random', 'threshold'))"),
 ], ids=["unit_range", "threshold", "timesteps", "active_links", "time_to_write",
         "target_timestep", "mirrors", "alpha", "scenario", "topology", "schema_integer",
-        "schema_number", "schema_pair", "schema_object", "schema_mapping"])
+        "schema_number", "schema_pair", "schema_object", "schema_mapping",
+        "scenario_id_list", "scenario_id_integer", "manager_name"])
 def test_a_value_holding_an_integer_too_long_for_text_is_named_by_its_type(build, error, message):
     # repr() of a container holding such an integer raises the interpreter's
     # ValueError, which names no field; each boundary prints the container's

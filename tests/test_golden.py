@@ -16,7 +16,9 @@ range, which the server must still send whole. One long
 threshold run pins both its trace and the bytes of its summary JSON: over
 10,000 steps the window means decide switches that sit exactly on a
 threshold, and the run means carry every last digit, so a change of
-summation order (as in ``sum()`` since CPython 3.12) changes a digest.
+summation order (as in ``sum()`` since CPython 3.12) changes a digest. One
+more digest pins the summary JSON of every in-process and windowed case, so
+each of their means and verdicts is pinned to the last digit as well.
 
 The module needs no pytest outside a pytest run. To recompute every digest
 and list each mismatch (exit status 1 if there is one), on any interpreter:
@@ -155,6 +157,8 @@ LONG_TRACE_GOLDEN = "8586796a0a3ac8c43c8169dedb54c86f21c12eb34922c24f18d5a0204f6
 
 LONG_SUMMARY_GOLDEN = "f4081fd6e8b6de5b43ce1728231d96afb2df6973ddc912957dd1267b58a10c51"
 
+SUMMARY_GOLDEN = "2525b484ef3bd51c37ebfacd7d7dca7fe9686928cda879fddb1729398ed60ed8"
+
 
 def _config(scenario: str, seed: int, **extra):
     return config_from_mapping({"scenario": scenario, "seed": seed, "timesteps": STEPS, **extra})
@@ -164,7 +168,10 @@ def _digest(trace) -> str:
     return hashlib.sha256(render_trace_csv(trace).encode("utf-8")).hexdigest()
 
 
-def in_process_digest(scenario: str, manager_name: str, seed: int, **extra) -> str:
+@functools.lru_cache(maxsize=None)
+def in_process_run(scenario: str, manager_name: str, seed: int, window=None):
+    """The run of one in-process case, disturbed only inside ``window`` if given."""
+    extra = {} if window is None else {"disturbance_window": list(window)}
     config = _config(scenario, seed, **extra)
     manager = create_manager(
         manager_name,
@@ -172,12 +179,31 @@ def in_process_digest(scenario: str, manager_name: str, seed: int, **extra) -> s
         thresholds=config.properties.thresholds,
         seed=seed,
     )
-    return _digest(run(manager, config).trace)
+    return run(manager, config)
+
+
+def in_process_digest(scenario: str, manager_name: str, seed: int) -> str:
+    return _digest(in_process_run(scenario, manager_name, seed).trace)
+
+
+def window_run(scenario: str):
+    """The threshold run disturbed only inside ``WINDOW``."""
+    return in_process_run(scenario, "threshold", WINDOW_SEED, WINDOW)
 
 
 def window_digest(scenario: str) -> str:
-    """Digest of a threshold run disturbed only inside ``WINDOW``."""
-    return in_process_digest(scenario, "threshold", WINDOW_SEED, disturbance_window=list(WINDOW))
+    return _digest(window_run(scenario).trace)
+
+
+def summary_digest() -> str:
+    """SHA-256 of ``json.dumps(summary.as_dict(), indent=2)`` of every
+    ``GOLDEN`` case and then every ``WINDOW_GOLDEN`` case, in that order, one
+    line break after each."""
+    runs = [
+        *(in_process_run(*key) for key in GOLDEN),
+        *(window_run(scenario) for scenario in WINDOW_GOLDEN),
+    ]
+    return _text_digest("".join(json.dumps(r.summary.as_dict(), indent=2) + "\n" for r in runs))
 
 
 def run_threshold_remotely(harness: WireHarness, scenario: str, seed: int) -> None:
@@ -260,6 +286,7 @@ def recomputed_digests() -> list[tuple[str, str, str]]:
         ("OVERFLOW_STREAM_GOLDEN", _text_digest(overflow_session()), OVERFLOW_STREAM_GOLDEN),
         ("LONG_TRACE_GOLDEN", long_trace, LONG_TRACE_GOLDEN),
         ("LONG_SUMMARY_GOLDEN", long_summary, LONG_SUMMARY_GOLDEN),
+        ("SUMMARY_GOLDEN", summary_digest(), SUMMARY_GOLDEN),
     ]
 
 
@@ -326,6 +353,10 @@ def test_long_threshold_summary_digest():
     assert long_run_digests(*LONG_CASE)[1] == LONG_SUMMARY_GOLDEN
 
 
+def test_in_process_summaries_digest():
+    assert summary_digest() == SUMMARY_GOLDEN
+
+
 def print_table() -> None:
     print("GOLDEN = {")
     for scenario in SCENARIOS:
@@ -352,6 +383,8 @@ def print_table() -> None:
     print(f'LONG_TRACE_GOLDEN = "{long_trace}"')
     print()
     print(f'LONG_SUMMARY_GOLDEN = "{long_summary}"')
+    print()
+    print(f'SUMMARY_GOLDEN = "{summary_digest()}"')
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ topology's range picked by a conditional expression, bounds
 splatted into ``rng.uniform(*...)``, each derived metric as
 ``network.alpha * links * unit``, the link clamp as ``min``/``max`` and the
 normalization bases recomputed per call, the trace CSV formatted one row
-at a time, and the threshold manager's tick normalizing every observation
-and folding all three window columns. The library's kernels must return
+at a time, the threshold manager's tick normalizing every observation
+and folding all three window columns, and the run summary folded from the
+records' percentages. The library's kernels must return
 equal values and leave the random stream in the same state; the CSV
 renderer must write the same bytes, and the manager must return the same
 decisions from the same probe calls. The contract tests pin what the step
@@ -18,7 +19,9 @@ unchecked, only ever build values that pass that check.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import operator
 import pickle
 from collections import deque
 from copy import deepcopy
@@ -43,10 +46,10 @@ from mirrorsim.network import (
 )
 from mirrorsim.runner import (
     NormalizedMetrics,
+    SatisfactionSummary,
     Trace,
     TraceRecord,
     build_simulation,
-    column_means,
     evaluate_satisfaction,
     normalize,
     render_trace_csv,
@@ -100,6 +103,31 @@ def reference_normalize(monitorables, network):
     )
 
 
+def reference_column_means(rows):
+    """Per-column means of ``rows``, each column summed left to right from 0.0."""
+    rows = list(rows)
+    return NormalizedMetrics(*(
+        functools.reduce(operator.add, column, 0.0) / len(rows) for column in zip(*rows)
+    ))
+
+
+def reference_summary(records, thresholds):
+    """The run summary of a list of records, from the means of their
+    ``*_pct`` fields."""
+    links, bandwidth, write_time = reference_column_means(
+        (record.active_links_pct, record.bandwidth_pct, record.write_time_pct)
+        for record in records
+    )
+    return SatisfactionSummary(
+        mean_bandwidth_pct=bandwidth,
+        mean_write_time_pct=write_time,
+        mean_active_links_pct=links,
+        mc_satisfied=bandwidth <= thresholds.max_bandwidth_pct,
+        mp_satisfied=write_time <= thresholds.max_write_time_pct,
+        mr_satisfied=links >= thresholds.min_active_links_pct,
+    )
+
+
 def reference_knowledge(network, thresholds):
     """The threshold manager's knowledge for ``reference_decide``."""
     return SimpleNamespace(
@@ -121,7 +149,7 @@ def reference_decide(knowledge, probe):
     last_switch = knowledge.last_adaptation_timestep
     if last_switch is not None and tick - last_switch <= COOLDOWN:
         return managers._COOLDOWN
-    means = column_means(knowledge.window)
+    means = reference_column_means(knowledge.window)
     current = probe.get_current_topology()
     thresholds = knowledge.thresholds
     if means.active_links_pct < thresholds.min_active_links_pct and current is Topology.MST:
@@ -335,7 +363,7 @@ def test_threshold_decisions_match_the_reference_analysis(scenario, data):
         if manager.window:
             means = [window_mean_pct(manager.window, index, basis)
                      for index, basis in enumerate(bases)]
-            assert means == list(column_means(knowledge.window))
+            assert means == list(reference_column_means(knowledge.window))
         if decision.switch_to is not None:
             sim.effector.set_current_topology(decision.switch_to)
         sim.step()
@@ -505,9 +533,10 @@ def test_every_step_of_a_loaded_config_passes_the_monitorables_check(scenario, d
     means = (summary.mean_bandwidth_pct, summary.mean_write_time_pct,
              summary.mean_active_links_pct)
     assert all(map(math.isfinite, means)), summary
-    # The chunk reader derives the same rows, and the same means, as the one-row path.
+    # The chunk reader derives the same rows as the one-row path, and the
+    # column fold the same means as a fold over those rows.
     assert list(sim.trace) == [sim.trace[i] for i in range(len(sim.trace))]
-    assert summary == evaluate_satisfaction(list(sim.trace), config.properties.thresholds)
+    assert summary == reference_summary(list(sim.trace), config.properties.thresholds)
     # The column renderer writes the record-based reference's bytes.
     assert render_trace_csv(sim.trace) == reference_render_trace_csv(sim.trace)
 
@@ -557,11 +586,12 @@ def test_render_trace_csv_matches_reference_across_chunk_edges(monkeypatch):
                 patched.setattr(runner, name, forbidden(name))
             assert render_trace_csv(sim.trace) == expected
         if length:
-            # The chunk reader and the one-row path agree on every row and mean.
+            # The chunk reader and the one-row path agree on every row, and
+            # the column fold and a fold over those rows on every mean.
             assert list(sim.trace) == [sim.trace[i] for i in range(length)]
             thresholds = config.properties.thresholds
             assert (evaluate_satisfaction(sim.trace, thresholds)
-                    == evaluate_satisfaction(list(sim.trace), thresholds))
+                    == reference_summary(list(sim.trace), thresholds))
     # Both topologies and both kinds of adaptation cell were rendered.
     assert {record.topology for record in sim.trace} == set(Topology)
     assert {record.adaptation for record in sim.trace} == {None, *Topology}

@@ -16,12 +16,10 @@ from mirrorsim.runner import (
     TRACE_CSV_HEADER,
     TRACE_FIELDS,
     ManagerError,
-    NormalizedMetrics,
     SimulationError,
     Trace,
     TraceRecord,
     build_simulation,
-    column_means,
     evaluate_satisfaction,
     normalize,
     render_trace_csv,
@@ -29,13 +27,23 @@ from mirrorsim.runner import (
     run,
 )
 from mirrorsim.scenarios import ScenarioId, apply_disturbance
+from test_kernels import reference_summary
 from test_managers import StubProbe
 
 NETWORK = build_network(25)
 
 
-def record_with(normalized: NormalizedMetrics, timestep: int = 0) -> TraceRecord:
-    return TraceRecord(timestep, Topology.MST, *Monitorables(1, 1.0, 1.0), *normalized)
+def overridden_trace(make_config, steps) -> Trace:
+    """The S0 trace of one step per (links, bandwidth, write time) in
+    ``steps``, each value set through the effector (300 links, bases 9,000 GBps
+    and 6,000 ms)."""
+    sim = build_simulation(make_config(timesteps=len(steps)))
+    for links, bandwidth, write_time in steps:
+        sim.effector.set_active_links(links)
+        sim.effector.set_bandwidth_consumption(bandwidth)
+        sim.effector.set_time_to_write(write_time)
+        sim.step()
+    return sim.trace
 
 
 def test_normalize_examples():
@@ -78,18 +86,20 @@ def test_golden_trace_csv(make_config):
     assert render_trace_csv(result.trace) == expected
 
 
-def test_evaluate_satisfaction_boundaries():
+def test_evaluate_satisfaction_boundaries(make_config):
     thresholds = SatisfactionThresholds()
-    at_limits = [record_with(NormalizedMetrics(35.0, 40.0, 45.0), t) for t in range(4)]
+    at_limits = overridden_trace(make_config, [(105, 3600.0, 2700.0)] * 4)
+    assert [record[5:8] for record in at_limits] == [(35.0, 40.0, 45.0)] * 4
     summary = evaluate_satisfaction(at_limits, thresholds)
     assert summary.mc_satisfied and summary.mp_satisfied and summary.mr_satisfied
 
-    over_cost = [record_with(NormalizedMetrics(35.0, 40.01, 45.0))]
+    over_cost = overridden_trace(make_config, [(105, 3600.9, 2700.0)])
     summary = evaluate_satisfaction(over_cost, thresholds)
+    assert summary.mean_bandwidth_pct > thresholds.max_bandwidth_pct
     assert not summary.mc_satisfied
     assert summary.mp_satisfied and summary.mr_satisfied
 
-    single = [record_with(NormalizedMetrics(50.0, 10.0, 20.0))]
+    single = overridden_trace(make_config, [(150, 900.0, 1200.0)])
     summary = evaluate_satisfaction(single, thresholds)
     assert summary.mean_active_links_pct == 50.0
     assert summary.mean_bandwidth_pct == 10.0
@@ -98,25 +108,21 @@ def test_evaluate_satisfaction_boundaries():
 
 def test_evaluate_rejects_empty_trace():
     with pytest.raises(ValueError):
-        evaluate_satisfaction([], SatisfactionThresholds())
+        evaluate_satisfaction(Trace(NETWORK), SatisfactionThresholds())
 
 
 # Ten tenths folded left to right from 0.0 sum to 0.9999999999999999; the
 # compensated ``sum()`` of CPython 3.12+ gives 1.0, so a mean of exactly 0.1
 # means the summation changed.
-TENTHS = [NormalizedMetrics(0.1, 0.1, 0.1)] * 10
 TENTHS_MEAN = 0.9999999999999999 / 10
 
 
-def test_column_means_fold_left_to_right():
+def test_summary_and_window_means_use_the_left_fold(make_config):
     assert TENTHS_MEAN != 0.1
-    assert column_means(TENTHS) == NormalizedMetrics(TENTHS_MEAN, TENTHS_MEAN, TENTHS_MEAN)
-
-
-def test_summary_and_window_means_use_the_left_fold():
-    trace = [record_with(metrics, t) for t, metrics in enumerate(TENTHS)]
-    summary = evaluate_satisfaction(trace, SatisfactionThresholds())
-    assert summary.mean_active_links_pct == TENTHS_MEAN
+    # 9 GBps and 6 ms are 0.1% of their bases.
+    tenths = overridden_trace(make_config, [(300, 9.0, 6.0)] * 10)
+    assert [record[6:8] for record in tenths] == [(0.1, 0.1)] * 10
+    summary = evaluate_satisfaction(tenths, SatisfactionThresholds())
     assert summary.mean_bandwidth_pct == TENTHS_MEAN
     assert summary.mean_write_time_pct == TENTHS_MEAN
 
@@ -126,6 +132,9 @@ def test_summary_and_window_means_use_the_left_fold():
     assert len(links) == WINDOW_LENGTH
     left_fold_mean = 36.60000000000001
     assert math.fsum(100.0 * count / NETWORK.total_links for count in links) / len(links) == 36.6
+    linked = overridden_trace(make_config, [(count, 9.0, 6.0) for count in links])
+    summary = evaluate_satisfaction(linked, SatisfactionThresholds())
+    assert summary.mean_active_links_pct == left_fold_mean
 
     def decide_on_mst(min_active_links_pct: float) -> ManagerDecision:
         thresholds = SatisfactionThresholds(min_active_links_pct=min_active_links_pct)
@@ -443,7 +452,7 @@ def test_evaluate_satisfaction_folds_a_trace_like_its_records(make_config):
     manager = ThresholdRuleManager(config.network, config.properties.thresholds)
     result = run(manager, config)
     thresholds = config.properties.thresholds
-    assert evaluate_satisfaction(list(result.trace), thresholds) == result.summary
+    assert reference_summary(list(result.trace), thresholds) == result.summary
     assert evaluate_satisfaction(result.trace, thresholds) == result.summary
 
 
@@ -454,11 +463,11 @@ def test_a_trace_keeps_growing_after_a_mid_run_evaluation(make_config):
     for _ in range(20):
         sim.step()
     halfway = evaluate_satisfaction(sim.trace, thresholds)
-    assert halfway == evaluate_satisfaction(list(sim.trace), thresholds)
+    assert halfway == reference_summary(list(sim.trace), thresholds)
     for _ in range(20):
         sim.step()
     assert len(sim.trace) == 40
     assert evaluate_satisfaction(sim.trace, thresholds) != halfway
-    assert evaluate_satisfaction(sim.trace, thresholds) == evaluate_satisfaction(
+    assert evaluate_satisfaction(sim.trace, thresholds) == reference_summary(
         list(sim.trace), thresholds
     )
