@@ -16,7 +16,7 @@ from .config import (
     default_config,
     load_config,
 )
-from .management import EffectorCommand, EffectorError, ProbeError
+from .management import CommandLog, EffectorCommand, EffectorError, ProbeError
 from .managers import ManagerDecision, ThresholdRuleManager, create_manager
 from .network import Monitorables, Topology
 from .runner import (
@@ -36,6 +36,7 @@ from .scenarios import ScenarioId
 __version__ = "0.1.0"
 
 __all__ = [
+    "CommandLog",
     "ConfigError",
     "ConfigInvariantError",
     "EffectorCommand",

@@ -10,6 +10,8 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from .config import (
@@ -25,11 +27,13 @@ from .config import (
 )
 from .managers import MANAGER_NAMES, create_manager
 from .runner import (
+    _CHUNK,
     TRACE_CSV_HEADER,
     TRACE_FIELDS,
     ManagerError,
     NormalizedMetrics,
     run,
+    trace_csv_chunks,
     write_trace_csv,
 )
 from .scenarios import ScenarioId
@@ -55,23 +59,25 @@ def _load_base_config(path_arg) -> ExperimentConfig:
     return default_config()
 
 
-def _parse_seeds(spec: str) -> list[int]:
-    """Parse a seed list: "7", "1,2,9", or ranges like "0..29" (inclusive)."""
-    seeds: list[int] = []
+def _parse_seeds(spec: str) -> list[range]:
+    """Parse a seed list: "7", "1,2,9", or ranges like "0..29" (inclusive).
+
+    Each token stays a ``range``, bounds-checked and never expanded, so a
+    range as wide as the whole seed space costs no memory.
+    """
+    seeds: list[range] = []
     for token in spec.split(","):
         token = token.strip()
         if not token:
             continue
-        if ".." in token:
-            start_text, _, end_text = token.partition("..")
-            start, end = int(start_text), int(end_text)
-            if end < start:
-                raise ValueError(f"empty seed range: {token!r}")
-            if start < 0 or end > MAX_SEED:  # checked before the range is expanded
-                raise ValueError(f"seed range {token!r} must lie within 0..{MAX_SEED}")
-            seeds.extend(range(start, end + 1))
-        else:
-            seeds.append(int(token))
+        start_text, dots, end_text = token.partition("..")
+        start = int(start_text)
+        end = int(end_text) if dots else start
+        if end < start:
+            raise ValueError(f"empty seed range: {token!r}")
+        if start < 0 or end > MAX_SEED:
+            raise ValueError(f"seed {token!r} must lie within 0..{MAX_SEED}")
+        seeds.append(range(start, end + 1))
     if not seeds:
         raise ValueError(f"no seeds in {spec!r}")
     return seeds
@@ -88,35 +94,72 @@ def _bool_cell(value: bool) -> str:
     return "true" if value else "false"
 
 
-def emit_plot_data(trace_text: str, thresholds: SatisfactionThresholds) -> str:
-    """Reshape a trace CSV into long-format (timestep, series, value, threshold) rows.
+def _plot_rows(thresholds: SatisfactionThresholds):
+    """The plot-table formatter for ``thresholds``.
 
-    Cell strings are copied verbatim so values round-trip exactly.
+    It takes a list of trace CSV rows, the first at line ``lineno`` of its
+    file, and returns their long-format rows: for each trace row, one row per
+    normalized series, in ``NormalizedMetrics`` order, all formatted by one
+    ``%`` call. Cell strings are copied verbatim so values round-trip exactly.
     """
+    names = NormalizedMetrics._fields
+    template = "".join(
+        f"%s,{name},%s,{getattr(thresholds, THRESHOLD_FIELDS[name]):.6f}\n" for name in names
+    )
+    # Each series row's (timestep, value) cells, in template order.
+    cells = itemgetter(*chain.from_iterable((0, TRACE_FIELDS.index(name)) for name in names))
+    width = len(TRACE_FIELDS)
+
+    def rows(lines: list[str], lineno: int) -> str:
+        split = [line.split(",") for line in lines]
+        if any(map(width.__ne__, map(len, split))):
+            offset = next(i for i, row in enumerate(split) if len(row) != width)
+            raise ValueError(f"malformed trace: bad row at line {lineno + offset}")
+        return (template * len(split)) % tuple(chain.from_iterable(map(cells, split)))
+
+    return rows
+
+
+def emit_plot_data(trace_text: str, thresholds: SatisfactionThresholds) -> str:
+    """Reshape a trace CSV into long-format (timestep, series, value, threshold) rows."""
     lines = trace_text.splitlines()
     if not lines or lines[0] != TRACE_CSV_HEADER:
         raise ValueError("malformed trace: unexpected header")
-    series = [
-        (name, getattr(thresholds, THRESHOLD_FIELDS[name])) for name in NormalizedMetrics._fields
-    ]
-    out = [PLOT_CSV_HEADER]
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(TRACE_FIELDS):
-            raise ValueError(f"malformed trace: bad row at line {lineno}")
-        row = dict(zip(TRACE_FIELDS, cells))
-        for name, threshold in series:
-            out.append(f"{row['timestep']},{name},{row[name]},{threshold:.6f}")
-    return "\n".join(out) + "\n"
+    rows = _plot_rows(thresholds)
+    # _CHUNK rows per % call, as the trace itself was written; line i + 1 is lines[i].
+    return PLOT_CSV_HEADER + "\n" + "".join(
+        rows(lines[start:start + _CHUNK], start + 1) for start in range(1, len(lines), _CHUNK)
+    )
+
+
+def _open_text(path: Path):
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _open_text(path) as handle:
         handle.write(text)
 
 
 def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, allow_nan=False) + "\n")
+
+
+def _write_trace_and_plot(trace, trace_path: Path, plot_path: Path, thresholds) -> None:
+    """Write the trace CSV and its plot table in one pass over the trace's
+    chunks: each chunk goes to the trace file and its plot rows to the plot
+    file, so neither whole text is held and no file is read back."""
+    plot_rows = _plot_rows(thresholds)
+    chunks = trace_csv_chunks(trace)
+    lineno = 2  # of the chunk's first row
+    with _open_text(trace_path) as trace_file, _open_text(plot_path) as plot_file:
+        trace_file.write(next(chunks))  # the header
+        plot_file.write(PLOT_CSV_HEADER + "\n")
+        for chunk in chunks:
+            trace_file.write(chunk)
+            lines = chunk.splitlines()
+            plot_file.write(plot_rows(lines, lineno))
+            lineno += len(lines)
 
 
 def _write_run(
@@ -126,7 +169,13 @@ def _write_run(
     session) and, when asked, its plot table, named by scenario, manager, seed."""
     props = config.properties
     stem = f"{props.scenario.value}_{manager}_seed{props.seed}"
-    trace_text = write_trace_csv(result.trace, output_dir / f"{stem}_trace.csv")
+    trace_path = output_dir / f"{stem}_trace.csv"
+    if plot_data:
+        _write_trace_and_plot(
+            result.trace, trace_path, output_dir / f"{stem}_plot.csv", props.thresholds
+        )
+    else:
+        write_trace_csv(result.trace, trace_path)
     if result.completed:
         _write_json(output_dir / f"{stem}_summary.json", result.summary.as_dict())
     else:
@@ -134,8 +183,6 @@ def _write_run(
             output_dir / f"{stem}_incomplete.json",
             {"status": "incomplete", "timesteps_completed": len(result.trace)},
         )
-    if plot_data:
-        _write_text(output_dir / f"{stem}_plot.csv", emit_plot_data(trace_text, props.thresholds))
 
 
 def _cmd_run(args) -> int:
@@ -144,21 +191,21 @@ def _cmd_run(args) -> int:
         scenarios = (
             _parse_scenarios(args.scenario) if args.scenario else [config.properties.scenario]
         )
-        seeds = _parse_seeds(args.seeds) if args.seeds else [config.properties.seed]
-        # Every run's config is checked before the first file is written.
-        batch = [
-            config.with_updates(scenario=scenario, seed=seed, timesteps=args.timesteps)
-            for scenario in scenarios
-            for seed in seeds
-        ]
+        seeds = _parse_seeds(args.seeds) if args.seeds else [(config.properties.seed,)]
+        # Every run's config is checked before the first file is written: the
+        # parser bounded each seed, and the seed enters no cross-field check,
+        # so one config per scenario checks the rest.
+        for scenario in scenarios:
+            config.with_updates(scenario=scenario, timesteps=args.timesteps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     rollup = [ROLLUP_CSV_HEADER]
-    for cfg in batch:
-        scenario, seed = cfg.properties.scenario, cfg.properties.seed
+    batch = ((scenario, seed) for scenario in scenarios for seed in chain.from_iterable(seeds))
+    for scenario, seed in batch:
+        cfg = config.with_updates(scenario=scenario, seed=seed, timesteps=args.timesteps)
         manager = create_manager(
             args.manager, network=cfg.network, thresholds=cfg.properties.thresholds, seed=seed
         )

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
+from collections.abc import Sequence
+from functools import partial
+from operator import eq
 from typing import NamedTuple, Optional
 
 from .config import DISTURBED_LOADS, largest_factor, step_overflow
@@ -32,24 +36,93 @@ class CommandKind(enum.Enum):
     SET_CURRENT_TOPOLOGY = "set_current_topology"
 
 
-# The members the effector logs, as module constants: on CPython 3.10 and 3.11
-# a member read through its class costs several times a global read.
-_SET_NETWORK_TOPOLOGY = CommandKind.SET_NETWORK_TOPOLOGY
-_SET_ACTIVE_LINKS = CommandKind.SET_ACTIVE_LINKS
-_SET_TIME_TO_WRITE = CommandKind.SET_TIME_TO_WRITE
-_SET_BANDWIDTH_CONSUMPTION = CommandKind.SET_BANDWIDTH_CONSUMPTION
-_SET_CURRENT_TOPOLOGY = CommandKind.SET_CURRENT_TOPOLOGY
-
-
 class EffectorCommand(NamedTuple):
     """One adaptation command as issued, for auditing and replay: an immutable
-    named tuple, since a long run logs one per switch. The effector builds each
-    with ``tuple.__new__``, which skips ``_make``'s length check."""
+    named tuple. A :class:`CommandLog` stores its fields in columns and builds
+    it when it is read."""
 
     kind: CommandKind
     payload: object
     issued_at: int
     target_timestep: Optional[int] = None  # SET_NETWORK_TOPOLOGY only
+
+
+# A logged command's kind is stored as its index in CommandKind; the effector
+# appends these module constants, a global read each.
+_KINDS = tuple(CommandKind)
+(
+    _SET_NETWORK_TOPOLOGY,
+    _SET_ACTIVE_LINKS,
+    _SET_TIME_TO_WRITE,
+    _SET_BANDWIDTH_CONSUMPTION,
+    _SET_CURRENT_TOPOLOGY,
+) = range(len(_KINDS))
+
+
+# EffectorCommand._make without its Python-level length check, for the log,
+# which always passes the four fields.
+_new_command = partial(tuple.__new__, EffectorCommand)
+
+
+class CommandLog(Sequence):
+    """A run's command log: a read-only sequence of :class:`EffectorCommand`
+    in issue order.
+
+    The log holds one column per field, about 25 bytes a command: a byte for
+    the kind, an ``array`` of the issue timesteps, and two lists, one of the
+    payloads as the caller passed them (a shared ``Topology`` member, an
+    ``int`` link count or a ``float`` load, every type and bit kept) and one of
+    the target timesteps (None but for ``SET_NETWORK_TOPOLOGY``). Each command
+    is built when it is read. Indexing, slicing (a tuple of commands),
+    iteration, ``len`` and pickling behave like a tuple of commands; a log
+    equals another log with the same columns, and a tuple or list of equal
+    commands. Only the simulation's :class:`Effector` appends to it.
+    """
+
+    __slots__ = ("_columns",)
+    __hash__ = None
+
+    def __init__(self) -> None:
+        # In EffectorCommand field order.
+        self._columns = (
+            bytearray(),  # kind, as its index in CommandKind
+            [],  # payload
+            array("q"),  # issued_at
+            [],  # target_timestep
+        )
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        try:
+            row = range(len(self))[index]
+        except IndexError:
+            raise IndexError("command log index out of range") from None
+        kind, *fields = [column[row] for column in self._columns]
+        return _new_command((_KINDS[kind], *fields))
+
+    def __iter__(self):
+        kinds, *fields = self._columns
+        return map(_new_command, zip(map(_KINDS.__getitem__, kinds), *fields))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CommandLog):
+            return self._columns == other._columns
+        if isinstance(other, (tuple, list)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __reduce__(self):
+        return (CommandLog, (), self._columns)
+
+    def __setstate__(self, columns) -> None:
+        self._columns = columns
+
+    def __repr__(self) -> str:
+        return f"<CommandLog of {len(self)} commands>"
 
 
 # Every setter's refusal once the last step has run, but set_network_topology's,
@@ -105,6 +178,8 @@ class Effector:
 
     def __init__(self, sim) -> None:
         self._sim = sim
+        # One append per command log column, in EffectorCommand field order.
+        self._log_appends = tuple(column.append for column in sim.command_log._columns)
         # Load override -> (its factor's name, the run profile's largest
         # factor, its normalization basis), for the bound in _set_load.
         self._load_bounds = {
@@ -136,9 +211,11 @@ class Effector:
             )
         # Last command for a target wins; the log keeps every issue.
         sim._topology_schedule[timestep] = target
-        sim.command_log.append(tuple.__new__(
-            EffectorCommand, (_SET_NETWORK_TOPOLOGY, target, sim.timestep, timestep)
-        ))
+        append_kind, append_payload, append_issued_at, append_target = self._log_appends
+        append_kind(_SET_NETWORK_TOPOLOGY)
+        append_payload(target)
+        append_issued_at(sim.timestep)
+        append_target(timestep)
 
     def set_current_topology(self, topology: object) -> None:
         """Switch topology for the next executed step.
@@ -155,9 +232,11 @@ class Effector:
         if not isinstance(topology, Topology):  # a manager passes the member
             topology = _parse_topology(topology)
         sim._topology_schedule[timestep] = topology
-        sim.command_log.append(
-            tuple.__new__(EffectorCommand, (_SET_CURRENT_TOPOLOGY, topology, timestep, None))
-        )
+        append_kind, append_payload, append_issued_at, append_target = self._log_appends
+        append_kind(_SET_CURRENT_TOPOLOGY)
+        append_payload(topology)
+        append_issued_at(timestep)
+        append_target(None)
 
     def set_active_links(self, active_links: int) -> None:
         """Override the next step's sampled active-link count (one step only)."""
@@ -174,9 +253,11 @@ class Effector:
                 f"active_links {_int_text(active_links)} exceeds total links {total_links}"
             )
         sim._pending_overrides["active_links"] = active_links
-        sim.command_log.append(
-            tuple.__new__(EffectorCommand, (_SET_ACTIVE_LINKS, active_links, sim.timestep, None))
-        )
+        append_kind, append_payload, append_issued_at, append_target = self._log_appends
+        append_kind(_SET_ACTIVE_LINKS)
+        append_payload(active_links)
+        append_issued_at(sim.timestep)
+        append_target(None)
 
     def set_time_to_write(self, time_to_write: float) -> None:
         """Override the next step's write time in ms (one step only)."""
@@ -186,7 +267,7 @@ class Effector:
         """Override the next step's bandwidth in GBps (one step only)."""
         self._set_load(_SET_BANDWIDTH_CONSUMPTION, "bandwidth_consumption", bandwidth_consumption)
 
-    def _set_load(self, kind: CommandKind, name: str, value: object) -> None:
+    def _set_load(self, kind: int, name: str, value: object) -> None:
         sim = self._sim
         if sim.timestep >= sim.timesteps:
             raise EffectorError(_RUN_FINISHED)
@@ -211,4 +292,8 @@ class Effector:
                 f" {factor} lets {overflow} overflow to a non-finite number"
             )
         sim._pending_overrides[name] = value
-        sim.command_log.append(tuple.__new__(EffectorCommand, (kind, value, sim.timestep, None)))
+        append_kind, append_payload, append_issued_at, append_target = self._log_appends
+        append_kind(kind)
+        append_payload(value)
+        append_issued_at(sim.timestep)
+        append_target(None)

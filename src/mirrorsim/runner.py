@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain
@@ -18,7 +18,7 @@ from random import Random
 from typing import NamedTuple, Optional
 
 from .config import ExperimentConfig, SatisfactionThresholds
-from .management import Effector, EffectorCommand, Probe
+from .management import CommandLog, Effector, EffectorCommand, Probe
 from .network import (
     MirrorNetwork,
     Monitorables,
@@ -266,7 +266,7 @@ class Simulation:
         # One append per trace column, in TraceRecord field order.
         self._appends = tuple(column.append for column in self.trace._columns)
         self.latest_monitorables: Optional[Monitorables] = None  # set by each step
-        self.command_log: list[EffectorCommand] = []
+        self.command_log = CommandLog()  # the effector binds its column appends
         # Only the effector writes these, so every queued command is logged.
         self._topology_schedule: dict[int, Topology] = {}
         self._pending_overrides: dict[str, float] = {}
@@ -343,13 +343,13 @@ class RunResult:
     """What a run produced, in process or over the wire; ``summary`` is None
     only for a wire session that ended before its final step.
 
-    ``trace`` is the simulation's own :class:`Trace`, handed over without a
-    copy; ``command_log`` is its command list.
+    ``trace`` is the simulation's own :class:`Trace` and ``command_log`` its
+    own :class:`CommandLog`, both handed over without a copy.
     """
 
     trace: Trace
     summary: Optional[SatisfactionSummary]
-    command_log: list[EffectorCommand]
+    command_log: CommandLog
 
     @property
     def completed(self) -> bool:
@@ -414,24 +414,28 @@ _TOPOLOGY_CELL = tuple(topology.value for topology in _TOPOLOGY_OF_CODE)
 _ADAPTATION_CELL = tuple(getattr(switch, "value", "") for switch in _ADAPTATION_OF_CODE)
 
 
-def render_trace_csv(trace: Trace) -> str:
-    """Fixed-format CSV (6 decimal places) so equal traces render byte-equal.
+def trace_csv_chunks(trace: Trace) -> Iterator[str]:
+    """The trace CSV a piece at a time: the header line, then the rows
+    ``_CHUNK`` at a time.
 
-    The trace's columns are formatted a chunk at a time, one ``%`` call per
-    chunk and no record built, so a long trace holds one string per chunk,
-    not one per row, until the text is joined.
+    Each chunk is one ``%`` call over the trace's columns, with no record
+    built, so a reader holds one chunk of text at a time, never the whole.
     """
-    parts = [TRACE_CSV_HEADER + "\n"]
+    yield TRACE_CSV_HEADER + "\n"
     for timesteps, codes, *values in trace._chunks():
         rows = zip(timesteps, map(_TOPOLOGY_CELL.__getitem__, codes), *values,
                    map(_ADAPTATION_CELL.__getitem__, codes))
-        parts.append((_CSV_ROW * len(codes)) % tuple(chain.from_iterable(rows)))
-    return "".join(parts)
+        yield (_CSV_ROW * len(codes)) % tuple(chain.from_iterable(rows))
 
 
-def write_trace_csv(trace: Trace, path) -> str:
-    """Write ``render_trace_csv(trace)`` to ``path`` and return the text written."""
-    text = render_trace_csv(trace)
+def render_trace_csv(trace: Trace) -> str:
+    """Fixed-format CSV (6 decimal places) so equal traces render byte-equal:
+    the chunks of :func:`trace_csv_chunks`, joined."""
+    return "".join(trace_csv_chunks(trace))
+
+
+def write_trace_csv(trace: Trace, path) -> None:
+    """Write the trace CSV to ``path`` chunk by chunk, as it is rendered; the
+    file holds ``render_trace_csv(trace)``, but the whole text is never held."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-    return text
+        handle.writelines(trace_csv_chunks(trace))

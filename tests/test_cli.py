@@ -18,9 +18,10 @@ from mirrorsim.cli import (
     emit_plot_data,
     main,
 )
-from mirrorsim.config import SatisfactionThresholds, default_config_mapping
-from mirrorsim.managers import NullManager
-from mirrorsim.runner import TRACE_CSV_HEADER, ManagerError
+from mirrorsim.config import MAX_SEED, SatisfactionThresholds, default_config, default_config_mapping
+from mirrorsim.managers import NullManager, create_manager
+from mirrorsim.runner import TRACE_CSV_HEADER, ManagerError, render_trace_csv, run
+from mirrorsim.scenarios import ScenarioId
 from mirrorsim.wire import run_remote
 
 
@@ -135,6 +136,49 @@ def test_a_config_error_anywhere_in_the_batch_writes_nothing(tmp_path, capsys, a
     assert capsys.readouterr().out == ""  # no run was reported either
 
 
+def test_a_seed_range_at_the_top_of_the_seed_space_runs(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run_cli("run", "--seeds", f"{MAX_SEED - 1}..{MAX_SEED}", "--timesteps", "5",
+                 "--output-dir", str(out))
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.endswith(f"wrote 2 run(s) to {out}\n")
+    rollup = (out / "rollup.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in rollup[1:]] == [str(MAX_SEED - 1), str(MAX_SEED)]
+
+
+def test_a_range_over_the_whole_seed_space_is_never_expanded(tmp_path, monkeypatch):
+    import mirrorsim.cli as cli_module
+
+    # Refused before the first file, by the check each scenario's config gets.
+    out = tmp_path / "refused"
+    rc = run_cli("run", "--seeds", f"0..{MAX_SEED}", "--timesteps", "0", "--output-dir", str(out))
+    assert rc == EXIT_CONFIG_ERROR
+    assert not out.exists()
+
+    # Accepted, its runs start at once, one seed after the other.
+    class Stop(Exception):
+        pass
+
+    created = []
+    original = cli_module.create_manager
+
+    def create_manager(*args, seed, **kwargs):
+        if len(created) == 2:
+            raise Stop
+        created.append(seed)
+        return original(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli_module, "create_manager", create_manager)
+    out = tmp_path / "accepted"
+    with pytest.raises(Stop):
+        run_cli("run", "--scenario", "S0,S1", "--seeds", f"0..{MAX_SEED}", "--timesteps", "5",
+                "--output-dir", str(out))
+    assert created == [0, 1]
+    assert sorted(path.name for path in out.glob("*_trace.csv")) == [
+        "S0_null_seed0_trace.csv", "S0_null_seed1_trace.csv",
+    ]
+
+
 def test_empty_batch_lists_are_config_errors(tmp_path):
     assert run_cli("run", "--seeds", ",", "--output-dir", str(tmp_path / "a")) == EXIT_CONFIG_ERROR
     assert run_cli("run", "--scenario", " ", "--output-dir", str(tmp_path / "b")) == EXIT_CONFIG_ERROR
@@ -224,6 +268,70 @@ def test_run_plot_data_reads_no_file_back(tmp_path, monkeypatch):
         plot_path = trace_path.with_name(trace_path.name.replace("_trace.csv", "_plot.csv"))
         expected = emit_plot_data(trace_path.read_text(encoding="utf-8"), SatisfactionThresholds())
         assert plot_path.read_bytes() == expected.encode("utf-8")
+
+
+def reference_plot_data(trace_text, thresholds):
+    """The plot table built one row at a time, each trace row read into a dict."""
+    lines = trace_text.splitlines()
+    assert lines[0] == TRACE_CSV_HEADER
+    fields = TRACE_CSV_HEADER.split(",")
+    out = [PLOT_CSV_HEADER]
+    for line in lines[1:]:
+        row = dict(zip(fields, line.split(",")))
+        for name, key in (("active_links_pct", "min_active_links_pct"),
+                          ("bandwidth_pct", "max_bandwidth_pct"),
+                          ("write_time_pct", "max_write_time_pct")):
+            out.append(f"{row['timestep']},{name},{row[name]},{getattr(thresholds, key):.6f}")
+    return "\n".join(out) + "\n"
+
+
+# Lengths around the trace writer's 1,024-row chunks.
+@pytest.mark.parametrize("timesteps", [1023, 1024, 1025, 2049])
+def test_run_streams_the_trace_and_its_plot_across_chunk_edges(tmp_path, monkeypatch, timesteps):
+    import mirrorsim.cli as cli_module
+    import mirrorsim.runner as runner_module
+
+    monkeypatch.delenv("MIRRORSIM_CONFIG", raising=False)
+    out = tmp_path / "results"
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+        return call
+
+    with monkeypatch.context() as patch:
+        # No file is read back, and neither whole text is built.
+        patch.setattr(Path, "read_text", refuse("Path.read_text"))
+        patch.setattr(runner_module, "render_trace_csv", refuse("render_trace_csv"))
+        patch.setattr(cli_module, "emit_plot_data", refuse("emit_plot_data"))
+        rc = run_cli(
+            "run", "--scenario", "S3", "--manager", "threshold", "--seeds", "4",
+            "--timesteps", str(timesteps), "--output-dir", str(out), "--plot-data",
+        )
+    assert rc == EXIT_OK
+    config = default_config().with_updates(scenario=ScenarioId.S3, seed=4, timesteps=timesteps)
+    thresholds = config.properties.thresholds
+    manager = create_manager("threshold", network=config.network, thresholds=thresholds, seed=4)
+    text = render_trace_csv(run(manager, config).trace)
+    assert (out / "S3_threshold_seed4_trace.csv").read_bytes() == text.encode("utf-8")
+    plot = (out / "S3_threshold_seed4_plot.csv").read_bytes()
+    assert plot == emit_plot_data(text, thresholds).encode("utf-8")
+    assert plot == reference_plot_data(text, thresholds).encode("utf-8")
+
+
+def test_plot_data_names_the_line_of_the_first_bad_row():
+    rows = ["0,mst,1,2.0,3.0,4.0,5.0,6.0,", "1,mst,1,2.0,3.0,4.0,5.0,6.0,rt"]
+    text = "\n".join([TRACE_CSV_HEADER, *rows, "2,mst,1", rows[0], "4,mst"]) + "\n"
+    with pytest.raises(ValueError, match="^malformed trace: bad row at line 4$"):
+        emit_plot_data(text, SatisfactionThresholds())
+    # Past the first 1,024-row chunk too: a bad row 2,000 rows in is on line 2,002.
+    text = "\n".join([TRACE_CSV_HEADER, *rows * 1000, "2,mst", *rows * 24]) + "\n"
+    with pytest.raises(ValueError, match="^malformed trace: bad row at line 2002$"):
+        emit_plot_data(text, SatisfactionThresholds())
+    good = "\r\n".join([TRACE_CSV_HEADER, *rows])
+    expected = reference_plot_data(good, SatisfactionThresholds())
+    assert emit_plot_data(good, SatisfactionThresholds()) == expected
+    assert emit_plot_data(TRACE_CSV_HEADER, SatisfactionThresholds()) == PLOT_CSV_HEADER + "\n"
 
 
 def test_plot_data_rejects_malformed_trace(tmp_path, capsys):

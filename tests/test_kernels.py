@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from mirrorsim import managers, runner
 from mirrorsim.config import THRESHOLD_FIELDS, config_from_mapping
-from mirrorsim.management import EffectorError
+from mirrorsim.management import CommandKind, CommandLog, EffectorCommand, EffectorError
 from mirrorsim.managers import COOLDOWN, WINDOW_LENGTH, create_manager
 from mirrorsim.network import (
     Monitorables,
@@ -53,6 +53,7 @@ from mirrorsim.runner import (
     evaluate_satisfaction,
     normalize,
     render_trace_csv,
+    replay,
     run,
     window_mean_pct,
 )
@@ -446,8 +447,12 @@ def test_negative_monitorables_raise(fields):
 # Unit ranges up to 1e290 still load for runs this short: the worst step stays
 # finite, so the config accepts them and the step must keep them finite.
 unit_ranges = st.one_of(bounds(0.1, 100.0), bounds(1.0, 1e290))
-# Load overrides, within the effector's bound or past it (then refused).
-loads = st.one_of(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=0.0))
+# Load overrides, within the effector's bound or past it (then refused): a
+# negative zero and integers too, which the effector logs as floats.
+loads = st.one_of(
+    st.just(-0.0), st.integers(0, 10**6),
+    st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=0.0),
+)
 
 
 @st.composite
@@ -502,16 +507,24 @@ def test_every_step_of_a_loaded_config_passes_the_monitorables_check(scenario, d
     config = config_from_mapping(data.draw(config_mappings(scenario)))
     sim = build_simulation(config)
     calls = effector_calls(config.network.total_links)
+    logged = []  # the command each accepted call should log
     while not sim.finished:
         for name, args in data.draw(st.lists(calls, max_size=3)):
+            target = None
             if name == "set_network_topology":
-                args = (sim.timestep + args[0], args[1])
-                if args[0] >= config.properties.timesteps:
+                target = sim.timestep + args[0]
+                args = (target, args[1])
+                if target >= config.properties.timesteps:
                     continue
             try:
                 getattr(sim.effector, name)(*args)
             except EffectorError:
                 assert name in ("set_time_to_write", "set_bandwidth_consumption")
+                continue
+            payload = args[-1]
+            if name in ("set_time_to_write", "set_bandwidth_consumption"):
+                payload = float(payload)  # a load is logged as the float it checked
+            logged.append(EffectorCommand(CommandKind(name), payload, sim.timestep, target))
         sim.step()
         monitorables = sim.latest_monitorables
         assert Monitorables(*monitorables) == monitorables
@@ -539,6 +552,21 @@ def test_every_step_of_a_loaded_config_passes_the_monitorables_check(scenario, d
     assert summary == reference_summary(list(sim.trace), config.properties.thresholds)
     # The column renderer writes the record-based reference's bytes.
     assert render_trace_csv(sim.trace) == reference_render_trace_csv(sim.trace)
+    # The command log's columns give back each accepted command, every payload
+    # with its type and bits: the shared Topology member, the int link count,
+    # the float load (a negative zero included).
+    commands = list(sim.command_log)
+    assert commands == logged
+    for command, expected in zip(commands, logged):
+        assert type(command) is EffectorCommand
+        assert type(command.payload) is type(expected.payload)
+        if isinstance(expected.payload, float):
+            assert command.payload.hex() == expected.payload.hex()
+        elif isinstance(expected.payload, Topology):
+            assert command.payload is expected.payload
+    replayed = replay(sim.command_log, config)
+    assert replayed.trace == sim.trace
+    assert replayed.command_log == sim.command_log
 
 
 def test_run_result_pickles_equal():
@@ -551,6 +579,43 @@ def test_run_result_pickles_equal():
     restored = pickle.loads(pickle.dumps(result))
     assert restored == result
     assert type(restored.trace[0]) is TraceRecord
+
+
+def test_a_command_log_reads_slices_compares_and_pickles_like_a_tuple():
+    config = config_from_mapping({"scenario": "S3", "seed": 4, "timesteps": 200})
+    sim = build_simulation(config)
+    effector = sim.effector
+    effector.set_network_topology(3, "rt")
+    effector.set_active_links(120)
+    sim.step()
+    effector.set_time_to_write(-0.0)
+    effector.set_bandwidth_consumption(7)
+    effector.set_current_topology(Topology.MST)
+    log = sim.command_log
+    assert isinstance(log, CommandLog)
+    commands = [
+        EffectorCommand(CommandKind.SET_NETWORK_TOPOLOGY, Topology.RT, 0, 3),
+        EffectorCommand(CommandKind.SET_ACTIVE_LINKS, 120, 0),
+        EffectorCommand(CommandKind.SET_TIME_TO_WRITE, -0.0, 1),
+        EffectorCommand(CommandKind.SET_BANDWIDTH_CONSUMPTION, 7.0, 1),
+        EffectorCommand(CommandKind.SET_CURRENT_TOPOLOGY, Topology.MST, 1),
+    ]
+    assert len(log) == 5
+    assert log == commands and commands == log and log == tuple(commands)
+    assert log != commands[:-1] and log != [*commands[:-1], commands[0]]
+    assert log[-1] == commands[-1] and log[-5] == commands[0]
+    assert log[1:4] == tuple(commands[1:4]) and log[::-2] == tuple(commands[::-2])
+    assert type(log[1:4]) is tuple and type(log[0]) is EffectorCommand
+    for index in (5, -6):
+        with pytest.raises(IndexError):
+            log[index]
+    for restored in (pickle.loads(pickle.dumps(log)), deepcopy(log)):
+        assert type(restored) is CommandLog and restored == log
+        assert restored[0].payload is Topology.RT  # members unpickle to themselves
+        assert restored[2].payload.hex() == (-0.0).hex()
+        assert type(restored[3].payload) is float
+    with pytest.raises(TypeError):
+        hash(log)
 
 
 def forbidden(name):

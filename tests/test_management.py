@@ -160,6 +160,61 @@ def test_effectors_refuse_commands_after_the_run_finished(make_config):
     assert replay(sim.command_log, config).command_log == sim.command_log
 
 
+def effector_state(sim):
+    """Everything an effector call may write: the queued commands and the log."""
+    return dict(sim._topology_schedule), dict(sim._pending_overrides), tuple(sim.command_log)
+
+
+def test_no_effector_call_queues_a_command_it_does_not_log(make_config):
+    # The run length has no upper bound, so a target past the int64 range is
+    # accepted, and logged as passed.
+    sim = build_simulation(make_config(timesteps=10**20))
+    calls = [
+        ("set_network_topology", 10**19, "rt"),
+        ("set_network_topology", 2**63, Topology.MST),
+        ("set_network_topology", 10**20, "rt"),  # at the end of the run
+        ("set_network_topology", -1, "rt"),
+        ("set_network_topology", 5, "bogus"),
+        ("set_network_topology", 5.0, "rt"),
+        ("set_current_topology", "RT"),
+        ("set_current_topology", "bogus"),
+        ("set_active_links", 150),
+        ("set_active_links", 301),
+        ("set_active_links", -1),
+        ("set_time_to_write", -0.0),
+        ("set_time_to_write", float("nan")),
+        ("set_time_to_write", 10**400),
+        ("set_bandwidth_consumption", 2),
+        ("set_bandwidth_consumption", 1e300),  # its sum over 10**20 steps overflows
+    ]
+    accepted = 0
+    for name, *args in calls:
+        schedule, overrides, log = effector_state(sim)
+        try:
+            getattr(sim.effector, name)(*args)
+        except EffectorError:
+            assert effector_state(sim) == (schedule, overrides, log), (name, args)
+            continue
+        accepted += 1
+        new_schedule, new_overrides, new_log = effector_state(sim)
+        assert new_log[:-1] == log and len(new_log) == len(log) + 1, (name, args)
+        command = new_log[-1]
+        assert command.kind.value == name and command.issued_at == sim.timestep
+        if command.target_timestep is not None:  # set_network_topology
+            assert new_schedule == {**schedule, args[0]: command.payload}
+            assert type(command.target_timestep) is int and command.target_timestep == args[0]
+        elif name == "set_current_topology":
+            assert new_schedule == {**schedule, sim.timestep: command.payload}
+        else:
+            assert new_overrides == {**overrides, name[4:]: command.payload}
+    assert accepted == 6
+    assert tuple(sim.command_log)[:2] == (
+        EffectorCommand(CommandKind.SET_NETWORK_TOPOLOGY, Topology.RT, 0, 10**19),
+        EffectorCommand(CommandKind.SET_NETWORK_TOPOLOGY, Topology.MST, 0, 2**63),
+    )
+    assert math.copysign(1.0, sim.command_log[4].payload) == -1.0  # the -0.0 load, as passed
+
+
 def test_last_command_for_a_target_wins(make_config):
     sim = build_simulation(make_config(seed=2))
     sim.effector.set_network_topology(1, "rt")

@@ -358,24 +358,42 @@ def test_the_step_calls_each_kernel_through_the_runner_globals(make_config, monk
     assert calls["normalize"] == 1
 
 
-def test_a_long_run_retains_at_most_32_bytes_per_step(make_config):
-    # The trace holds only what the step drew, as typed columns: 2 doubles,
-    # one int64 and one code byte a step, plus the arrays' spare capacity.
-    steps = 20_000
-    config = make_config(timesteps=steps, seed=3)
-    run(NullManager(), make_config(timesteps=10, seed=3))  # warm any lazy caches
+def retained_bytes_per_step(manager, config) -> float:
+    """What ``run(manager, config)`` leaves held, per step, by ``tracemalloc``."""
+    steps = config.properties.timesteps
     gc.collect()
     tracemalloc.start()
     try:
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
-        result = run(NullManager(), config)
+        result = run(manager, config)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(result.trace) == steps
-    assert retained / steps <= 32
+    return retained / steps
+
+
+def test_a_long_run_retains_at_most_32_bytes_per_step(make_config):
+    # The trace holds only what the step drew, as typed columns: 2 doubles,
+    # one int64 and one code byte a step, plus the arrays' spare capacity.
+    run(NullManager(), make_config(timesteps=10, seed=3))  # warm any lazy caches
+    assert retained_bytes_per_step(NullManager(), make_config(timesteps=20_000, seed=3)) <= 32
+
+
+def test_a_long_threshold_run_retains_at_most_40_bytes_per_step(make_config):
+    # The command log is columns too, about 25 bytes a command: a kind byte,
+    # an int64 issue step and two list slots holding shared objects (here the
+    # Topology member and None). This run logs a switch every fourth step or
+    # so; as a list of command tuples the log would raise this to about 55.
+    config = make_config(scenario="S3", seed=7, timesteps=20_000)
+
+    def manager():
+        return ThresholdRuleManager(config.network, config.properties.thresholds)
+
+    run(manager(), make_config(scenario="S3", seed=7, timesteps=10))  # warm any lazy caches
+    assert retained_bytes_per_step(manager(), config) <= 40
 
 
 def stepped_records(make_config):
