@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -120,16 +120,37 @@ def _plot_rows(thresholds: SatisfactionThresholds):
     return rows
 
 
+def _plot_chunks(lines, thresholds: SatisfactionThresholds):
+    """The plot table of a trace CSV's ``lines`` a piece at a time: its
+    header, then one piece per ``_CHUNK`` trace rows, as the trace itself was
+    written. A malformed header or row raises ValueError."""
+    lines = iter(lines)
+    if next(lines, None) != TRACE_CSV_HEADER:
+        raise ValueError("malformed trace: unexpected header")
+    yield PLOT_CSV_HEADER + "\n"
+    rows = _plot_rows(thresholds)
+    lineno = 2  # of the chunk's first row
+    while chunk := list(islice(lines, _CHUNK)):
+        yield rows(chunk, lineno)
+        lineno += _CHUNK
+
+
 def emit_plot_data(trace_text: str, thresholds: SatisfactionThresholds) -> str:
     """Reshape a trace CSV into long-format (timestep, series, value, threshold) rows."""
-    lines = trace_text.splitlines()
-    if not lines or lines[0] != TRACE_CSV_HEADER:
-        raise ValueError("malformed trace: unexpected header")
-    rows = _plot_rows(thresholds)
-    # _CHUNK rows per % call, as the trace itself was written; line i + 1 is lines[i].
-    return PLOT_CSV_HEADER + "\n" + "".join(
-        rows(lines[start:start + _CHUNK], start + 1) for start in range(1, len(lines), _CHUNK)
-    )
+    return "".join(_plot_chunks(trace_text.splitlines(), thresholds))
+
+
+def _plot_file_chunks(path: Path, thresholds: SatisfactionThresholds):
+    """:func:`_plot_chunks` over the trace file at ``path``, read a line at a
+    time: each file line is split as ``str.splitlines`` splits the whole text."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield from _plot_chunks(chain.from_iterable(map(str.splitlines, handle)), thresholds)
+        except UnicodeDecodeError:
+            # Raised again by a whole decode, to name the byte's position in
+            # the file rather than in the block being read.
+            path.read_bytes().decode("utf-8")
+            raise
 
 
 def _open_text(path: Path):
@@ -149,17 +170,13 @@ def _write_trace_and_plot(trace, trace_path: Path, plot_path: Path, thresholds) 
     """Write the trace CSV and its plot table in one pass over the trace's
     chunks: each chunk goes to the trace file and its plot rows to the plot
     file, so neither whole text is held and no file is read back."""
-    plot_rows = _plot_rows(thresholds)
-    chunks = trace_csv_chunks(trace)
-    lineno = 2  # of the chunk's first row
     with _open_text(trace_path) as trace_file, _open_text(plot_path) as plot_file:
-        trace_file.write(next(chunks))  # the header
-        plot_file.write(PLOT_CSV_HEADER + "\n")
-        for chunk in chunks:
-            trace_file.write(chunk)
-            lines = chunk.splitlines()
-            plot_file.write(plot_rows(lines, lineno))
-            lineno += len(lines)
+        def lines():
+            for chunk in trace_csv_chunks(trace):
+                trace_file.write(chunk)
+                yield from chunk.splitlines()
+
+        plot_file.writelines(_plot_chunks(lines(), thresholds))
 
 
 def _write_run(
@@ -237,16 +254,20 @@ def _cmd_plot_data(args) -> int:
     trace_path = Path(args.trace)
     if not trace_path.exists():
         raise ConfigError(f"trace file not found: {trace_path}")
+    if args.output and Path(args.output).exists() and trace_path.samefile(args.output):
+        raise ConfigError(f"refusing to overwrite the trace file with its plot table: {trace_path}")
+    thresholds = config.properties.thresholds
+    # A checking pass first, so that a malformed trace writes nothing.
     try:
-        table = emit_plot_data(
-            trace_path.read_text(encoding="utf-8"), config.properties.thresholds
-        )
+        for _ in _plot_file_chunks(trace_path, thresholds):
+            pass
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if args.output:
-        _write_text(Path(args.output), table)
+        with _open_text(Path(args.output)) as handle:
+            handle.writelines(_plot_file_chunks(trace_path, thresholds))
     else:
-        sys.stdout.write(table)
+        sys.stdout.writelines(_plot_file_chunks(trace_path, thresholds))
     return EXIT_OK
 
 

@@ -64,32 +64,19 @@ _KINDS = tuple(CommandKind)
 _new_command = partial(tuple.__new__, EffectorCommand)
 
 
-class CommandLog(Sequence):
-    """A run's command log: a read-only sequence of :class:`EffectorCommand`
-    in issue order.
+class ColumnSequence(Sequence):
+    """A read-only sequence of rows stored one typed column per field.
 
-    The log holds one column per field, about 25 bytes a command: a byte for
-    the kind, an ``array`` of the issue timesteps, and two lists, one of the
-    payloads as the caller passed them (a shared ``Topology`` member, an
-    ``int`` link count or a ``float`` load, every type and bit kept) and one of
-    the target timesteps (None but for ``SET_NETWORK_TOPOLOGY``). Each command
-    is built when it is read. Indexing, slicing (a tuple of commands),
-    iteration, ``len`` and pickling behave like a tuple of commands; a log
-    equals another log with the same columns, and a tuple or list of equal
-    commands. Only the simulation's :class:`Effector` appends to it.
+    A subclass sets ``_columns``, a tuple of equally long columns, builds row
+    ``i`` from its values in ``_row(i, values)`` and names its rows in
+    ``_noun``, for the repr. Indexing (negative indexes too), slicing (a
+    tuple of rows), ``len`` and pickling behave like a tuple of rows. A
+    sequence equals another of its own type whose ``__reduce__`` is equal,
+    and a tuple or list of equal rows.
     """
 
     __slots__ = ("_columns",)
     __hash__ = None
-
-    def __init__(self) -> None:
-        # In EffectorCommand field order.
-        self._columns = (
-            bytearray(),  # kind, as its index in CommandKind
-            [],  # payload
-            array("q"),  # issued_at
-            [],  # target_timestep
-        )
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -100,29 +87,65 @@ class CommandLog(Sequence):
         try:
             row = range(len(self))[index]
         except IndexError:
-            raise IndexError("command log index out of range") from None
-        kind, *fields = [column[row] for column in self._columns]
+            raise IndexError(f"{type(self).__name__} index out of range") from None
+        return self._row(row, [column[row] for column in self._columns])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self.__reduce__() == other.__reduce__()
+        if isinstance(other, (tuple, list)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __reduce__(self):
+        return (type(self), (), self._columns)
+
+    def __setstate__(self, columns) -> None:
+        self._columns = columns
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} of {len(self)} {self._noun}>"
+
+
+class CommandLog(ColumnSequence):
+    """A run's command log: a :class:`ColumnSequence` of
+    :class:`EffectorCommand` in issue order.
+
+    The log holds one column per field, about 25 bytes a command: a byte for
+    the kind, an ``array`` of the issue timesteps, and two lists, one of the
+    payloads as the caller passed them (a shared ``Topology`` member, an
+    ``int`` link count or a ``float`` load, every type and bit kept) and one of
+    the target timesteps (None but for ``SET_NETWORK_TOPOLOGY``). Each command
+    is built when it is read. Only the simulation's :class:`Effector` appends
+    to it.
+    """
+
+    __slots__ = ()
+    _noun = "commands"
+
+    def __init__(self) -> None:
+        # In EffectorCommand field order.
+        self._columns = (
+            bytearray(),  # kind, as its index in CommandKind
+            [],  # payload
+            array("q"),  # issued_at
+            [],  # target_timestep
+        )
+
+    def _row(self, index: int, values: list) -> EffectorCommand:
+        kind, *fields = values
         return _new_command((_KINDS[kind], *fields))
 
     def __iter__(self):
         kinds, *fields = self._columns
         return map(_new_command, zip(map(_KINDS.__getitem__, kinds), *fields))
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CommandLog):
-            return self._columns == other._columns
-        if isinstance(other, (tuple, list)):
-            return len(self) == len(other) and all(map(eq, self, other))
-        return NotImplemented
-
-    def __reduce__(self):
-        return (CommandLog, (), self._columns)
-
-    def __setstate__(self, columns) -> None:
-        self._columns = columns
-
-    def __repr__(self) -> str:
-        return f"<CommandLog of {len(self)} commands>"
+    def _append(self, kind: int, payload: object, issued_at: int, target=None) -> None:
+        kinds, payloads, issues, targets = self._columns
+        kinds.append(kind)
+        payloads.append(payload)
+        issues.append(issued_at)
+        targets.append(target)
 
 
 # Every setter's refusal once the last step has run, but set_network_topology's,
@@ -178,8 +201,7 @@ class Effector:
 
     def __init__(self, sim) -> None:
         self._sim = sim
-        # One append per command log column, in EffectorCommand field order.
-        self._log_appends = tuple(column.append for column in sim.command_log._columns)
+        self._log = sim.command_log._append
         # Load override -> (its factor's name, the run profile's largest
         # factor, its normalization basis), for the bound in _set_load.
         self._load_bounds = {
@@ -211,11 +233,7 @@ class Effector:
             )
         # Last command for a target wins; the log keeps every issue.
         sim._topology_schedule[timestep] = target
-        append_kind, append_payload, append_issued_at, append_target = self._log_appends
-        append_kind(_SET_NETWORK_TOPOLOGY)
-        append_payload(target)
-        append_issued_at(sim.timestep)
-        append_target(timestep)
+        self._log(_SET_NETWORK_TOPOLOGY, target, sim.timestep, timestep)
 
     def set_current_topology(self, topology: object) -> None:
         """Switch topology for the next executed step.
@@ -232,11 +250,7 @@ class Effector:
         if not isinstance(topology, Topology):  # a manager passes the member
             topology = _parse_topology(topology)
         sim._topology_schedule[timestep] = topology
-        append_kind, append_payload, append_issued_at, append_target = self._log_appends
-        append_kind(_SET_CURRENT_TOPOLOGY)
-        append_payload(topology)
-        append_issued_at(timestep)
-        append_target(None)
+        self._log(_SET_CURRENT_TOPOLOGY, topology, timestep)
 
     def set_active_links(self, active_links: int) -> None:
         """Override the next step's sampled active-link count (one step only)."""
@@ -253,11 +267,7 @@ class Effector:
                 f"active_links {_int_text(active_links)} exceeds total links {total_links}"
             )
         sim._pending_overrides["active_links"] = active_links
-        append_kind, append_payload, append_issued_at, append_target = self._log_appends
-        append_kind(_SET_ACTIVE_LINKS)
-        append_payload(active_links)
-        append_issued_at(sim.timestep)
-        append_target(None)
+        self._log(_SET_ACTIVE_LINKS, active_links, sim.timestep)
 
     def set_time_to_write(self, time_to_write: float) -> None:
         """Override the next step's write time in ms (one step only)."""
@@ -292,8 +302,4 @@ class Effector:
                 f" {factor} lets {overflow} overflow to a non-finite number"
             )
         sim._pending_overrides[name] = value
-        append_kind, append_payload, append_issued_at, append_target = self._log_appends
-        append_kind(kind)
-        append_payload(value)
-        append_issued_at(sim.timestep)
-        append_target(None)
+        self._log(kind, value, sim.timestep)

@@ -13,18 +13,13 @@ from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain
-from operator import eq
 from random import Random
 from typing import NamedTuple, Optional
 
 from .config import ExperimentConfig, SatisfactionThresholds
-from .management import CommandLog, Effector, EffectorCommand, Probe
+from .management import ColumnSequence, CommandLog, Effector, EffectorCommand, EffectorError, Probe
 from .network import (
-    MirrorNetwork,
-    Monitorables,
-    Topology,
-    _MST,
-    sample_base_monitorables,
+    MirrorNetwork, Monitorables, Topology, _MST, _int_text, _is_int, sample_base_monitorables,
 )
 from .scenarios import apply_disturbance, initial_topology
 
@@ -112,23 +107,21 @@ _new_record = partial(tuple.__new__, TraceRecord)
 _CHUNK = 1024  # rows a trace reader derives, and rows one CSV % call formats
 
 
-class Trace(Sequence):
-    """A run's trace: a read-only sequence of :class:`TraceRecord`, row ``i``
-    being timestep ``i``.
+class Trace(ColumnSequence):
+    """A run's trace: a :class:`~mirrorsim.management.ColumnSequence` of
+    :class:`TraceRecord`, row ``i`` being timestep ``i``.
 
     The trace holds only what each step drew, one typed column per field,
     about 25 bytes a step: one byte for the topology and adaptation, an
     ``array`` of the active-link counts and one ``array`` each for the
     bandwidth and the write time. Each record is built when it is read, its
     ``*_pct`` fields derived from the run's network as :func:`normalize`
-    derives them. Indexing, slicing (a tuple of records), iteration, ``len``
-    and pickling behave like a tuple of records; a trace equals another trace
-    with the same network and columns, and a tuple or list of equal records.
-    Only :meth:`Simulation.step` appends to it.
+    derives them, so the network counts in equality and pickling too. Only
+    :meth:`Simulation.step` appends to it.
     """
 
-    __slots__ = ("_network", "_columns")
-    __hash__ = None
+    __slots__ = ("_network",)
+    _noun = "records"
 
     def __init__(self, network: MirrorNetwork) -> None:
         self._network = network
@@ -140,19 +133,10 @@ class Trace(Sequence):
             array("d"),  # time_to_write_ms
         )
 
-    def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
-        try:
-            row = range(len(self))[index]
-        except IndexError:
-            raise IndexError("trace index out of range") from None
-        code, *drawn = [column[row] for column in self._columns]
+    def _row(self, timestep: int, values: list) -> TraceRecord:
+        code, *drawn = values
         return _new_record((
-            row, _TOPOLOGY_OF_CODE[code], *drawn, *normalize(drawn, self._network),
+            timestep, _TOPOLOGY_OF_CODE[code], *drawn, *normalize(drawn, self._network),
             _ADAPTATION_OF_CODE[code],
         ))
 
@@ -180,21 +164,8 @@ class Trace(Sequence):
             for timesteps, codes, *values in self._chunks()
         )
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Trace):
-            return self._network == other._network and self._columns == other._columns
-        if isinstance(other, (tuple, list)):
-            return len(self) == len(other) and all(map(eq, self, other))
-        return NotImplemented
-
     def __reduce__(self):
         return (Trace, (self._network,), self._columns)
-
-    def __setstate__(self, columns) -> None:
-        self._columns = columns
-
-    def __repr__(self) -> str:
-        return f"<Trace of {len(self)} records>"
 
 
 @dataclass(frozen=True)
@@ -391,13 +362,21 @@ def replay(log: Sequence[EffectorCommand], config: ExperimentConfig) -> RunResul
     """Re-drive a fresh simulation from a command log.
 
     Commands are reissued at their recorded timesteps in their original
-    order, so the resulting trace (and log) must match the source run.
+    order, so the resulting trace (and log) must match the source run. A
+    command issued outside the run's timesteps raises EffectorError before
+    the first step.
     """
+    timesteps = config.properties.timesteps
     by_step: dict[int, list[EffectorCommand]] = defaultdict(list)
-    for command in log:
+    for index, command in enumerate(log):
+        if not (_is_int(command.issued_at) and 0 <= command.issued_at < timesteps):
+            raise EffectorError(
+                f"command {index} ({command.kind.value}) was issued at timestep"
+                f" {_int_text(command.issued_at)}, outside the run's 0..{timesteps - 1}"
+            )
         by_step[command.issued_at].append(command)
     sim = build_simulation(config)
-    for t in range(config.properties.timesteps):
+    for t in range(timesteps):
         for command in by_step.get(t, ()):
             target = command.target_timestep  # set by set_network_topology only
             args = (command.payload,) if target is None else (target, command.payload)

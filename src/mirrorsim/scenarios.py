@@ -69,14 +69,6 @@ class EffectSet:
             self, "factor_draws", tuple((lower, upper - lower) for lower, upper in intervals)
         )
 
-    def compose(self, other: "EffectSet") -> "EffectSet":
-        """Per-field interval product: both effects applied in sequence."""
-        products = {}
-        for name in FACTOR_NAMES:
-            (lower, upper), (other_lower, other_upper) = getattr(self, name), getattr(other, name)
-            products[name] = (lower * other_lower, upper * other_upper)
-        return EffectSet(**products)
-
 
 # One name per EffectSet field, in field order.
 FACTOR_NAMES = tuple(field.name for field in fields(EffectSet))
@@ -96,10 +88,11 @@ _INFLATE_LOAD = EffectSet(
     bandwidth_factor=DEFAULT_LOAD_INFLATION,
     write_time_factor=DEFAULT_LOAD_INFLATION,
 )
-_BOTH = _REDUCE_LINKS.compose(_INFLATE_LOAD)
+# _REDUCE_LINKS and _INFLATE_LOAD in one effect set.
+_BOTH = EffectSet(DEFAULT_LINK_REDUCTION, DEFAULT_LOAD_INFLATION, DEFAULT_LOAD_INFLATION)
 # The scenario catalogue: each scenario's default disturbance profile and its
-# initial topology, None for a fair coin. Checked once at import;
-# ``scenario_profile`` returns these shared profile instances.
+# initial topology, None for a fair coin. Checked once at import; a config
+# without ``disturbances`` overrides shares these profile instances.
 CATALOGUE = {
     ScenarioId.S0: (DisturbanceProfile(), Topology.MST),
     # Reliability drop while MST is selected; RT untouched.
@@ -117,15 +110,6 @@ CATALOGUE = {
     # S4 and S5 at once: every objective degraded under either topology.
     ScenarioId.S6: (DisturbanceProfile(mst_effects=_BOTH, rt_effects=_BOTH), None),
 }
-
-
-def scenario_profile(scenario: ScenarioId) -> DisturbanceProfile:
-    """Return the scenario's default disturbance profile (one shared instance).
-
-    A configuration's ``disturbances`` overrides are built into its
-    ``scenario_profiles`` at load time.
-    """
-    return CATALOGUE[ScenarioId.parse(scenario)][0]
 
 
 def initial_topology(scenario: ScenarioId, rng: Random) -> Topology:

@@ -23,6 +23,7 @@ from mirrorsim.managers import NullManager, create_manager
 from mirrorsim.runner import TRACE_CSV_HEADER, ManagerError, render_trace_csv, run
 from mirrorsim.scenarios import ScenarioId
 from mirrorsim.wire import run_remote
+from test_kernels import forbidden
 
 
 def run_cli(*argv) -> int:
@@ -294,16 +295,11 @@ def test_run_streams_the_trace_and_its_plot_across_chunk_edges(tmp_path, monkeyp
     monkeypatch.delenv("MIRRORSIM_CONFIG", raising=False)
     out = tmp_path / "results"
 
-    def refuse(name):
-        def call(*args, **kwargs):
-            raise AssertionError(f"{name} was called")
-        return call
-
     with monkeypatch.context() as patch:
         # No file is read back, and neither whole text is built.
-        patch.setattr(Path, "read_text", refuse("Path.read_text"))
-        patch.setattr(runner_module, "render_trace_csv", refuse("render_trace_csv"))
-        patch.setattr(cli_module, "emit_plot_data", refuse("emit_plot_data"))
+        patch.setattr(Path, "read_text", forbidden("Path.read_text"))
+        patch.setattr(runner_module, "render_trace_csv", forbidden("render_trace_csv"))
+        patch.setattr(cli_module, "emit_plot_data", forbidden("emit_plot_data"))
         rc = run_cli(
             "run", "--scenario", "S3", "--manager", "threshold", "--seeds", "4",
             "--timesteps", str(timesteps), "--output-dir", str(out), "--plot-data",
@@ -319,19 +315,57 @@ def test_run_streams_the_trace_and_its_plot_across_chunk_edges(tmp_path, monkeyp
     assert plot == reference_plot_data(text, thresholds).encode("utf-8")
 
 
-def test_plot_data_names_the_line_of_the_first_bad_row():
+def plot_data_of_file(tmp_path, capsys, monkeypatch, text):
+    """Run ``mirrorsim plot-data`` on a file holding ``text``, byte for byte,
+    to ``--output`` and to stdout, and check it against ``emit_plot_data``:
+    the same table both ways, or, where that raises, exit 2 with its message
+    and nothing written. Returns ``emit_plot_data``'s table or error."""
+    monkeypatch.delenv("MIRRORSIM_CONFIG", raising=False)
+    trace, output = tmp_path / "trace.csv", tmp_path / "plot.csv"
+    trace.write_bytes(text.encode("utf-8"))
+    output.unlink(missing_ok=True)
+    try:
+        expected = emit_plot_data(text, SatisfactionThresholds())
+    except ValueError as exc:
+        expected = exc
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "read_text", forbidden("Path.read_text"))
+        codes = [run_cli("plot-data", str(trace), "--output", str(output)),
+                 run_cli("plot-data", str(trace))]
+    captured = capsys.readouterr()
+    if isinstance(expected, ValueError):
+        assert codes == [EXIT_CONFIG_ERROR] * 2 and not output.exists()
+        assert captured.out == "" and captured.err == f"configuration error: {expected}\n" * 2
+    else:
+        assert codes == [EXIT_OK] * 2 and captured.err == ""
+        assert output.read_bytes() == captured.out.encode("utf-8") == expected.encode("utf-8")
+    return expected
+
+
+def test_plot_data_names_the_line_of_the_first_bad_row(tmp_path, capsys, monkeypatch):
+    def plot(text):
+        return plot_data_of_file(tmp_path, capsys, monkeypatch, text)
+
     rows = ["0,mst,1,2.0,3.0,4.0,5.0,6.0,", "1,mst,1,2.0,3.0,4.0,5.0,6.0,rt"]
     text = "\n".join([TRACE_CSV_HEADER, *rows, "2,mst,1", rows[0], "4,mst"]) + "\n"
-    with pytest.raises(ValueError, match="^malformed trace: bad row at line 4$"):
-        emit_plot_data(text, SatisfactionThresholds())
+    assert str(plot(text)) == "malformed trace: bad row at line 4"
     # Past the first 1,024-row chunk too: a bad row 2,000 rows in is on line 2,002.
     text = "\n".join([TRACE_CSV_HEADER, *rows * 1000, "2,mst", *rows * 24]) + "\n"
-    with pytest.raises(ValueError, match="^malformed trace: bad row at line 2002$"):
-        emit_plot_data(text, SatisfactionThresholds())
+    assert str(plot(text)) == "malformed trace: bad row at line 2002"
     good = "\r\n".join([TRACE_CSV_HEADER, *rows])
-    expected = reference_plot_data(good, SatisfactionThresholds())
-    assert emit_plot_data(good, SatisfactionThresholds()) == expected
-    assert emit_plot_data(TRACE_CSV_HEADER, SatisfactionThresholds()) == PLOT_CSV_HEADER + "\n"
+    assert plot(good) == reference_plot_data(good, SatisfactionThresholds())
+    assert plot(TRACE_CSV_HEADER) == PLOT_CSV_HEADER + "\n"
+    # Every separator str.splitlines splits on, across 1,024-row chunk edges:
+    # a file read line by line splits as its whole text does.
+    separators = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                  "\u2028", "\u2029"]
+    lines = [TRACE_CSV_HEADER, *rows * 1100]
+    mixed = "".join(line + separators[i % len(separators)] for i, line in enumerate(lines))
+    assert plot(mixed) == reference_plot_data(mixed, SatisfactionThresholds())
+    # A separator before a newline ends an empty line, a bad row.
+    assert str(plot(mixed.replace("\x85", "\x85\n", 1))) == "malformed trace: bad row at line 10"
+    assert str(plot("")) == "malformed trace: unexpected header"
 
 
 def test_plot_data_rejects_malformed_trace(tmp_path, capsys):
@@ -347,6 +381,21 @@ def test_plot_data_rejects_malformed_trace(tmp_path, capsys):
     assert "bad row at line 2" in capsys.readouterr().err
     with pytest.raises(ValueError):
         emit_plot_data("timestep,nope\n", SatisfactionThresholds())
+    # A byte that is not UTF-8 is named at its position in the whole file,
+    # past the first block the reader decodes.
+    data = (TRACE_CSV_HEADER + "\n" + "0,mst,1,2.0,3.0,4.0,5.0,6.0,\n" * 2000).encode() + b"\xff\n"
+    bad.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    assert run_cli("plot-data", str(bad), "--output", str(tmp_path / "plot.csv")) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"configuration error: {whole.value}\n"
+    assert not (tmp_path / "plot.csv").exists()
+    # The table would overwrite the trace it is read from.
+    good = tmp_path / "good.csv"
+    good.write_text(TRACE_CSV_HEADER + "\n")
+    assert run_cli("plot-data", str(good), "--output", str(good)) == EXIT_CONFIG_ERROR
+    assert "refusing to overwrite the trace file" in capsys.readouterr().err
+    assert good.read_text() == TRACE_CSV_HEADER + "\n"
 
 
 def test_init_config_writes_loadable_defaults(tmp_path):

@@ -23,7 +23,7 @@ from mirrorsim.management import EffectorError
 from mirrorsim.managers import create_manager
 from mirrorsim.network import Topology, TopologyRanges, build_network, topology_ranges_from_pct
 from mirrorsim.runner import build_simulation
-from mirrorsim.scenarios import DisturbanceProfile, EffectSet, ScenarioId, scenario_profile
+from mirrorsim.scenarios import CATALOGUE, DisturbanceProfile, EffectSet, ScenarioId
 
 
 def write_config(tmp_path, mapping):
@@ -66,7 +66,7 @@ def test_empty_mapping_gets_all_defaults():
     config = config_from_mapping({})
     assert config == default_config()
     assert config.network.alpha == 1.0
-    assert config.scenario_profiles == {s: scenario_profile(s) for s in ScenarioId}
+    assert config.scenario_profiles == {s: CATALOGUE[s][0] for s in ScenarioId}
 
 
 def test_omitted_scenario_defaults_to_s0(tmp_path):
@@ -218,7 +218,7 @@ def test_disturbance_overrides_parse_and_apply():
     profiles = config.scenario_profiles
     overridden = DisturbanceProfile(mst_effects=EffectSet(active_links_factor=(0.5, 0.6)))
     assert profiles[ScenarioId.S1] == overridden
-    assert all(profiles[s] is scenario_profile(s) for s in ScenarioId if s is not ScenarioId.S1)
+    assert all(profiles[s] is CATALOGUE[s][0] for s in ScenarioId if s is not ScenarioId.S1)
 
 
 def test_disturbance_override_paths_and_invariants():
@@ -508,7 +508,7 @@ def test_a_config_must_hold_a_profile_for_every_scenario():
     network = build_network(25)
     ranges = topology_ranges_from_pct(network)
     properties = SimulationProperties(scenario=ScenarioId.S1)
-    profiles = {scenario: scenario_profile(scenario) for scenario in ScenarioId}
+    profiles = {scenario: CATALOGUE[scenario][0] for scenario in ScenarioId}
     del profiles[ScenarioId.S1]
     with pytest.raises(ValueError, match=r"no profile for S1$"):
         ExperimentConfig(network, ranges, properties, profiles)

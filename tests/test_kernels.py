@@ -616,10 +616,11 @@ def test_a_command_log_reads_slices_compares_and_pickles_like_a_tuple():
         assert type(restored[3].payload) is float
     with pytest.raises(TypeError):
         hash(log)
+    assert repr(log) == "<CommandLog of 5 commands>"
 
 
 def forbidden(name):
-    def call(*args):
+    def call(*args, **kwargs):
         raise AssertionError(f"{name} was called")
     return call
 

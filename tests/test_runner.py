@@ -5,11 +5,13 @@ import gc
 import math
 import pickle
 import tracemalloc
+from copy import deepcopy
 
 import pytest
 
 import mirrorsim.runner
 from mirrorsim.config import SatisfactionThresholds
+from mirrorsim.management import CommandKind, CommandLog, EffectorCommand, EffectorError
 from mirrorsim.managers import WINDOW_LENGTH, ManagerDecision, NullManager, ThresholdRuleManager
 from mirrorsim.network import Monitorables, Topology, build_network
 from mirrorsim.runner import (
@@ -27,7 +29,7 @@ from mirrorsim.runner import (
     run,
 )
 from mirrorsim.scenarios import ScenarioId, apply_disturbance
-from test_kernels import reference_summary
+from test_kernels import forbidden, reference_summary
 from test_managers import StubProbe
 
 NETWORK = build_network(25)
@@ -205,6 +207,20 @@ def test_replay_reproduces_mixed_commands(make_config):
     replayed = replay(sim.command_log, config)
     assert replayed.trace == tuple(sim.trace)
     assert replayed.command_log == sim.command_log
+
+
+@pytest.mark.parametrize("issued_at", [5, 7, -1, 2.0, "3", None, True])
+def test_replay_refuses_a_command_issued_outside_the_run(make_config, monkeypatch, issued_at):
+    config = make_config(timesteps=5)
+    links = CommandKind.SET_ACTIVE_LINKS
+    log = [EffectorCommand(links, 120, 4), EffectorCommand(links, 130, issued_at),
+           EffectorCommand(links, 140, 9)]
+    assert replay(log[:1], config).command_log == log[:1]  # the last timestep replays
+    monkeypatch.setattr(mirrorsim.runner, "build_simulation", forbidden("build_simulation"))
+    message = (f"^command 1 \\(set_active_links\\) was issued at timestep {issued_at!r},"
+               " outside the run's 0..4$")
+    with pytest.raises(EffectorError, match=message):
+        replay(log, config)
 
 
 def test_runs_share_the_configured_override_profile(make_config):
@@ -441,16 +457,21 @@ def test_trace_equality_and_pickling(make_config):
     assert trace != "not a trace"
     empty = Trace(sim.network)
     assert empty == () and empty == [] and empty != trace
+    # A trace and a command log are never equal, not even when both are empty.
+    assert empty != CommandLog() and CommandLog() != empty and trace != sim.command_log
+    for sequence in (empty, CommandLog()):
+        with pytest.raises(IndexError):
+            sequence[0]
     other = build_simulation(make_config(scenario="S3", seed=7, timesteps=12))
     for _ in range(12):
         other.step()
     assert trace != other.trace
     with pytest.raises(TypeError):
         hash(trace)
-    restored = pickle.loads(pickle.dumps(trace))
-    assert type(restored) is Trace
-    assert restored == trace
-    assert list(restored) == records
+    for restored in (pickle.loads(pickle.dumps(trace)), deepcopy(trace)):
+        assert type(restored) is Trace
+        assert restored == trace
+        assert list(restored) == records
 
 
 def test_a_trace_derives_its_percentages_from_its_own_network(make_config):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from mirrorsim.network import Monitorables, Topology, build_network, sample_base
 from mirrorsim.managers import NullManager
 from mirrorsim.runner import run
 from mirrorsim.scenarios import (
+    CATALOGUE,
     DEFAULT_LINK_REDUCTION,
     DEFAULT_LOAD_INFLATION,
     FACTOR_NAMES,
@@ -21,7 +23,6 @@ from mirrorsim.scenarios import (
     ScenarioId,
     apply_disturbance,
     initial_topology,
-    scenario_profile,
 )
 
 NETWORK = build_network(25)
@@ -31,6 +32,18 @@ def overridden_profile(scenario, overrides):
     scenario = ScenarioId.parse(scenario)
     config = config_from_mapping({"disturbances": {scenario.value: overrides}})
     return config.scenario_profiles[scenario]
+
+
+def default_profile(scenario):
+    return CATALOGUE[scenario][0]
+
+
+def product(effects, other):
+    """Per-field interval product: both effect sets applied in sequence."""
+    return EffectSet(*(
+        (lower * other_lower, upper * other_upper)
+        for (lower, upper), (other_lower, other_upper) in zip(astuple(effects), astuple(other))
+    ))
 
 
 def effects_of(scenario, topology, overrides=None):
@@ -60,13 +73,13 @@ def test_effect_set_rejects_non_finite_bounds(name, bounds):
 
 
 def test_s0_is_identity_profile():
-    profile = scenario_profile(ScenarioId.S0)
+    profile = default_profile(ScenarioId.S0)
     assert profile.mst_effects == IDENTITY_EFFECTS
     assert profile.rt_effects == IDENTITY_EFFECTS
 
 
 def test_s1_reduces_links_under_mst_only():
-    profile = scenario_profile(ScenarioId.S1)
+    profile = default_profile(ScenarioId.S1)
     assert profile.mst_effects.active_links_factor == DEFAULT_LINK_REDUCTION
     assert profile.mst_effects.bandwidth_factor == IDENTITY_INTERVAL
     assert profile.mst_effects.write_time_factor == IDENTITY_INTERVAL
@@ -74,7 +87,7 @@ def test_s1_reduces_links_under_mst_only():
 
 
 def test_s2_inflates_load_under_rt_only():
-    profile = scenario_profile(ScenarioId.S2)
+    profile = default_profile(ScenarioId.S2)
     assert profile.mst_effects == IDENTITY_EFFECTS
     assert profile.rt_effects.active_links_factor == IDENTITY_INTERVAL
     assert profile.rt_effects.bandwidth_factor == DEFAULT_LOAD_INFLATION
@@ -82,23 +95,26 @@ def test_s2_inflates_load_under_rt_only():
 
 
 def test_s3_composes_s1_and_s2():
-    s1 = scenario_profile(ScenarioId.S1)
-    s2 = scenario_profile(ScenarioId.S2)
-    s3 = scenario_profile(ScenarioId.S3)
-    assert s3.mst_effects == s1.mst_effects.compose(s2.mst_effects)
-    assert s3.rt_effects == s1.rt_effects.compose(s2.rt_effects)
+    s1 = default_profile(ScenarioId.S1)
+    s2 = default_profile(ScenarioId.S2)
+    s3 = default_profile(ScenarioId.S3)
+    assert s3.mst_effects == product(s1.mst_effects, s2.mst_effects)
+    assert s3.rt_effects == product(s1.rt_effects, s2.rt_effects)
 
 
 def test_s6_composes_s4_and_s5():
-    s4 = scenario_profile(ScenarioId.S4)
-    s5 = scenario_profile(ScenarioId.S5)
-    s6 = scenario_profile(ScenarioId.S6)
-    assert s6.mst_effects == s4.mst_effects.compose(s5.mst_effects)
-    assert s6.rt_effects == s4.rt_effects.compose(s5.rt_effects)
+    s4 = default_profile(ScenarioId.S4)
+    s5 = default_profile(ScenarioId.S5)
+    s6 = default_profile(ScenarioId.S6)
+    assert s6.mst_effects == product(s4.mst_effects, s5.mst_effects)
+    assert s6.rt_effects == product(s4.rt_effects, s5.rt_effects)
+    # S4's set is S1's and S2's disturbed sets in one.
+    s1, s2 = default_profile(ScenarioId.S1), default_profile(ScenarioId.S2)
+    assert s4.mst_effects == product(s1.mst_effects, s2.rt_effects)
 
 
 def test_s6_disturbs_everything_under_both_topologies():
-    profile = scenario_profile(ScenarioId.S6)
+    profile = default_profile(ScenarioId.S6)
     for effects in (profile.mst_effects, profile.rt_effects):
         assert effects.active_links_factor != IDENTITY_INTERVAL
         assert effects.bandwidth_factor != IDENTITY_INTERVAL
@@ -131,15 +147,15 @@ def test_profile_overrides():
 
 @pytest.mark.parametrize("scenario", list(ScenarioId))
 def test_default_profile_is_shared(scenario):
-    assert scenario_profile(scenario) is scenario_profile(scenario)
+    assert config_from_mapping({}).scenario_profiles[scenario] is default_profile(scenario)
 
 
 def test_override_builds_a_new_profile_and_keeps_the_default():
-    default = scenario_profile(ScenarioId.S1)
+    default = default_profile(ScenarioId.S1)
     overridden = overridden_profile(ScenarioId.S1, {"mst": {"active_links_factor": [0.5, 0.5]}})
     assert overridden is not default
     assert overridden.mst_effects.active_links_factor == (0.5, 0.5)
-    assert scenario_profile(ScenarioId.S1) is default
+    assert default_profile(ScenarioId.S1) is default
     assert default.mst_effects.active_links_factor == DEFAULT_LINK_REDUCTION
 
 
