@@ -11,7 +11,7 @@ import json
 import os
 import sys
 from itertools import chain, islice
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from pathlib import Path
 
 from .config import (
@@ -94,13 +94,34 @@ def _bool_cell(value: bool) -> str:
     return "true" if value else "false"
 
 
+# A trace row's commas: one fewer than its cells, as str.split(",") cuts them.
+_ROW_COMMAS = len(TRACE_FIELDS) - 1
+_commas = methodcaller("count", ",")
+
+
+def _trace_rows(lines):
+    """The rows of a trace CSV's ``lines``, ``_CHUNK`` lines at a time, as
+    the trace itself was written. A malformed header, or a row of another
+    width than the header's, raises ValueError naming its line."""
+    lines = iter(lines)
+    if next(lines, None) != TRACE_CSV_HEADER:
+        raise ValueError("malformed trace: unexpected header")
+    lineno = 2  # of the chunk's first row
+    while chunk := list(islice(lines, _CHUNK)):
+        if any(map(_ROW_COMMAS.__ne__, map(_commas, chunk))):
+            offset = next(i for i, line in enumerate(chunk) if _commas(line) != _ROW_COMMAS)
+            raise ValueError(f"malformed trace: bad row at line {lineno + offset}")
+        yield chunk
+        lineno += _CHUNK
+
+
 def _plot_rows(thresholds: SatisfactionThresholds):
     """The plot-table formatter for ``thresholds``.
 
-    It takes a list of trace CSV rows, the first at line ``lineno`` of its
-    file, and returns their long-format rows: for each trace row, one row per
-    normalized series, in ``NormalizedMetrics`` order, all formatted by one
-    ``%`` call. Cell strings are copied verbatim so values round-trip exactly.
+    It takes a list of checked trace CSV rows and returns their long-format
+    rows: for each trace row, one row per normalized series, in
+    ``NormalizedMetrics`` order, all formatted by one ``%`` call. Cell
+    strings are copied verbatim so values round-trip exactly.
     """
     names = NormalizedMetrics._fields
     template = "".join(
@@ -108,13 +129,9 @@ def _plot_rows(thresholds: SatisfactionThresholds):
     )
     # Each series row's (timestep, value) cells, in template order.
     cells = itemgetter(*chain.from_iterable((0, TRACE_FIELDS.index(name)) for name in names))
-    width = len(TRACE_FIELDS)
 
-    def rows(lines: list[str], lineno: int) -> str:
+    def rows(lines: list[str]) -> str:
         split = [line.split(",") for line in lines]
-        if any(map(width.__ne__, map(len, split))):
-            offset = next(i for i, row in enumerate(split) if len(row) != width)
-            raise ValueError(f"malformed trace: bad row at line {lineno + offset}")
         return (template * len(split)) % tuple(chain.from_iterable(map(cells, split)))
 
     return rows
@@ -122,17 +139,10 @@ def _plot_rows(thresholds: SatisfactionThresholds):
 
 def _plot_chunks(lines, thresholds: SatisfactionThresholds):
     """The plot table of a trace CSV's ``lines`` a piece at a time: its
-    header, then one piece per ``_CHUNK`` trace rows, as the trace itself was
-    written. A malformed header or row raises ValueError."""
-    lines = iter(lines)
-    if next(lines, None) != TRACE_CSV_HEADER:
-        raise ValueError("malformed trace: unexpected header")
+    header, then one piece per chunk of :func:`_trace_rows`. A malformed
+    header or row raises ValueError."""
     yield PLOT_CSV_HEADER + "\n"
-    rows = _plot_rows(thresholds)
-    lineno = 2  # of the chunk's first row
-    while chunk := list(islice(lines, _CHUNK)):
-        yield rows(chunk, lineno)
-        lineno += _CHUNK
+    yield from map(_plot_rows(thresholds), _trace_rows(lines))
 
 
 def emit_plot_data(trace_text: str, thresholds: SatisfactionThresholds) -> str:
@@ -140,12 +150,12 @@ def emit_plot_data(trace_text: str, thresholds: SatisfactionThresholds) -> str:
     return "".join(_plot_chunks(trace_text.splitlines(), thresholds))
 
 
-def _plot_file_chunks(path: Path, thresholds: SatisfactionThresholds):
-    """:func:`_plot_chunks` over the trace file at ``path``, read a line at a
-    time: each file line is split as ``str.splitlines`` splits the whole text."""
+def _trace_file_lines(path: Path):
+    """The lines of the trace file at ``path``, read a line at a time: each
+    file line is split as ``str.splitlines`` splits the whole text."""
     with open(path, encoding="utf-8") as handle:
         try:
-            yield from _plot_chunks(chain.from_iterable(map(str.splitlines, handle)), thresholds)
+            yield from chain.from_iterable(map(str.splitlines, handle))
         except UnicodeDecodeError:
             # Raised again by a whole decode, to name the byte's position in
             # the file rather than in the block being read.
@@ -256,18 +266,19 @@ def _cmd_plot_data(args) -> int:
         raise ConfigError(f"trace file not found: {trace_path}")
     if args.output and Path(args.output).exists() and trace_path.samefile(args.output):
         raise ConfigError(f"refusing to overwrite the trace file with its plot table: {trace_path}")
-    thresholds = config.properties.thresholds
-    # A checking pass first, so that a malformed trace writes nothing.
+    # A checking pass first, of the header and the row widths only, so that
+    # a malformed trace writes nothing.
     try:
-        for _ in _plot_file_chunks(trace_path, thresholds):
+        for _ in _trace_rows(_trace_file_lines(trace_path)):
             pass
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    table = _plot_chunks(_trace_file_lines(trace_path), config.properties.thresholds)
     if args.output:
         with _open_text(Path(args.output)) as handle:
-            handle.writelines(_plot_file_chunks(trace_path, thresholds))
+            handle.writelines(table)
     else:
-        sys.stdout.writelines(_plot_file_chunks(trace_path, thresholds))
+        sys.stdout.writelines(table)
     return EXIT_OK
 
 

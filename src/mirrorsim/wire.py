@@ -6,18 +6,20 @@ the run with explicit ``step`` directives. Each request gets exactly one
 reply; after the final step the server additionally emits ``run_complete``
 and ends the session. See docs/protocol.md for the full grammar.
 
-Every server line is the text of ``json.dumps`` with its default separators.
-The three replies a session sends every step, ``step_complete``, the
-``monitorables`` reply and ``ack``, are written only from fixed ``%``
-templates with the same bytes; every other message goes through the generic
-strict encoder. A message that would hold a NaN or an infinity is not sent:
-``non_finite_value`` takes its place and ends the session.
+A session reads each request line as bytes, decoded as UTF-8 once, and writes
+each reply in one ``write``. Every server line is the text of ``json.dumps``
+with its default separators. The three replies a session sends every step,
+``step_complete``, the ``monitorables`` reply and ``ack``, are written only
+from fixed bytes ``%`` templates with the same bytes; every other message goes
+through the generic strict encoder. A message that would hold a NaN or an
+infinity is not sent: ``non_finite_value`` takes its place and ends the session.
 
 A session serves each request through one table from request kind to handler,
 built when the session is: the probe and effector methods of its own
 simulation are bound into it once, so a request costs one lookup past the
 checks every request gets. The ``step_complete`` record is built from the
-values the step itself drew, not read back from the trace.
+values the step itself drew, not read back from the trace, and the texts of
+its two drawn floats are reused by every ``monitorables`` reply of that row.
 
 :class:`WireSession` serves a session; :func:`run_remote` is the client.
 """
@@ -27,10 +29,10 @@ from __future__ import annotations
 import inspect
 import json
 import math
-import socket
 import sys
 from functools import partial
 from itertools import count
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -49,9 +51,10 @@ from .runner import (
 )
 
 PROTOCOL_VERSION = 1
-MAX_LINE_CHARS = 64 * 1024  # longest request line accepted, newline included
-# How every transport decodes request bytes: an invalid UTF-8 byte becomes a
-# lone surrogate, which _handle_line answers with malformed_message.
+MAX_LINE_CHARS = 64 * 1024  # longest request line accepted, in characters, newline included
+_MAX_LINE_BYTES = 4 * MAX_LINE_CHARS  # of UTF-8: at most four bytes a character
+# How a session decodes request bytes: an invalid UTF-8 byte becomes a lone
+# surrogate, which _handle_line answers with malformed_message.
 DECODE_ERRORS = "surrogateescape"
 # The generic strict encoder of outgoing messages: the bytes of json.dumps for
 # finite values, and a ValueError instead of a bare NaN or Infinity token.
@@ -84,75 +87,63 @@ def _object_template(fields: tuple, codes: str) -> str:
     )
 
 
-# The per-step replies as % templates with _encode's bytes for the same message:
-# ", " and ": " separators, the record's field order, %d for an int, %r for a
-# float (float.__repr__, which json calls too), %s for a topology's JSON text.
+# The per-step replies as bytes % templates with _encode's bytes for the same
+# message: ", " and ": " separators, the record's field order, %d for an int,
+# %a for a float (its repr, which json writes too), %b for a drawn float
+# already written as its repr's bytes, or for a topology's JSON text.
 _STEP_COMPLETE = (
     '{"seq": %d, "re": %d, "kind": "step_complete", "timestep": %d, "record": '
-    + _object_template(TRACE_FIELDS, "dsdrrrrrs") + "}\n"
-)
+    + _object_template(TRACE_FIELDS, "dbdbbaaab") + "}\n"
+).encode()
 _MONITORABLES = (
     '{"seq": %d, "re": %d, "kind": "monitorables", "monitorables": '
-    + _object_template(Monitorables._fields, "drr") + "}\n"
-)
-_NO_MONITORABLES = '{"seq": %d, "re": %d, "kind": "monitorables", "monitorables": null}\n'
+    + _object_template(Monitorables._fields, "dbb") + "}\n"
+).encode()
+_NO_MONITORABLES = b'{"seq": %d, "re": %d, "kind": "monitorables", "monitorables": null}\n'
 _ACK = {
-    kind: '{"seq": %d, "re": %d, "kind": "ack", "command": ' + _encode(kind) + "}\n"
+    kind: ('{"seq": %d, "re": %d, "kind": "ack", "command": ' + _encode(kind) + "}\n").encode()
     for kind in EFFECTOR_FIELDS
 }
 # A topology or adaptation field as JSON text; no switch is null.
-_TOPOLOGY_JSON = {None: "null", **{topology: _encode(topology.value) for topology in Topology}}
+_TOPOLOGY_JSON = {topology: _encode(topology.value).encode() for topology in Topology}
+_TOPOLOGY_JSON[None] = b"null"
 
 
-def _step_line(seq: int, request_seq: int, record: tuple) -> Optional[str]:
-    """The ``step_complete`` line for ``record``, a :class:`TraceRecord` or any
-    tuple of its nine fields in order, or None when one of its floats
-    is a NaN or an infinity: ``x * 0.0`` is a zero for every finite ``x``, so
-    their sum is one too and cannot overflow."""
-    (timestep, topology, active_links, bandwidth, write_time,
-     links_pct, bandwidth_pct, write_time_pct, adaptation) = record
-    if (bandwidth * 0.0 + write_time * 0.0 + links_pct * 0.0 + bandwidth_pct * 0.0
-            + write_time_pct * 0.0) != 0.0:
-        return None
-    return _STEP_COMPLETE % (
-        seq, request_seq, timestep, timestep, _TOPOLOGY_JSON[topology], active_links,
-        bandwidth, write_time, links_pct, bandwidth_pct, write_time_pct,
-        _TOPOLOGY_JSON[adaptation],
-    )
-
-
-def _monitorables_line(
-    seq: int, request_seq: int, monitorables: Optional[Monitorables]
-) -> Optional[str]:
-    """The ``monitorables`` reply line, or None, as in :func:`_step_line`, when
-    one of its floats is a NaN or an infinity."""
-    if monitorables is None:
-        return _NO_MONITORABLES % (seq, request_seq)
+def _slots(monitorables: Monitorables) -> Optional[tuple[int, bytes, bytes]]:
+    """A row's slots in both per-step templates, the link count and each float
+    as its repr's bytes, or None when a float is a NaN or an infinity: ``x *
+    0.0`` is a zero for every finite ``x``, so their sum is one and cannot overflow."""
     active_links, bandwidth, write_time = monitorables
     if bandwidth * 0.0 + write_time * 0.0 != 0.0:
         return None
-    return _MONITORABLES % (seq, request_seq, active_links, bandwidth, write_time)
+    return active_links, repr(bandwidth).encode(), repr(write_time).encode()
 
 
-def _loads(line: str):
-    """``json.loads(line)`` for a line with no surrounding whitespace: one
-    scan when it takes the whole line, else ``json.loads`` itself, so a line
-    that fails raises exactly what ``json.loads`` raises."""
-    try:
-        message, end = _scan_once(line, 0)
-    except (StopIteration, ValueError, RecursionError):  # StopIteration: no value at 0
-        end = None
-    return message if end == len(line) else json.loads(line)
+def _step_line(seq: int, request_seq: int, timestep: int, topology: Topology, slots: tuple,
+               normalized: tuple, adaptation: Optional[Topology]) -> Optional[bytes]:
+    """The ``step_complete`` line of a row drawn as ``slots``, or None, as in
+    :func:`_slots`, when a ``normalized`` float is a NaN or an infinity."""
+    links_pct, bandwidth_pct, write_time_pct = normalized
+    if links_pct * 0.0 + bandwidth_pct * 0.0 + write_time_pct * 0.0 != 0.0:
+        return None
+    return _STEP_COMPLETE % (
+        seq, request_seq, timestep, timestep, _TOPOLOGY_JSON[topology], *slots,
+        links_pct, bandwidth_pct, write_time_pct, _TOPOLOGY_JSON[adaptation],
+    )
+
+
+def _nothing(*args) -> None:
+    """The write and the flush of a session whose client went away."""
 
 
 class WireSession:
-    """One client session over text streams (one JSON message per line).
+    """One client session over byte streams (one JSON message per line):
+    ``rfile.readline(limit)``, ``wfile.write`` and ``wfile.flush``.
 
-    ``_handlers`` maps each request kind to its handler, called as
-    ``handler(seq, message)``. It is built once per session: the probe and
-    effector methods of this session's own ``sim.probe`` and ``sim.effector``
-    are bound into it, each effector with its field names and ``ack``
-    template, so answers still go through :class:`Probe` and
+    ``_handlers`` maps each request kind to its handler, ``handler(seq,
+    message)``, built once per session: this session's own probe and effector
+    methods are bound into it, each effector with the getter of its fields and
+    its ``ack`` template, so answers still go through :class:`Probe` and
     :class:`Effector`.
     """
 
@@ -160,10 +151,12 @@ class WireSession:
         self.config = config
         self.rfile = rfile
         self.wfile = wfile
+        self._out, self._flush = wfile.write, wfile.flush
         self.sim: Simulation = build_simulation(config)
         self._next_seq = 0
         self._last_client_seq: Optional[int] = None
         self._summary: Optional[SatisfactionSummary] = None  # set by the final step
+        self._drawn = self._drawn_slots = None  # the row the last step drew, its slots
         probe, effector = self.sim.probe, self.sim.effector
         self._handlers: dict[str, Callable[[int, dict], bool]] = {
             "step": self._handle_step,
@@ -173,7 +166,8 @@ class WireSession:
             },
             "get_monitorables": partial(self._handle_monitorables, probe.get_monitorables),
             **{
-                kind: partial(self._handle_effector, getattr(effector, kind), names, _ACK[kind])
+                kind: partial(self._handle_effector, getattr(effector, kind), itemgetter(*names),
+                              len(names) > 1, _ACK[kind])
                 for kind, names in EFFECTOR_FIELDS.items()
             },
         }
@@ -182,11 +176,13 @@ class WireSession:
         open_ = self._send(
             {"kind": "hello", "protocol": PROTOCOL_VERSION, "config": self._config_summary()}
         )
+        readline = self.rfile.readline
         while open_:
-            line = self.rfile.readline(MAX_LINE_CHARS)
+            line = readline(_MAX_LINE_BYTES).decode("utf-8", DECODE_ERRORS)
             if not line:
                 break  # client disconnected; abort the run
-            if len(line) == MAX_LINE_CHARS and not line.endswith("\n"):
+            # Too long when its first MAX_LINE_CHARS characters do not end it.
+            if len(line) >= MAX_LINE_CHARS and line[MAX_LINE_CHARS - 1] != "\n":
                 self._send_error(
                     None, "malformed_message", f"request line exceeds {MAX_LINE_CHARS} characters"
                 )
@@ -194,18 +190,21 @@ class WireSession:
             line = line.strip()
             if line:
                 open_ = self._handle_line(line)
-        return RunResult(
-            trace=self.sim.trace,
-            summary=self._summary,
-            command_log=self.sim.command_log,
-        )
+        sim = self.sim
+        return RunResult(trace=sim.trace, summary=self._summary, command_log=sim.command_log)
 
     def _handle_line(self, line: str) -> bool:
-        """Process one request line; False terminates the session."""
+        """Process one request line, stripped by run(); False terminates the session.
+        A line one scan does not take whole goes to ``json.loads``, to raise its error."""
         try:
             if not line.isascii():
                 line.encode("utf-8")  # fails on a byte that DECODE_ERRORS escaped
-            message = _loads(line)  # stripped by run()
+            try:
+                message, end = _scan_once(line, 0)
+            except (StopIteration, ValueError, RecursionError):  # StopIteration: no value at 0
+                end = None
+            if end != len(line):
+                message = json.loads(line)
         except UnicodeEncodeError:
             self._send_error(None, "malformed_message", "not valid UTF-8")
             return False
@@ -245,12 +244,13 @@ class WireSession:
         sim.step()
         topology = sim.current_topology
         drawn = sim.latest_monitorables
-        line = _step_line(self._next_seq, seq, (
-            sim.timestep - 1, topology, *drawn, *runner.normalize(drawn, sim.network),
-            None if topology is before else topology,
-        ))
+        slots = _slots(drawn)
+        line = slots and _step_line(self._next_seq, seq, sim.timestep - 1, topology, slots,
+                                    runner.normalize(drawn, sim.network),
+                                    None if topology is before else topology)
         if line is None:
             return self._refuse_non_finite(seq, "step_complete")
+        self._drawn, self._drawn_slots = drawn, slots
         self._write(line)
         if sim.timestep < sim.timesteps:
             return True
@@ -259,9 +259,8 @@ class WireSession:
             self._summary = summary
         return False  # the session ends with the run
 
-    def _handle_probe(
-        self, probe: Callable, reply_kind: str, encode: Callable, seq: int, message: dict
-    ) -> bool:
+    def _handle_probe(self, probe: Callable, reply_kind: str, encode: Callable, seq: int,
+                      message: dict) -> bool:
         try:
             value = probe()
         except ProbeError as exc:
@@ -270,23 +269,27 @@ class WireSession:
         return self._send({"re": seq, "kind": reply_kind, reply_kind: encode(value)})
 
     def _handle_monitorables(self, get_monitorables: Callable, seq: int, message: dict) -> bool:
-        """The template reply; ``get_monitorables`` answers None before the
-        first step rather than raising ProbeError."""
-        line = _monitorables_line(self._next_seq, seq, get_monitorables())
-        if line is None:
+        """The template reply, from the last step's slots when the probe
+        returns the row that step drew; ``get_monitorables`` answers None
+        before the first step rather than raising ProbeError."""
+        monitorables = get_monitorables()
+        if monitorables is None:
+            return self._write(_NO_MONITORABLES % (self._next_seq, seq))
+        slots = self._drawn_slots if monitorables is self._drawn else _slots(monitorables)
+        if slots is None:
             return self._refuse_non_finite(seq, "monitorables")
-        return self._write(line)
+        return self._write(_MONITORABLES % (self._next_seq, seq, *slots))
 
-    def _handle_effector(
-        self, effector: Callable, names: tuple, ack: str, seq: int, message: dict
-    ) -> bool:
+    def _handle_effector(self, effector: Callable, fields: Callable, spread: bool, ack: bytes,
+                         seq: int, message: dict) -> bool:
+        """``fields``, an ``itemgetter``, returns one field's value, or a tuple to ``spread``."""
         try:
-            args = [message[name] for name in names]
+            args = fields(message)
         except KeyError as exc:
             self._send_error(seq, "malformed_message", f"missing field {exc.args[0]!r}")
             return False
         try:
-            effector(*args)
+            effector(*args) if spread else effector(args)
         except EffectorError as exc:
             self._send_error(seq, "invalid_value", str(exc))  # session continues
             return True
@@ -333,45 +336,41 @@ class WireSession:
             line = _encode({"seq": self._next_seq, **message})
         except ValueError:
             return self._refuse_non_finite(message.get("re"), message["kind"])
-        return self._write(line + "\n")
+        return self._write((line + "\n").encode())
 
-    def _write(self, line: str) -> bool:
+    def _write(self, line: bytes) -> bool:
         """Write one encoded line, newline included, as message ``_next_seq``."""
         self._next_seq += 1
         try:
-            self.wfile.write(line)
-            self.wfile.flush()
+            self._out(line)
+            self._flush()
         except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away; the read loop will see EOF and abort
+            # The client went away; the read loop will see EOF and abort. Closed,
+            # the writer holds nothing to flush at exit, and is written no more.
+            try:
+                self.wfile.close()
+            except OSError:
+                pass  # the close's own flush fails the same way
+            self._out = self._flush = _nothing
         return True
 
 
 def serve_stdio(config: ExperimentConfig) -> RunResult:
     """Run one session over stdio (stdout carries only protocol messages)."""
-    sys.stdin.reconfigure(encoding="utf-8", errors=DECODE_ERRORS)
-    return WireSession(config, sys.stdin, sys.stdout).run()
+    return WireSession(config, sys.stdin.buffer, sys.stdout.buffer).run()
 
 
-def serve_tcp(
-    config: ExperimentConfig,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    ready_callback: Optional[Callable[[int], None]] = None,
-) -> RunResult:
+def serve_tcp(config: ExperimentConfig, host: str = "127.0.0.1", port: int = 0, *,
+              ready_callback: Optional[Callable[[int], None]] = None) -> RunResult:
     """Accept one local connection and run one session over it."""
+    import socket  # here only: a stdio server never loads it
+
     with socket.create_server((host, port)) as server:
         if ready_callback is not None:
             ready_callback(server.getsockname()[1])
         conn, _ = server.accept()
-        with conn:
-            rfile = conn.makefile("r", encoding="utf-8", errors=DECODE_ERRORS, newline="\n")
-            wfile = conn.makefile("w", encoding="utf-8", newline="\n")
-            try:
-                return WireSession(config, rfile, wfile).run()
-            finally:
-                rfile.close()
-                wfile.close()
+        with conn, conn.makefile("rb") as rfile, conn.makefile("wb") as wfile:
+            return WireSession(config, rfile, wfile).run()
 
 
 class WireError(RuntimeError):

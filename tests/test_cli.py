@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import mirrorsim
 from mirrorsim.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_IO_ERROR,
@@ -430,6 +432,45 @@ def test_serve_stdio_session(tmp_path):
     trace = (out / "S0_wire_seed3_trace.csv").read_text()
     assert len(trace.splitlines()) == 4
     assert json.loads((out / "S0_wire_seed3_summary.json").read_text()) == summary.as_dict()
+
+
+def test_serve_stdio_exits_ok_when_the_client_stops_reading(tmp_path):
+    # With stdout block-buffered (no PYTHONUNBUFFERED), a client that closes
+    # its read end after hello and still sends every step breaks each reply's
+    # pipe. The session must complete, and the server must hold nothing to
+    # flush at exit, where a failed flush turns exit 0 into 120.
+    out = tmp_path / "wire"
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    with subprocess.Popen(
+        [sys.executable, "-m", "mirrorsim", "serve", "--stdio", "--timesteps", "3",
+         "--output-dir", str(out)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as process:
+        try:
+            assert json.loads(process.stdout.readline())["kind"] == "hello"
+            process.stdout.close()
+            for seq in (1, 2, 3):
+                process.stdin.write(b'{"seq": %d, "kind": "step"}\n' % seq)
+            process.stdin.close()
+            assert process.wait(timeout=30) == EXIT_OK
+            assert process.stderr.read() == b""
+        finally:
+            process.kill()
+    assert sorted(path.name for path in out.iterdir()) == [
+        "S0_wire_seed0_summary.json", "S0_wire_seed0_trace.csv"
+    ]
+    assert len((out / "S0_wire_seed0_trace.csv").read_text().splitlines()) == 4
+
+
+def test_importing_the_cli_leaves_socket_unloaded():
+    # Only serve --port opens a socket, and every server start pays for each
+    # module its import loads.
+    source = Path(mirrorsim.__file__).resolve().parent.parent
+    probe = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, mirrorsim.cli; print('socket' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(source)}, capture_output=True, text=True, timeout=60,
+    )
+    assert (probe.returncode, probe.stdout, probe.stderr) == (0, "False\n", "")
 
 
 def test_serve_stdio_aborted_session_marks_incomplete(tmp_path):

@@ -231,13 +231,13 @@ def wire_stream_digest(scenario: str, seed: int) -> str:
 
 def scripted_session(mapping: dict, requests) -> str:
     """Every line the server wrote for ``requests``, numbered from 1, over
-    ``io.StringIO``, from ``hello`` to the end of the session."""
+    ``io.BytesIO``, from ``hello`` to the end of the session."""
     lines = "".join(
         json.dumps({"seq": seq, **request}) + "\n" for seq, request in enumerate(requests, start=1)
     )
-    served = io.StringIO()
-    WireSession(config_from_mapping(mapping), io.StringIO(lines), served).run()
-    return served.getvalue()
+    served = io.BytesIO()
+    WireSession(config_from_mapping(mapping), io.BytesIO(lines.encode()), served).run()
+    return served.getvalue().decode()
 
 
 def grammar_session() -> str:

@@ -58,9 +58,9 @@ from mirrorsim.runner import (
     window_mean_pct,
 )
 from mirrorsim.scenarios import FACTOR_NAMES, EffectSet, ScenarioId, apply_disturbance
-from mirrorsim.wire import _encode, _monitorables_line, _step_line
+from mirrorsim.wire import _encode
 
-from wire_helpers import monitorables_payload, record_payload
+from wire_helpers import monitorables_line, monitorables_payload, record_line, record_payload
 
 
 def reference_sample_base_monitorables(topology, network, ranges, rng):
@@ -535,13 +535,13 @@ def test_every_step_of_a_loaded_config_passes_the_monitorables_check(scenario, d
             "seq": 1, "re": 1, "kind": "step_complete", "timestep": record.timestep,
             "record": record_payload(record),
         }
-        assert _step_line(1, 1, record) == _encode(step_complete) + "\n"
+        assert record_line(1, 1, record) == (_encode(step_complete) + "\n").encode()
         probed = sim.probe.get_monitorables()
         reply = {
             "seq": 2, "re": 2, "kind": "monitorables",
             "monitorables": monitorables_payload(probed),
         }
-        assert _monitorables_line(2, 2, probed) == _encode(reply) + "\n"
+        assert monitorables_line(2, 2, probed) == (_encode(reply) + "\n").encode()
     summary = evaluate_satisfaction(sim.trace, config.properties.thresholds)
     means = (summary.mean_bandwidth_pct, summary.mean_write_time_pct,
              summary.mean_active_links_pct)

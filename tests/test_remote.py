@@ -97,9 +97,9 @@ def test_a_refused_override_raises_effector_error_and_the_session_goes_on(make_c
 
 def _hello_only(config) -> io.StringIO:
     """A server stream that ends right after its hello."""
-    out = io.StringIO()
-    WireSession(config, io.StringIO(""), out).run()
-    return io.StringIO(out.getvalue())
+    out = io.BytesIO()
+    WireSession(config, io.BytesIO(), out).run()
+    return io.StringIO(out.getvalue().decode())
 
 
 def test_a_session_that_ends_after_hello_raises(make_config):

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 import mirrorsim.runner
 import mirrorsim.wire
-from mirrorsim.config import default_config_mapping
-from mirrorsim.management import CommandKind, Effector, Probe
+from mirrorsim.config import config_from_mapping, default_config_mapping
+from mirrorsim.management import CommandKind, Effector, EffectorError, Probe, ProbeError
 from mirrorsim.managers import NullManager
 from mirrorsim.network import Monitorables, Topology
 from mirrorsim.runner import (
@@ -30,7 +30,10 @@ from mirrorsim.runner import (
     NormalizedMetrics,
     RunResult,
     TraceRecord,
+    build_simulation,
+    evaluate_satisfaction,
     render_trace_csv,
+    replay,
     run,
 )
 from mirrorsim.wire import (
@@ -41,8 +44,6 @@ from mirrorsim.wire import (
     PROTOCOL_VERSION,
     WireSession,
     _encode,
-    _monitorables_line,
-    _step_line,
     run_remote,
     serve_tcp,
 )
@@ -50,7 +51,13 @@ from mirrorsim.wire import (
 PROTOCOL_DOC = Path(__file__).resolve().parent.parent / "docs" / "protocol.md"
 
 from test_golden import grammar_session
-from wire_helpers import WireHarness, monitorables_payload, record_payload
+from wire_helpers import (
+    WireHarness,
+    monitorables_line,
+    monitorables_payload,
+    record_line,
+    record_payload,
+)
 
 
 def test_hello_opens_the_session(make_config):
@@ -174,9 +181,12 @@ def test_unreachable_topology_target_is_invalid_value(make_config):
     assert len(harness.result.command_log) == 0
 
 
-def _serve_lines(config, text: str) -> tuple[list[dict], object]:
-    out = io.StringIO()
-    result = WireSession(config, io.StringIO(text), out).run()
+def _serve_lines(config, requests: str | bytes) -> tuple[list[dict], object]:
+    """Every message a session over ``io.BytesIO`` sends for ``requests``."""
+    if isinstance(requests, str):
+        requests = requests.encode()
+    out = io.BytesIO()
+    result = WireSession(config, io.BytesIO(requests), out).run()
     return [json.loads(line) for line in out.getvalue().splitlines()], result
 
 
@@ -289,6 +299,48 @@ def test_request_line_at_the_limit_is_accepted(make_config):
     assert len(line) == MAX_LINE_CHARS
     messages, _ = _serve_lines(make_config(timesteps=3), line)
     assert [m["kind"] for m in messages] == ["hello", "monitorables"]
+
+
+def _padded_line(characters: int, pad: str) -> str:
+    """A ``get_monitorables`` request of ``characters`` characters, newline
+    included, padded by a string field of ``pad`` characters."""
+    head, tail = '{"seq": 1, "kind": "get_monitorables", "pad": "', '"}\n'
+    return head + pad * (characters - len(head) - len(tail)) + tail
+
+
+@pytest.mark.parametrize("pad", ["\u00e9", "\U0001f600"], ids=["two_bytes", "four_bytes"])
+@pytest.mark.parametrize("characters", [MAX_LINE_CHARS - 1, MAX_LINE_CHARS])
+def test_the_line_limit_counts_characters_not_bytes(make_config, pad, characters):
+    line = _padded_line(characters, pad)
+    assert len(line) == characters and len(line.encode()) > MAX_LINE_CHARS
+    messages, _ = _serve_lines(make_config(timesteps=3), line + '{"seq": 2, "kind": "step"}\n')
+    assert [m["kind"] for m in messages] == ["hello", "monitorables", "step_complete"]
+
+
+@pytest.mark.parametrize("pad", [" ", "\u00e9", "\U0001f600"])
+def test_a_line_one_character_past_the_limit_exceeds_it(make_config, pad):
+    line = _padded_line(MAX_LINE_CHARS + 1, pad)
+    text = line + '{"seq": 2, "kind": "step"}\n'
+    messages, result = _serve_lines(make_config(timesteps=3), text)
+    assert [m["kind"] for m in messages] == ["hello", "error"]
+    assert (messages[1]["code"], messages[1]["detail"]) == (
+        "malformed_message", f"request line exceeds {MAX_LINE_CHARS} characters"
+    )
+    assert "re" not in messages[1] and len(result.trace) == 0
+
+
+@pytest.mark.parametrize("line, detail", [
+    (b'\xff\xfe{"seq": 1}\n', "not valid UTF-8"),
+    (b'{"seq": 1, "kind": "step", "pad": "\xed\xa0\x80"}\n', "not valid UTF-8"),  # a surrogate
+    # The length check comes first: each escaped byte is one character.
+    (b"\xff" * MAX_LINE_CHARS + b"\n", f"request line exceeds {MAX_LINE_CHARS} characters"),
+])
+def test_a_line_that_is_not_utf8_is_malformed(make_config, line, detail):
+    text = line + b'{"seq": 2, "kind": "step"}\n'
+    messages, result = _serve_lines(make_config(timesteps=3), text)
+    assert [m["kind"] for m in messages] == ["hello", "error"]
+    assert (messages[1]["code"], messages[1]["detail"]) == ("malformed_message", detail)
+    assert len(result.trace) == 0
 
 
 def test_protocol_doc_matches_the_surface(make_config):
@@ -506,8 +558,8 @@ def test_a_non_finite_value_ends_the_session_with_strict_json(make_config, monke
         {"seq": 2, "kind": "step"},
         {"seq": 3, "kind": "step"},
     ]
-    rfile = io.StringIO("".join(json.dumps(request) + "\n" for request in requests))
-    wfile = io.StringIO()
+    rfile = io.BytesIO("".join(json.dumps(request) + "\n" for request in requests).encode())
+    wfile = io.BytesIO()
     result = WireSession(make_config(scenario="S2", seed=1, timesteps=5), rfile, wfile).run()
     messages = [
         json.loads(line, parse_constant=_reject_constant)
@@ -526,8 +578,8 @@ def test_a_non_finite_value_ends_the_session_with_strict_json(make_config, monke
 def test_a_non_finite_monitorables_reply_ends_the_session_with_strict_json(make_config):
     # A fault injected into the probed state stands in for a non-finite value:
     # the monitorables template refuses it and the reply must not go out.
-    rfile = io.StringIO('{"seq": 1, "kind": "get_monitorables"}\n{"seq": 2, "kind": "step"}\n')
-    wfile = io.StringIO()
+    rfile = io.BytesIO(b'{"seq": 1, "kind": "get_monitorables"}\n{"seq": 2, "kind": "step"}\n')
+    wfile = io.BytesIO()
     session = WireSession(make_config(timesteps=3), rfile, wfile)
     session.sim.latest_monitorables = Monitorables(1, math.inf, 0.0)
     result = session.run()
@@ -544,6 +596,23 @@ def test_a_non_finite_monitorables_reply_ends_the_session_with_strict_json(make_
     assert not result.completed and len(result.trace) == 0
 
 
+def test_a_probed_row_the_step_did_not_draw_is_checked_afresh(make_config, monkeypatch):
+    # The monitorables reply reuses the step's texts only for the row that
+    # step drew: any other row the probe answers is checked and formatted
+    # on its own, so a non-finite one is refused after a finite step.
+    def non_finite(self):
+        return None if self._sim.latest_monitorables is None else tuple.__new__(
+            Monitorables, (1, math.inf, 0.0)
+        )
+
+    monkeypatch.setattr(Probe, "get_monitorables", non_finite)
+    text = '{"seq": 1, "kind": "step"}\n{"seq": 2, "kind": "get_monitorables"}\n'
+    messages, result = _serve_lines(make_config(timesteps=3), text)
+    assert [message["kind"] for message in messages] == ["hello", "step_complete", "error"]
+    assert (messages[-1]["code"], messages[-1]["re"]) == ("non_finite_value", 2)
+    assert len(result.trace) == 1
+
+
 def test_a_non_finite_summary_ends_the_session_with_strict_json(make_config, monkeypatch):
     # A fault injected into the summary stands in for a non-finite mean: the
     # strict encoder refuses the run_complete message, which answers no request.
@@ -554,8 +623,8 @@ def test_a_non_finite_summary_ends_the_session_with_strict_json(make_config, mon
 
     monkeypatch.setattr(mirrorsim.wire, "evaluate_satisfaction", infinite_summary)
     text = "".join(f'{{"seq": {seq}, "kind": "step"}}\n' for seq in (1, 2))
-    wfile = io.StringIO()
-    result = WireSession(make_config(timesteps=2), io.StringIO(text), wfile).run()
+    wfile = io.BytesIO()
+    result = WireSession(make_config(timesteps=2), io.BytesIO(text.encode()), wfile).run()
     messages = [
         json.loads(line, parse_constant=_reject_constant)
         for line in wfile.getvalue().splitlines()
@@ -571,16 +640,18 @@ def test_a_non_finite_summary_ends_the_session_with_strict_json(make_config, mon
     assert not result.completed and len(result.trace) == 2
 
 
-class _GoneClient(io.StringIO):
+class _GoneClient(io.BytesIO):
     """A reply stream whose client went away: every write breaks the pipe."""
 
-    def write(self, text):
+    def write(self, data):
         raise BrokenPipeError
 
 
 def test_a_client_that_went_away_does_not_stop_the_queued_steps(make_config):
     text = "".join(f'{{"seq": {seq}, "kind": "step"}}\n' for seq in (1, 2, 3))
-    result = WireSession(make_config(seed=4, timesteps=3), io.StringIO(text), _GoneClient()).run()
+    result = WireSession(
+        make_config(seed=4, timesteps=3), io.BytesIO(text.encode()), _GoneClient()
+    ).run()
     assert len(result.trace) == 3
     assert result.completed
 
@@ -624,13 +695,13 @@ template_settings = settings(max_examples=300, derandomize=True, deadline=None)
     ),
 )
 def test_the_step_template_writes_the_generic_encoders_bytes(seq, request_seq, record):
-    line = _step_line(seq, request_seq, record)
+    line = record_line(seq, request_seq, record)
     assert line is not None
     message = {
         "seq": seq, "re": request_seq, "kind": "step_complete",
         "timestep": record.timestep, "record": record_payload(record),
     }
-    assert line == _encode(message) + "\n"
+    assert line == (_encode(message) + "\n").encode()
 
 
 non_negative_floats = st.one_of(
@@ -648,11 +719,11 @@ non_negative_floats = st.one_of(
 def test_the_monitorables_template_writes_the_generic_encoders_bytes(
     seq, request_seq, monitorables
 ):
-    line = _monitorables_line(seq, request_seq, monitorables)
+    line = monitorables_line(seq, request_seq, monitorables)
     assert line is not None
     encoded = monitorables_payload(monitorables)
     message = {"seq": seq, "re": request_seq, "kind": "monitorables", "monitorables": encoded}
-    assert line == _encode(message) + "\n"
+    assert line == (_encode(message) + "\n").encode()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -662,13 +733,13 @@ def test_the_templates_refuse_exactly_a_nan_or_an_infinity(value):
     record = TraceRecord(0, Topology.MST, 1, big, big, big, big, big, None)
     for field in ("bandwidth_gbps", "time_to_write_ms", "active_links_pct", "bandwidth_pct",
                   "write_time_pct"):
-        assert _step_line(1, 1, record._replace(**{field: value})) is None
+        assert record_line(1, 1, record._replace(**{field: value})) is None
     for index in (1, 2):
         fields = [1, big, big]
         fields[index] = value
-        assert _monitorables_line(1, 1, tuple.__new__(Monitorables, fields)) is None
-    assert _step_line(1, 1, record) is not None
-    assert _monitorables_line(1, 1, Monitorables(1, big, big)) is not None
+        assert monitorables_line(1, 1, tuple.__new__(Monitorables, fields)) is None
+    assert record_line(1, 1, record) is not None
+    assert monitorables_line(1, 1, Monitorables(1, big, big)) is not None
 
 
 @template_settings
@@ -678,7 +749,97 @@ def test_the_templates_refuse_exactly_a_nan_or_an_infinity(value):
 )
 def test_the_ack_template_writes_the_generic_encoders_bytes(seq, request_seq, kind):
     message = {"seq": seq, "re": request_seq, "kind": "ack", "command": kind}
-    assert _ACK[kind] % (seq, request_seq) == _encode(message) + "\n"
+    assert _ACK[kind] % (seq, request_seq) == (_encode(message) + "\n").encode()
+
+
+# Edge values of every effector field, as JSON carries them: accepted values,
+# each bound and one past it, the wrong JSON type, and values JSON decodes to
+# non-finite floats.
+LOAD_VALUES = (0.0, -0.0, 5e-324, 1.5, 2500.25, 1e300, 1.7e308, -1.0, 0, 7, 10**400,
+               math.inf, math.nan, True, "1.0", None)
+LINK_VALUES = (0, 1, 150, 299, 300, 301, -1, 2**63, 1.0, True, "7", None)
+TOPOLOGY_VALUES = ("mst", "rt", "MST", "Rt", "star", "", 1, None)
+# A set_network_topology target relative to the timestep it is sent at.
+TARGET_OFFSETS = (0, 1, 2, -1, 10**20)
+
+
+@st.composite
+def _requests_before_a_step(draw, timestep: int) -> list[dict]:
+    """The requests a client sends at ``timestep``, before its step request."""
+    probes = st.sampled_from(sorted(PROBE_REPLIES)).map(lambda kind: {"kind": kind})
+    effectors = st.one_of(
+        st.builds(lambda value: {"kind": "set_active_links", "active_links": value},
+                  st.sampled_from(LINK_VALUES)),
+        st.builds(lambda value: {"kind": "set_time_to_write", "time_to_write": value},
+                  st.sampled_from(LOAD_VALUES)),
+        st.builds(lambda value: {"kind": "set_bandwidth_consumption",
+                                 "bandwidth_consumption": value}, st.sampled_from(LOAD_VALUES)),
+        st.builds(lambda topology: {"kind": "set_current_topology", "topology": topology},
+                  st.sampled_from(TOPOLOGY_VALUES)),
+        st.builds(lambda offset, topology: {"kind": "set_network_topology",
+                                            "timestep": timestep + offset, "topology": topology},
+                  st.sampled_from(TARGET_OFFSETS), st.sampled_from(TOPOLOGY_VALUES)),
+    )
+    requests = draw(st.lists(st.one_of(probes, effectors), max_size=5))
+    # The same row probed several times: the step's texts are reused.
+    return requests + [{"kind": "get_monitorables"}] * draw(st.integers(0, 3))
+
+
+def _reference_reply(sim, request: dict) -> dict:
+    """What the server answers ``request`` with, from the in-process ``sim``
+    and the reference payloads, with no ``seq``; an error names its request last."""
+    kind, re_ = request["kind"], {"re": request["seq"]}
+    if kind == "step":
+        sim.step()
+        record = sim.trace[-1]
+        return {**re_, "kind": "step_complete", "timestep": record.timestep,
+                "record": record_payload(record)}
+    if kind == "get_monitorables":
+        return {**re_, "kind": "monitorables",
+                "monitorables": monitorables_payload(sim.probe.get_monitorables())}
+    if kind in PROBE_REPLIES:
+        reply_kind, encode = PROBE_REPLIES[kind]
+        try:
+            return {**re_, "kind": reply_kind, reply_kind: encode(getattr(sim.probe, kind)())}
+        except ProbeError as exc:
+            return {"kind": "error", "code": "not_observable", "detail": str(exc), **re_}
+    try:
+        getattr(sim.effector, kind)(*(request[name] for name in EFFECTOR_FIELDS[kind]))
+    except EffectorError as exc:
+        return {"kind": "error", "code": "invalid_value", "detail": str(exc), **re_}
+    return {**re_, "kind": "ack", "command": kind}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data(), scenario=st.sampled_from([f"S{index}" for index in range(7)]),
+       seed=st.integers(0, 2**32 - 1), timesteps=st.integers(1, 5))
+def test_a_session_over_bytes_writes_the_reference_replies(data, scenario, seed, timesteps):
+    # Every request of a scripted session, probes before the first step
+    # included, is answered with the line the generic encoder writes for the
+    # reference payload of an in-process simulation given the same requests.
+    config = config_from_mapping({"scenario": scenario, "seed": seed, "timesteps": timesteps})
+    requests = []
+    for timestep in range(timesteps):
+        requests += data.draw(_requests_before_a_step(timestep)) + [{"kind": "step"}]
+    requests = [{"seq": seq, **request} for seq, request in enumerate(requests, 1)]
+    text = "".join(json.dumps(request) + "\n" for request in requests)
+    out = io.BytesIO()
+    result = WireSession(config, io.BytesIO(text.encode()), out).run()
+
+    sim = build_simulation(config)
+    expected = [_reference_reply(sim, request) for request in requests]
+    thresholds = config.properties.thresholds
+    expected.append({"kind": "run_complete",
+                     "summary": evaluate_satisfaction(sim.trace, thresholds).as_dict()})
+    lines = out.getvalue().splitlines(keepends=True)
+    assert json.loads(lines[0])["kind"] == "hello"
+    assert lines[1:] == [
+        (_encode({"seq": seq, **reply}) + "\n").encode() for seq, reply in enumerate(expected, 1)
+    ]
+    assert result.completed and result.trace == sim.trace
+    acks = sum(reply["kind"] == "ack" for reply in expected)
+    assert acks == len(result.command_log)
+    assert result.trace == replay(result.command_log, config).trace
 
 
 def test_a_request_line_that_is_not_utf8_is_malformed_over_tcp(make_config):

@@ -1,6 +1,6 @@
 """Test-side wire client: a scripted line-JSON peer for one server session,
-and the reference encodings of a trace record and of a probed monitorables
-record as wire payloads."""
+the reference encodings of a trace record and of a probed monitorables record
+as wire payloads, and their lines as the server's templates write them."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import threading
 
 from mirrorsim.network import Monitorables
 from mirrorsim.runner import TRACE_FIELDS, TraceRecord
-from mirrorsim.wire import WireSession
+from mirrorsim.wire import _MONITORABLES, _NO_MONITORABLES, WireSession, _slots, _step_line
 
 
 def record_payload(record: TraceRecord) -> dict:
@@ -29,6 +29,23 @@ def monitorables_payload(monitorables: Monitorables | None) -> dict | None:
     return None if monitorables is None else monitorables._asdict()
 
 
+def record_line(seq: int, request_seq: int, record: TraceRecord) -> bytes | None:
+    """The ``step_complete`` line of ``record`` from the server's template, its
+    drawn floats formatted by ``_slots``; None when a float is not finite."""
+    slots = _slots(record[2:5])
+    return slots and _step_line(seq, request_seq, record.timestep, record.topology, slots,
+                                record[5:8], record.adaptation)
+
+
+def monitorables_line(seq: int, request_seq: int, monitorables: Monitorables | None):
+    """The ``monitorables`` reply line from the server's templates; None when
+    a float is not finite."""
+    if monitorables is None:
+        return _NO_MONITORABLES % (seq, request_seq)
+    slots = _slots(monitorables)
+    return slots and _MONITORABLES % (seq, request_seq, *slots)
+
+
 class WireHarness:
     """Runs a WireSession on a background thread over a socketpair; the harness
     is the client's line reader: ``run_remote(manager, harness, harness.wfile)``."""
@@ -37,8 +54,8 @@ class WireHarness:
         self._server_sock, self._client_sock = socket.socketpair()
         self._server_sock.settimeout(30)
         self._client_sock.settimeout(30)
-        self._server_r = self._server_sock.makefile("r", encoding="utf-8", newline="\n")
-        self._server_w = self._server_sock.makefile("w", encoding="utf-8", newline="\n")
+        self._server_r = self._server_sock.makefile("rb")
+        self._server_w = self._server_sock.makefile("wb")
         self._session = WireSession(config, self._server_r, self._server_w)
         self.result = None
         self.rfile = self._client_sock.makefile("r", encoding="utf-8", newline="\n")
