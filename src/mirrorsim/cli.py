@@ -94,6 +94,8 @@ def _bool_cell(value: bool) -> str:
     return "true" if value else "false"
 
 
+# Characters plot-data reads from a trace file at a time.
+_TRACE_BLOCK = 1 << 16
 # A trace row's commas: one fewer than its cells, as str.split(",") cuts them.
 _ROW_COMMAS = len(TRACE_FIELDS) - 1
 _commas = methodcaller("count", ",")
@@ -151,11 +153,26 @@ def emit_plot_data(trace_text: str, thresholds: SatisfactionThresholds) -> str:
 
 
 def _trace_file_lines(path: Path):
-    """The lines of the trace file at ``path``, read a line at a time: each
-    file line is split as ``str.splitlines`` splits the whole text."""
+    """The lines of the trace file at ``path``, read ``_TRACE_BLOCK``
+    characters at a time and split as ``str.splitlines`` splits the whole
+    text. Each block is split once; its unfinished last line is kept in
+    pieces until a block ends it, so a long line is copied once. Universal
+    newlines turn each ``\\r\\n`` into ``\\n`` as it is read, so no
+    separator spans two blocks."""
     with open(path, encoding="utf-8") as handle:
         try:
-            yield from chain.from_iterable(map(str.splitlines, handle))
+            unfinished = []
+            while block := handle.read(_TRACE_BLOCK):
+                # A character that is no separator after the block makes its
+                # last piece the unfinished line, empty when a separator ends it.
+                *lines, last = (block + "x").splitlines()
+                if lines:
+                    lines[0] = "".join([*unfinished, lines[0]])
+                    unfinished.clear()
+                    yield from lines
+                unfinished.append(last[:-1])
+            if line := "".join(unfinished):
+                yield line
         except UnicodeDecodeError:
             # Raised again by a whole decode, to name the byte's position in
             # the file rather than in the block being read.

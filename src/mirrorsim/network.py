@@ -74,6 +74,11 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite_number(value: object) -> bool:
+    """An ``int`` (not a ``bool``), whatever its size, or a finite ``float``."""
+    return _is_int(value) or (_is_number(value) and math.isfinite(value))
+
+
 def _int_text(value: object) -> str:
     """The one rule for printing a value in a boundary message: ``repr(value)``
     (``str(value)`` for an ``int`` or a ``float``), or, where ``repr`` raises
@@ -213,22 +218,26 @@ class _MonitorablesFields(NamedTuple):
 class Monitorables(_MonitorablesFields):
     """The three observed metrics at one timestep (an immutable named tuple).
 
-    Every public construction path, ``_make`` and ``_replace`` included, goes
-    through the non-negativity check in ``__new__``. Only the step kernels skip
-    it, with ``tuple.__new__(Monitorables, values)``: their inputs (link ranges
+    ``__new__`` refuses, with ValueError, a link count that is not an ``int``
+    (a ``bool`` included), a load that is not a finite number (an ``int`` or a
+    finite ``float``), and a negative value. A call, ``_make``, ``_replace``
+    and the wire client, which decodes a ``monitorables`` reply as
+    ``Monitorables(**fields)``, all apply it. Only the step kernels skip it,
+    with ``tuple.__new__(Monitorables, values)``: their inputs (link ranges
     >= 1, positive finite unit ranges and factors, alpha in (0, 1], the
-    config's worst-step bound and effector-checked overrides) were checked when
-    the config and the effector accepted them, so every value they build is
-    finite and >= 0.
+    config's worst-step bound and effector-checked overrides) were checked
+    when the config and the effector accepted them, so every value they
+    build passes it.
     """
 
     __slots__ = ()
 
     def __new__(cls, active_links: int, bandwidth_consumption: float, time_to_write: float):
-        if active_links < 0:
-            raise ValueError("active_links must be >= 0")
-        if bandwidth_consumption < 0 or time_to_write < 0:
-            raise ValueError("derived monitorables must be >= 0")
+        if not (_is_int(active_links) and active_links >= 0):
+            raise ValueError(f"active_links must be an integer >= 0, got {_int_text(active_links)}")
+        for name, load in zip(cls._fields[1:], (bandwidth_consumption, time_to_write)):
+            if not (_is_finite_number(load) and load >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {_int_text(load)}")
         return tuple.__new__(cls, (active_links, bandwidth_consumption, time_to_write))
 
     @classmethod

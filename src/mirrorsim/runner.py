@@ -19,7 +19,8 @@ from typing import NamedTuple, Optional
 from .config import ExperimentConfig, SatisfactionThresholds
 from .management import ColumnSequence, CommandLog, Effector, EffectorCommand, EffectorError, Probe
 from .network import (
-    MirrorNetwork, Monitorables, Topology, _MST, _int_text, _is_int, sample_base_monitorables,
+    MirrorNetwork, Monitorables, Topology, _MST, _int_text, _is_finite_number, _is_int,
+    sample_base_monitorables,
 )
 from .scenarios import apply_disturbance, initial_topology
 
@@ -170,7 +171,13 @@ class Trace(ColumnSequence):
 
 @dataclass(frozen=True)
 class SatisfactionSummary:
-    """Run-level means and the three threshold verdicts (MC, MP, MR)."""
+    """Run-level means and the three threshold verdicts (MC, MP, MR).
+
+    Construction refuses, with ValueError, a mean that is not a finite number
+    (an ``int``, or a finite ``float``) and a verdict that is not a ``bool``,
+    in process and in the wire client, which decodes each ``run_complete``
+    summary as ``SatisfactionSummary(**fields)``.
+    """
 
     mean_bandwidth_pct: float
     mean_write_time_pct: float
@@ -178,6 +185,13 @@ class SatisfactionSummary:
     mc_satisfied: bool
     mp_satisfied: bool
     mr_satisfied: bool
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if name.startswith("mean_") and not _is_finite_number(value):
+                raise ValueError(f"{name} must be a finite number, got {_int_text(value)}")
+            if name.endswith("_satisfied") and type(value) is not bool:
+                raise ValueError(f"{name} must be a bool, got {_int_text(value)}")
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import inspect
 import json
-import math
 import sys
 from functools import partial
 from itertools import count
@@ -39,7 +38,7 @@ from typing import Callable, Optional
 from . import runner
 from .config import THRESHOLD_FIELDS, ExperimentConfig
 from .management import CommandKind, Effector, EffectorError, ProbeError
-from .network import Monitorables, Topology, _is_int, _is_number
+from .network import Monitorables, Topology, _is_int
 from .runner import (
     TRACE_FIELDS,
     RunResult,
@@ -396,39 +395,12 @@ def _timesteps(config: dict) -> int:
     return timesteps
 
 
-def _number(value: object) -> float:
-    """A JSON number as it is: a bool, a string, and the NaN and infinity
-    tokens that ``json.loads`` takes but JSON has not, raise ValueError."""
-    if _is_int(value) or (_is_number(value) and math.isfinite(value)):
-        return value
-    raise ValueError(f"expected a number, got {value!r}")
-
-
-def _monitorables(fields: Optional[dict]) -> Optional[Monitorables]:
-    if fields is None:
-        return None
-    monitorables = Monitorables(**fields)
-    _integer(monitorables.active_links)
-    _number(monitorables.bandwidth_consumption)
-    _number(monitorables.time_to_write)
-    return monitorables
-
-
-def _summary(fields: dict) -> SatisfactionSummary:
-    """A ``run_complete`` summary: the three means must be JSON numbers and the
-    three verdicts JSON bools, else ValueError."""
-    summary = SatisfactionSummary(**fields)
-    for mean in (summary.mean_bandwidth_pct, summary.mean_write_time_pct,
-                 summary.mean_active_links_pct):
-        _number(mean)
-    for verdict in (summary.mc_satisfied, summary.mp_satisfied, summary.mr_satisfied):
-        if type(verdict) is not bool:
-            raise ValueError(f"expected a bool, got {verdict!r}")
-    return summary
-
-
 # Probe reply kind -> the decoder of its value into the in-process type.
-_DECODE = {"topology": Topology, "value": _integer, "monitorables": _monitorables}
+_DECODE = {
+    "topology": Topology,
+    "value": _integer,
+    "monitorables": lambda fields: None if fields is None else Monitorables(**fields),
+}
 
 
 def _read(rfile, kind: Optional[str] = None) -> dict:
@@ -506,4 +478,5 @@ def run_remote(manager, rfile, wfile) -> SatisfactionSummary:
     ManagerError it caused inside ``decide``."""
     timesteps = _field(_read(rfile, "hello"), "config", _timesteps)
     _drive(manager, *connect(rfile, wfile), timesteps)
-    return _field(_read(rfile, "run_complete"), "summary", _summary)
+    return _field(_read(rfile, "run_complete"), "summary",
+                  lambda fields: SatisfactionSummary(**fields))

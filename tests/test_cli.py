@@ -370,6 +370,40 @@ def test_plot_data_names_the_line_of_the_first_bad_row(tmp_path, capsys, monkeyp
     assert str(plot("")) == "malformed trace: unexpected header"
 
 
+def test_plot_data_splits_lines_across_every_block_edge(tmp_path, capsys, monkeypatch):
+    # Over every block size, each separator, each \r\n (read as one \n), each
+    # multi-byte character and each empty line falls on a block edge at some
+    # size: the lines read are still the whole text's.
+    import mirrorsim.cli as cli_module
+
+    row = "0,mst,1,2.0,3.0,4.0,5.0,6.0,"
+    text = "".join([
+        TRACE_CSV_HEADER, "\r\n", row, "\x85", row.replace("4.0", "4.0é"), "\r\n\r\n",
+        row, " ", row.replace("6.0", "\U0001f600"), "\r", row, "\x0b\n", row,
+    ])
+    path = tmp_path / "lines.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for block in range(1, len(text) + 2):
+        monkeypatch.setattr(cli_module, "_TRACE_BLOCK", block)
+        assert list(cli_module._trace_file_lines(path)) == text.splitlines(), block
+    # The command's bytes and errors at small blocks: the table, the line of
+    # the first bad row (the empty line 4), and a bad byte's whole-file position.
+    good = text.replace("\r\n\r\n", "\r\n").replace("\x0b\n", "\x0b")
+    for block in (1, 2, 3, 7, 64):
+        monkeypatch.setattr(cli_module, "_TRACE_BLOCK", block)
+        table = plot_data_of_file(tmp_path, capsys, monkeypatch, good)
+        assert table == reference_plot_data(good, SatisfactionThresholds())
+        assert str(plot_data_of_file(tmp_path, capsys, monkeypatch, text)) == (
+            "malformed trace: bad row at line 4"
+        )
+        data = good.encode() + b"\n" + row.encode() + b"\xff\n"
+        (tmp_path / "trace.csv").write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        assert run_cli("plot-data", str(tmp_path / "trace.csv")) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"configuration error: {whole.value}\n"
+
+
 def test_plot_data_rejects_malformed_trace(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("timestep,nope\n1,2\n")

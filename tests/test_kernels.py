@@ -33,7 +33,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorsim import managers, runner
-from mirrorsim.config import THRESHOLD_FIELDS, config_from_mapping
+from mirrorsim.config import (
+    DISTURBED_LOADS, THRESHOLD_FIELDS, ConfigInvariantError, config_from_mapping, largest_factor,
+    step_overflow,
+)
 from mirrorsim.management import CommandKind, CommandLog, EffectorCommand, EffectorError
 from mirrorsim.managers import COOLDOWN, WINDOW_LENGTH, create_manager
 from mirrorsim.network import (
@@ -434,7 +437,13 @@ def test_records_reject_attribute_assignment():
             obj.extra = 0
 
 
-@pytest.mark.parametrize("fields", [(-1, 0.0, 0.0), (0, -0.5, 0.0), (0, 0.0, -0.5)])
+@pytest.mark.parametrize("fields", [
+    (-1, 0.0, 0.0), (0, -0.5, 0.0), (0, 0.0, -0.5),
+    # A link count that is not an int, and loads that are not finite numbers.
+    (True, 0.0, 0.0), (3.7, 0.0, 0.0), (1.0, 0.0, 0.0), ("1", 0.0, 0.0),
+    (0, math.nan, 0.0), (0, math.inf, 0.0), (0, -math.inf, 0.0), (0, True, 0.0),
+    (0, 0.0, math.nan), (0, 0.0, math.inf), (0, 0.0, -math.inf), (0, 0.0, "1.0"),
+])
 def test_negative_monitorables_raise(fields):
     with pytest.raises(ValueError):
         Monitorables(*fields)
@@ -444,8 +453,29 @@ def test_negative_monitorables_raise(fields):
         Monitorables(0, 0.0, 0.0)._replace(**dict(zip(Monitorables._fields, fields)))
 
 
-# Unit ranges up to 1e290 still load for runs this short: the worst step stays
-# finite, so the config accepts them and the step must keep them finite.
+SUMMARY_FIELDS = {
+    "mean_bandwidth_pct": 50.0, "mean_write_time_pct": 40, "mean_active_links_pct": 60.0,
+    "mc_satisfied": True, "mp_satisfied": False, "mr_satisfied": True,
+}
+
+
+@pytest.mark.parametrize(("field", "value"), [
+    *((mean, value) for mean in ("mean_bandwidth_pct", "mean_write_time_pct",
+                                 "mean_active_links_pct")
+      for value in (math.nan, math.inf, -math.inf, True, "50.0", None)),
+    *((verdict, value) for verdict in ("mc_satisfied", "mp_satisfied", "mr_satisfied")
+      for value in (0, 1, None, "yes", 1.0)),
+])
+def test_a_summary_refuses_a_non_finite_mean_and_a_verdict_not_a_bool(field, value):
+    SatisfactionSummary(**{**SUMMARY_FIELDS, "mean_write_time_pct": 10**400})  # any int is taken
+    with pytest.raises(ValueError, match=f"^{field} must be a"):
+        SatisfactionSummary(**{**SUMMARY_FIELDS, field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be a"):
+        dataclasses.replace(SatisfactionSummary(**SUMMARY_FIELDS), **{field: value})
+
+
+# Unit ranges up to 1e290 still load: the worst step stays finite, so the
+# config accepts them and the step must keep them finite.
 unit_ranges = st.one_of(bounds(0.1, 100.0), bounds(1.0, 1e290))
 # Load overrides, within the effector's bound or past it (then refused): a
 # negative zero and integers too, which the effector logs as floats.
@@ -455,16 +485,37 @@ loads = st.one_of(
 )
 
 
+def largest_timesteps(mapping: dict) -> int:
+    """The longest run ``step_overflow`` accepts for both disturbed loads'
+    worst step in the config of ``mapping``, found by bisection."""
+    config = config_from_mapping({**mapping, "timesteps": 1, "disturbance_window": None})
+    network, profiles = config.network, config.scenario_profiles.values()
+    worst_steps = [
+        (network.alpha * network.total_links * getattr(network, key)[1]
+         * largest_factor(profiles, factor), getattr(network, basis))
+        for key, basis, factor in DISTURBED_LOADS.values()
+    ]
+
+    def accepted(timesteps: int) -> bool:
+        return all(step_overflow(worst, basis, timesteps) is None for worst, basis in worst_steps)
+
+    low, high = 1, 2**1024  # accepted(1); 2**1024 is past the float range
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if accepted(middle) else (low, middle)
+    return low
+
+
 @st.composite
 def config_mappings(draw, scenario):
-    """A valid config mapping for ``scenario`` with a short run."""
-    timesteps = draw(st.integers(min_value=1, max_value=12))
+    """A config mapping for ``scenario``: a run of 1-12 steps, or the longest
+    run ``step_overflow`` accepts for its worst step, or one step longer,
+    which the config refuses."""
     # Four sorted percentages: the RT range sits at or above the MST range.
     pct = sorted(draw(st.lists(st.floats(0.5, 100.0), min_size=4, max_size=4)))
     sides = st.dictionaries(st.sampled_from(FACTOR_NAMES), bounds(0.05, 4.0), max_size=3)
-    return {
+    mapping = {
         "number_of_mirrors": draw(st.integers(min_value=2, max_value=60)),
-        "timesteps": timesteps,
         "scenario": scenario.value,
         "seed": draw(seeds),
         "alpha": draw(st.one_of(st.just(1.0), st.floats(min_value=0.01, max_value=1.0))),
@@ -477,11 +528,13 @@ def config_mappings(draw, scenario):
             st.dictionaries(st.sampled_from(["mst", "rt"]), sides, max_size=2),
             max_size=3,
         )),
-        "disturbance_window": draw(st.one_of(
-            st.none(),
-            st.lists(st.integers(0, timesteps - 1), min_size=2, max_size=2).map(sorted),
-        )),
     }
+    longest = largest_timesteps(mapping)
+    timesteps = draw(st.one_of(st.integers(1, 12), st.sampled_from([longest, longest + 1])))
+    return {**mapping, "timesteps": timesteps, "disturbance_window": draw(st.one_of(
+        st.none(),
+        st.lists(st.integers(0, timesteps - 1), min_size=2, max_size=2).map(sorted),
+    ))}
 
 
 def effector_calls(total_links):
@@ -503,12 +556,19 @@ def test_every_step_of_a_loaded_config_passes_the_monitorables_check(scenario, d
     # The step builds its Monitorables unchecked, trusting the config and the
     # effector; the checked constructor must accept every one it builds. Every
     # step's record and monitorables go out whole from the wire templates with
-    # the generic encoder's bytes, and the run's means are finite.
-    config = config_from_mapping(data.draw(config_mappings(scenario)))
+    # the generic encoder's bytes, and the run's means are finite. A run one
+    # step past the longest the worst step allows is refused, naming the sum.
+    mapping = data.draw(config_mappings(scenario))
+    timesteps = mapping["timesteps"]
+    if timesteps > largest_timesteps(mapping):
+        with pytest.raises(ConfigInvariantError, match=f"the sum of {timesteps} step percentages"):
+            config_from_mapping(mapping)
+        return
+    config = config_from_mapping(mapping)
     sim = build_simulation(config)
     calls = effector_calls(config.network.total_links)
     logged = []  # the command each accepted call should log
-    while not sim.finished:
+    while sim.timestep < min(timesteps, 12):  # the first 12 steps of a longest run
         for name, args in data.draw(st.lists(calls, max_size=3)):
             target = None
             if name == "set_network_topology":
@@ -564,9 +624,10 @@ def test_every_step_of_a_loaded_config_passes_the_monitorables_check(scenario, d
             assert command.payload.hex() == expected.payload.hex()
         elif isinstance(expected.payload, Topology):
             assert command.payload is expected.payload
-    replayed = replay(sim.command_log, config)
-    assert replayed.trace == sim.trace
-    assert replayed.command_log == sim.command_log
+    if sim.finished:  # a longest run is not replayed to its end
+        replayed = replay(sim.command_log, config)
+        assert replayed.trace == sim.trace
+        assert replayed.command_log == sim.command_log
 
 
 def test_run_result_pickles_equal():

@@ -178,13 +178,13 @@ def test_a_malformed_session_message_raises_wire_error(lines):
 @pytest.mark.parametrize("field", ["bandwidth_consumption", "time_to_write"])
 @pytest.mark.parametrize("value", [True, False, math.inf])
 def test_a_load_that_is_not_a_json_number_raises_wire_error(field, value):
-    # Monitorables' own check would take true and false for 1 and 0, and
-    # json.loads reads Infinity, which JSON has not.
+    # Monitorables refuses true and false, which Python counts as 1 and 0,
+    # and Infinity, which json.loads reads but JSON has not.
     fields = {"active_links": 3, "bandwidth_consumption": 1.0, "time_to_write": 1.0}
     reply = {"seq": 0, "re": 1, "kind": "monitorables",
              "monitorables": {**fields, field: value}}
     probe, _, _ = connect(io.StringIO(json.dumps(reply) + "\n"), io.StringIO())
-    with pytest.raises(WireError, match="expected a number"):
+    with pytest.raises(WireError, match="must be a finite number"):
         probe.get_monitorables()
 
 

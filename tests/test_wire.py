@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
+import copy
 import inspect
 import io
 import json
@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 import mirrorsim.runner
 import mirrorsim.wire
@@ -581,7 +582,7 @@ def test_a_non_finite_monitorables_reply_ends_the_session_with_strict_json(make_
     rfile = io.BytesIO(b'{"seq": 1, "kind": "get_monitorables"}\n{"seq": 2, "kind": "step"}\n')
     wfile = io.BytesIO()
     session = WireSession(make_config(timesteps=3), rfile, wfile)
-    session.sim.latest_monitorables = Monitorables(1, math.inf, 0.0)
+    session.sim.latest_monitorables = tuple.__new__(Monitorables, (1, math.inf, 0.0))
     result = session.run()
     messages = [
         json.loads(line, parse_constant=_reject_constant)
@@ -619,7 +620,9 @@ def test_a_non_finite_summary_ends_the_session_with_strict_json(make_config, mon
     evaluate = mirrorsim.wire.evaluate_satisfaction
 
     def infinite_summary(*args):
-        return dataclasses.replace(evaluate(*args), mean_bandwidth_pct=math.inf)
+        summary = copy.copy(evaluate(*args))  # a copy skips the summary's own check
+        object.__setattr__(summary, "mean_bandwidth_pct", math.inf)
+        return summary
 
     monkeypatch.setattr(mirrorsim.wire, "evaluate_satisfaction", infinite_summary)
     text = "".join(f'{{"seq": {seq}, "kind": "step"}}\n' for seq in (1, 2))
@@ -840,6 +843,143 @@ def test_a_session_over_bytes_writes_the_reference_replies(data, scenario, seed,
     acks = sum(reply["kind"] == "ack" for reply in expected)
     assert acks == len(result.command_log)
     assert result.trace == replay(result.command_log, config).trace
+
+
+def _documented_error_codes() -> dict[str, bool]:
+    """Each error code of the protocol doc's table -> whether it ends the session."""
+    section = PROTOCOL_DOC.read_text(encoding="utf-8").split("## Errors", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` .*\| (terminated|continues) +\|$", section,
+                      flags=re.MULTILINE)
+    return {code: session == "terminated" for code, session in rows}
+
+
+# Request lines no seq can be read from: not JSON, not an object, no integer
+# seq, not UTF-8, nested past the decoder's limit, and one character too long.
+UNREADABLE_LINES = (b"not json", b"{", b"[1, 2]", b"7", b"null", b'"step"', b'{"kind": "step"}',
+                    b'{"seq": true, "kind": "step"}', b'{"seq": 1.0, "kind": "step"}',
+                    b'\xff\xfe{"seq": 1}', b"[" * 30_000, b"x" * MAX_LINE_CHARS)
+# Request templates with a readable seq that the server refuses all the same.
+REFUSED_REQUESTS = (b'{"seq": %d}', b'{"seq": %d, "kind": 5}', b'{"seq": %d, "kind": ["step"]}',
+                    b'{"seq": %d, "kind": "warp"}', b'{"seq": %d, "kind": "set_active_links"}',
+                    b'{"seq": %d, "kind": "set_network_topology", "timestep": 0}')
+
+
+class WireSessionMachine(RuleBasedStateMachine):
+    """A client that sends any request line, well formed or not, to a
+    ``WireSession`` over ``io.BytesIO``. A session reads its stream to the
+    end, so after each request the session is served afresh from every
+    request line so far; the invariants hold of every line it writes, each
+    parsed by a strict ``json.loads``. Each request has exactly one reply
+    until the session ends, and a line sent after that is never read."""
+
+    ERRORS = _documented_error_codes()
+
+    @initialize(scenario=st.sampled_from([f"S{index}" for index in range(7)]),
+                seed=st.integers(0, 2**32 - 1), timesteps=st.integers(1, 3))
+    def start(self, scenario, seed, timesteps):
+        self.config = config_from_mapping(
+            {"scenario": scenario, "seed": seed, "timesteps": timesteps}
+        )
+        self.requests = []  # each request line, newline included
+        self.expected_re = []  # the re of each request's reply, None for none
+        self.seq = 0
+        self._serve()
+
+    def _serve(self):
+        out = io.BytesIO()
+        self.result = WireSession(self.config, io.BytesIO(b"".join(self.requests)), out).run()
+        self.messages = [json.loads(line, parse_constant=_reject_constant)
+                         for line in out.getvalue().splitlines()]
+
+    def _ends(self, message: dict) -> bool:
+        return message["kind"] == "run_complete" or (
+            message["kind"] == "error" and self.ERRORS.get(message["code"], True)
+        )
+
+    @property
+    def ended(self) -> bool:
+        return self._ends(self.messages[-1])
+
+    def _send(self, line: bytes, re_) -> None:
+        self.requests.append(line + b"\n")
+        self.expected_re.append(re_)
+        self._serve()
+
+    def _request(self, kind: str, **fields) -> None:
+        self.seq += 1
+        self._send(json.dumps({"seq": self.seq, "kind": kind, **fields}).encode(), self.seq)
+
+    @rule(kind=st.sampled_from(sorted(PROBE_REPLIES)))
+    def probe(self, kind):
+        self._request(kind)
+
+    @rule(value=st.sampled_from(LINK_VALUES))
+    def set_active_links(self, value):
+        self._request("set_active_links", active_links=value)
+
+    @rule(kind=st.sampled_from(["set_time_to_write", "set_bandwidth_consumption"]),
+          value=st.sampled_from(LOAD_VALUES))
+    def set_load(self, kind, value):
+        self._request(kind, **{kind.removeprefix("set_"): value})
+
+    @rule(topology=st.sampled_from(TOPOLOGY_VALUES))
+    def set_current_topology(self, topology):
+        self._request("set_current_topology", topology=topology)
+
+    @rule(offset=st.sampled_from(TARGET_OFFSETS), topology=st.sampled_from(TOPOLOGY_VALUES))
+    def set_network_topology(self, offset, topology):
+        timestep = len(self.result.trace) + offset
+        self._request("set_network_topology", timestep=timestep, topology=topology)
+
+    @rule()
+    def step(self):
+        self._request("step")
+
+    @rule(line=st.sampled_from(UNREADABLE_LINES + REFUSED_REQUESTS))
+    def refused(self, line):
+        if line in REFUSED_REQUESTS:
+            self.seq += 1
+            self._send(line % self.seq, self.seq)
+        else:
+            self._send(line, None)
+
+    @precondition(lambda self: self.seq > 0)
+    @rule(back=st.integers(0, 2))
+    def repeated_seq(self, back):
+        self._send(b'{"seq": %d, "kind": "step"}' % (self.seq - back), self.seq - back)
+
+    @invariant()
+    def each_reply_answers_its_request(self):
+        hello, *replies = self.messages
+        assert hello["kind"] == "hello"
+        if replies and replies[-1]["kind"] == "run_complete":
+            replies.pop()
+        assert [reply.get("re") for reply in replies] == self.expected_re[:len(replies)]
+        assert self.ended or len(replies) == len(self.requests)
+
+    @invariant()
+    def the_session_ends_only_with_a_documented_code_or_run_complete(self):
+        errors = [message["code"] for message in self.messages if message["kind"] == "error"]
+        assert set(errors) <= set(self.ERRORS)
+        assert not any(map(self._ends, self.messages[:-1]))
+        assert self.result.completed == (self.messages[-1]["kind"] == "run_complete")
+
+    @invariant()
+    def acks_and_steps_are_the_log_and_the_trace(self):
+        kinds = [message["kind"] for message in self.messages]
+        assert kinds.count("ack") == len(self.result.command_log)
+        assert kinds.count("step_complete") == len(self.result.trace)
+
+    @invariant()
+    def the_trace_is_the_replay_of_the_command_log(self):
+        trace = self.result.trace
+        assert trace == replay(self.result.command_log, self.config).trace[:len(trace)]
+
+
+WireSessionMachine.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=12, derandomize=True, deadline=None
+)
+TestWireSessionMachine = WireSessionMachine.TestCase
 
 
 def test_a_request_line_that_is_not_utf8_is_malformed_over_tcp(make_config):
