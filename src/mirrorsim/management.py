@@ -162,7 +162,7 @@ def _parse_topology(topology: object) -> Topology:
 
 
 class Probe:
-    """Read-only view of the simulation state; never consumes randomness."""
+    """Read-only view of a simulation's state, or a remote client's copy; draws no randomness."""
 
     def __init__(self, sim) -> None:
         self._sim = sim

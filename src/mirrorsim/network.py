@@ -75,8 +75,9 @@ def _is_number(value: object) -> bool:
 
 
 def _is_finite_number(value: object) -> bool:
-    """An ``int`` (not a ``bool``), whatever its size, or a finite ``float``."""
-    return _is_int(value) or (_is_number(value) and math.isfinite(value))
+    """The finite-number rule of every boundary: a number (not a ``bool``) of
+    magnitude at most the largest float. NaN, infinities and larger ints fail."""
+    return _is_number(value) and abs(value) <= _FLOAT_MAX
 
 
 def _int_text(value: object) -> str:
@@ -111,9 +112,8 @@ def check_positive_range(name: str, bounds: tuple[float, float]) -> None:
     lower, upper = bounds
     if not (_is_number(lower) and _is_number(upper)):
         raise ValueError(f"{name} bounds must be numbers, got {_pair_text(bounds)}")
-    # The step path trusts these bounds, so NaN, infinity and ints past the
-    # float range stop here (an int compares with a float exactly; NaN fails).
-    if not (abs(lower) <= _FLOAT_MAX and abs(upper) <= _FLOAT_MAX):
+    # The step path trusts these bounds, so a value past the float range stops here.
+    if not (_is_finite_number(lower) and _is_finite_number(upper)):
         raise ValueError(
             f"{name} bounds must be finite, got [{_int_text(lower)}, {_int_text(upper)}]"
         )
@@ -219,10 +219,10 @@ class Monitorables(_MonitorablesFields):
     """The three observed metrics at one timestep (an immutable named tuple).
 
     ``__new__`` refuses, with ValueError, a link count that is not an ``int``
-    (a ``bool`` included), a load that is not a finite number (an ``int`` or a
-    finite ``float``), and a negative value. A call, ``_make``, ``_replace``
-    and the wire client, which decodes a ``monitorables`` reply as
-    ``Monitorables(**fields)``, all apply it. Only the step kernels skip it,
+    (a ``bool`` included), a load that is not a finite number (an ``int`` or
+    ``float`` within the float range), and a negative value. A call, ``_make``,
+    ``_replace`` and the wire client, which builds one from each
+    ``step_complete`` record, all apply it. Only the step kernels skip it,
     with ``tuple.__new__(Monitorables, values)``: their inputs (link ranges
     >= 1, positive finite unit ranges and factors, alpha in (0, 1], the
     config's worst-step bound and effector-checked overrides) were checked

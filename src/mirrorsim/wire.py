@@ -21,7 +21,8 @@ checks every request gets. The ``step_complete`` record is built from the
 values the step itself drew, not read back from the trace, and the texts of
 its two drawn floats are reused by every ``monitorables`` reply of that row.
 
-:class:`WireSession` serves a session; :func:`run_remote` is the client.
+:class:`WireSession` serves a session. :func:`run_remote` is the client; its
+probe answers from the last ``step_complete`` record and sends no request.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Callable, Optional
 
 from . import runner
 from .config import THRESHOLD_FIELDS, ExperimentConfig
-from .management import CommandKind, Effector, EffectorError, ProbeError
+from .management import CommandKind, Effector, EffectorError, Probe, ProbeError
 from .network import Monitorables, Topology, _is_int
 from .runner import (
     TRACE_FIELDS,
@@ -380,27 +381,20 @@ class WireError(RuntimeError):
 _RECOVERABLE = {"not_observable": ProbeError, "invalid_value": EffectorError}
 
 
-def _integer(value: object) -> int:
-    """A JSON integer as it is: a float, a bool or a string raises ValueError
-    rather than being truncated or converted."""
-    if not _is_int(value):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _timesteps(config: dict) -> int:
-    """A ``hello`` config's ``timesteps``: a JSON integer ``>= 1``, as in the config."""
-    if (timesteps := _integer(config["timesteps"])) < 1:
+def _hello(config: dict) -> tuple[int, Topology]:
+    """A ``hello`` config's ``timesteps`` (a JSON integer ``>= 1``) and ``initial_topology``."""
+    if not _is_int(timesteps := config["timesteps"]):
+        raise ValueError(f"expected an integer, got {timesteps!r}")
+    if timesteps < 1:
         raise ValueError(f"expected timesteps >= 1, got {timesteps}")
-    return timesteps
+    return timesteps, Topology(config["initial_topology"])
 
 
-# Probe reply kind -> the decoder of its value into the in-process type.
-_DECODE = {
-    "topology": Topology,
-    "value": _integer,
-    "monitorables": lambda fields: None if fields is None else Monitorables(**fields),
-}
+def _observed(record: dict) -> tuple[Topology, Monitorables]:
+    """A ``step_complete`` record's topology and monitorables, checked as in process."""
+    return Topology(record["topology"]), Monitorables(
+        record["active_links"], record["bandwidth_gbps"], record["time_to_write_ms"]
+    )
 
 
 def _read(rfile, kind: Optional[str] = None) -> dict:
@@ -425,19 +419,15 @@ def _field(message: dict, key: str, decode: Callable):
     raises WireError."""
     try:
         return decode(message[key])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise WireError(f"bad {key} in {message}: {exc!r}") from None
 
 
-def connect(rfile, wfile) -> tuple[SimpleNamespace, SimpleNamespace, Callable[[], dict]]:
-    """The probe, effector and step of a client session past its hello.
-
-    Each call is one request; the methods are built from ``PROBE_REPLIES`` and
-    ``EFFECTOR_FIELDS``. An error reply the session survives raises as in
-    process (``_RECOVERABLE``); any other, a reply of another kind than the
-    request's (a probe's value, ``ack``, ``step_complete``), and any reply not
-    of the grammar, raises WireError.
-    """
+def _requester(rfile, wfile) -> tuple[Callable[..., dict], SimpleNamespace]:
+    """``request(kind, reply_kind, **fields)``, one request of a session past
+    its hello, and the effector over it. An error reply the session survives
+    raises as in process (``_RECOVERABLE``); any other, a reply of another
+    kind than ``reply_kind``, and any reply not of the grammar, raises WireError."""
     seqs = count(1)
 
     def request(kind: str, reply_kind: str, **fields) -> dict:
@@ -457,26 +447,36 @@ def connect(rfile, wfile) -> tuple[SimpleNamespace, SimpleNamespace, Callable[[]
             raise WireError(f"expected {reply_kind} for request {seq}, got {reply}")
         return reply
 
-    def probe(kind: str, reply_kind: str):
-        return lambda: _field(request(kind, reply_kind), reply_kind, _DECODE[reply_kind])
-
     def effector(kind: str, names: tuple):
         return lambda *args: request(kind, "ack", **{
             name: arg.value if isinstance(arg, Topology) else arg for name, arg in zip(names, args)
         })
 
-    probes = {kind: probe(kind, reply) for kind, (reply, _) in PROBE_REPLIES.items()}
     effectors = {kind: effector(kind, names) for kind, names in EFFECTOR_FIELDS.items()}
-    return (SimpleNamespace(**probes), SimpleNamespace(**effectors),
-            partial(request, "step", "step_complete"))
+    return request, SimpleNamespace(**effectors)
+
+
+def connect(rfile, wfile, initial_topology: Topology) -> tuple[Probe, SimpleNamespace, Callable]:
+    """The probe, effector and step of a client session past its hello.
+
+    Each effector call and each step is one request of :func:`_requester`. The
+    probe is a :class:`Probe` over what the session last told, so it sends
+    nothing: ``initial_topology`` (the hello's), then each ``step_complete``
+    record, which fixes every answer until the next step (WireError if bad)."""
+    request, effector = _requester(rfile, wfile)
+    seen = SimpleNamespace(current_topology=initial_topology, latest_monitorables=None)
+
+    def step() -> None:
+        reply = request("step", "step_complete")
+        seen.current_topology, seen.latest_monitorables = _field(reply, "record", _observed)
+
+    return Probe(seen), effector, step
 
 
 def run_remote(manager, rfile, wfile) -> SatisfactionSummary:
     """Drive a new session with an in-process manager under ``run``'s contract;
     return its ``run_complete`` summary (the server keeps trace and log). An
-    unexpected server message or an early end raises WireError, or a
-    ManagerError it caused inside ``decide``."""
-    timesteps = _field(_read(rfile, "hello"), "config", _timesteps)
-    _drive(manager, *connect(rfile, wfile), timesteps)
-    return _field(_read(rfile, "run_complete"), "summary",
-                  lambda fields: SatisfactionSummary(**fields))
+    unexpected server message or an early end raises WireError."""
+    timesteps, initial_topology = _field(_read(rfile, "hello"), "config", _hello)
+    _drive(manager, *connect(rfile, wfile, initial_topology), timesteps)
+    return _field(_read(rfile, "run_complete"), "summary", lambda f: SatisfactionSummary(**f))

@@ -3,22 +3,26 @@
 Each digest is the SHA-256 of ``render_trace_csv`` for one run. The in-process
 matrix covers every scenario under every reference manager for two seeds.
 Two threshold runs (S1, S6) disturbed only inside ``WINDOW`` pin the window's
-gating. One extra session runs the threshold manager over the line-JSON wire. A change
-that moves one drawn number, one float operation or one CSV byte changes a
-digest here. For that wire session the server's whole output stream is
-pinned as well, so a change of JSON key order, float formatting or message
-shape changes a digest too. A scripted session pins the server stream of
-the whole request grammar, which the threshold manager does not use in
-full: each probe before and after the first step, all five effectors, a
-refused command and the steps through to ``run_complete``. A second
-scripted session pins a step whose floats are finite but sum past the float
-range, which the server must still send whole. One long
-threshold run pins both its trace and the bytes of its summary JSON: over
-10,000 steps the window means decide switches that sit exactly on a
-threshold, and the run means carry every last digit, so a change of
-summation order (as in ``sum()`` since CPython 3.12) changes a digest. One
-more digest pins the summary JSON of every in-process and windowed case, so
-each of their means and verdicts is pinned to the last digit as well.
+gating. One extra session runs the threshold manager over the line-JSON wire
+through ``run_remote``. A change that moves one drawn number, one float
+operation or one CSV byte changes a digest here. For that wire session the
+server's whole output stream is pinned as well, so a change of JSON key
+order, float formatting or message shape changes a digest too. The stream is
+pinned twice: once driven by ``run_remote``, whose probe sends no request,
+and once by the test-side reference client (``wire_helpers``), which sends
+one request per probe, so the run's every probe reply is pinned too. A
+scripted session pins the server stream of the whole request grammar, which
+the threshold manager does not use in full: each probe before and after the
+first step, all five effectors, a refused command and the steps through to
+``run_complete``. A second scripted session pins a step whose floats are
+finite but sum past the float range, which the server must still send
+whole. One long threshold run pins both its trace and the bytes of its
+summary JSON: over 10,000 steps the window means decide switches that sit
+exactly on a threshold, and the run means carry every last digit, so a
+change of summation order (as in ``sum()`` since CPython 3.12) changes a
+digest. One more digest pins the summary JSON of every in-process and
+windowed case, so each of their means and verdicts is pinned to the last
+digit as well.
 
 The module needs no pytest outside a pytest run. To recompute every digest
 and list each mismatch (exit status 1 if there is one), on any interpreter:
@@ -41,7 +45,7 @@ from mirrorsim import create_manager, render_trace_csv, run
 from mirrorsim.config import config_from_mapping
 from mirrorsim.wire import WireSession, run_remote
 
-from wire_helpers import WireHarness
+from wire_helpers import WireHarness, reference_run_remote
 
 SCENARIOS = ("S0", "S1", "S2", "S3", "S4", "S5", "S6")
 MANAGERS = ("null", "random", "threshold")
@@ -153,6 +157,8 @@ OVERFLOW_STREAM_GOLDEN = "f20fb36cef74c34a51ca9942e86a00e6f0060fc416b7163dcb0c25
 
 WIRE_STREAM_GOLDEN = "e2e43bc90857ec1bc8d7aa8f80a494b315f5a16491b1ad50738e79b89e7f5de5"
 
+REMOTE_STREAM_GOLDEN = "2f79d943f97b55eece33351323473e68c840695445d64f8c057292b843696b1e"
+
 LONG_TRACE_GOLDEN = "8586796a0a3ac8c43c8169dedb54c86f21c12eb34922c24f18d5a0204f6123e6"
 
 LONG_SUMMARY_GOLDEN = "f4081fd6e8b6de5b43ce1728231d96afb2df6973ddc912957dd1267b58a10c51"
@@ -206,12 +212,13 @@ def summary_digest() -> str:
     return _text_digest("".join(json.dumps(r.summary.as_dict(), indent=2) + "\n" for r in runs))
 
 
-def run_threshold_remotely(harness: WireHarness, scenario: str, seed: int) -> None:
+def run_threshold_remotely(harness: WireHarness, scenario: str, seed: int,
+                           client=run_remote) -> None:
     config = _config(scenario, seed)
     manager = create_manager(
         "threshold", network=config.network, thresholds=config.properties.thresholds, seed=seed
     )
-    run_remote(manager, harness, harness.wfile)
+    client(manager, harness, harness.wfile)
 
 
 def wire_digest(scenario: str, seed: int) -> str:
@@ -221,10 +228,11 @@ def wire_digest(scenario: str, seed: int) -> str:
     return _digest(harness.result.trace)
 
 
-def wire_stream_digest(scenario: str, seed: int) -> str:
-    """SHA-256 of every line the server wrote, from ``hello`` to ``run_complete``."""
+def wire_stream_digest(scenario: str, seed: int, client=run_remote) -> str:
+    """SHA-256 of every line the server wrote, from ``hello`` to ``run_complete``,
+    for a session driven by ``client``."""
     with WireHarness(_config(scenario, seed)) as harness:
-        run_threshold_remotely(harness, scenario, seed)
+        run_threshold_remotely(harness, scenario, seed, client)
         assert harness.recv_eof()
     return hashlib.sha256("".join(harness.received).encode("utf-8")).hexdigest()
 
@@ -281,7 +289,9 @@ def recomputed_digests() -> list[tuple[str, str, str]]:
             for scenario, digest in WINDOW_GOLDEN.items()
         ),
         ("WIRE_GOLDEN", wire_digest(*WIRE_CASE), WIRE_GOLDEN),
-        ("WIRE_STREAM_GOLDEN", wire_stream_digest(*WIRE_CASE), WIRE_STREAM_GOLDEN),
+        ("WIRE_STREAM_GOLDEN", wire_stream_digest(*WIRE_CASE, reference_run_remote),
+         WIRE_STREAM_GOLDEN),
+        ("REMOTE_STREAM_GOLDEN", wire_stream_digest(*WIRE_CASE), REMOTE_STREAM_GOLDEN),
         ("GRAMMAR_STREAM_GOLDEN", _text_digest(grammar_session()), GRAMMAR_STREAM_GOLDEN),
         ("OVERFLOW_STREAM_GOLDEN", _text_digest(overflow_session()), OVERFLOW_STREAM_GOLDEN),
         ("LONG_TRACE_GOLDEN", long_trace, LONG_TRACE_GOLDEN),
@@ -311,7 +321,11 @@ def test_wire_threshold_session_digest():
 
 
 def test_wire_threshold_session_stream_digest():
-    assert wire_stream_digest(*WIRE_CASE) == WIRE_STREAM_GOLDEN
+    assert wire_stream_digest(*WIRE_CASE, reference_run_remote) == WIRE_STREAM_GOLDEN
+
+
+def test_run_remote_session_stream_digest():
+    assert wire_stream_digest(*WIRE_CASE) == REMOTE_STREAM_GOLDEN
 
 
 def test_full_grammar_session_stream_digest():
@@ -373,7 +387,9 @@ def print_table() -> None:
     print()
     print(f'WIRE_GOLDEN = "{wire_digest(*WIRE_CASE)}"')
     print()
-    print(f'WIRE_STREAM_GOLDEN = "{wire_stream_digest(*WIRE_CASE)}"')
+    print(f'WIRE_STREAM_GOLDEN = "{wire_stream_digest(*WIRE_CASE, reference_run_remote)}"')
+    print()
+    print(f'REMOTE_STREAM_GOLDEN = "{wire_stream_digest(*WIRE_CASE)}"')
     print()
     print(f'GRAMMAR_STREAM_GOLDEN = "{_text_digest(grammar_session())}"')
     print()

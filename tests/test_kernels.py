@@ -443,6 +443,8 @@ def test_records_reject_attribute_assignment():
     (True, 0.0, 0.0), (3.7, 0.0, 0.0), (1.0, 0.0, 0.0), ("1", 0.0, 0.0),
     (0, math.nan, 0.0), (0, math.inf, 0.0), (0, -math.inf, 0.0), (0, True, 0.0),
     (0, 0.0, math.nan), (0, 0.0, math.inf), (0, 0.0, -math.inf), (0, 0.0, "1.0"),
+    # Ints past the float range, which normalize and the wire templates cannot convert.
+    (0, 10**400, 0.0), (0, 0.0, 10**400),
 ])
 def test_negative_monitorables_raise(fields):
     with pytest.raises(ValueError):
@@ -462,12 +464,13 @@ SUMMARY_FIELDS = {
 @pytest.mark.parametrize(("field", "value"), [
     *((mean, value) for mean in ("mean_bandwidth_pct", "mean_write_time_pct",
                                  "mean_active_links_pct")
-      for value in (math.nan, math.inf, -math.inf, True, "50.0", None)),
+      for value in (math.nan, math.inf, -math.inf, 10**400, True, "50.0", None)),
     *((verdict, value) for verdict in ("mc_satisfied", "mp_satisfied", "mr_satisfied")
       for value in (0, 1, None, "yes", 1.0)),
 ])
 def test_a_summary_refuses_a_non_finite_mean_and_a_verdict_not_a_bool(field, value):
-    SatisfactionSummary(**{**SUMMARY_FIELDS, "mean_write_time_pct": 10**400})  # any int is taken
+    # An int is taken within the float range, which a larger one would overflow.
+    SatisfactionSummary(**{**SUMMARY_FIELDS, "mean_write_time_pct": 10**308})
     with pytest.raises(ValueError, match=f"^{field} must be a"):
         SatisfactionSummary(**{**SUMMARY_FIELDS, field: value})
     with pytest.raises(ValueError, match=f"^{field} must be a"):

@@ -1,16 +1,65 @@
-"""Test-side wire client: a scripted line-JSON peer for one server session,
-the reference encodings of a trace record and of a probed monitorables record
-as wire payloads, and their lines as the server's templates write them."""
+"""Test-side wire clients: a scripted line-JSON peer for one server session,
+the reference client that sends one request per probe, the reference
+encodings of a trace record and of a probed monitorables record as wire
+payloads, and their lines as the server's templates write them."""
 
 from __future__ import annotations
 
 import json
 import socket
 import threading
+from types import SimpleNamespace
 
-from mirrorsim.network import Monitorables
-from mirrorsim.runner import TRACE_FIELDS, TraceRecord
-from mirrorsim.wire import _MONITORABLES, _NO_MONITORABLES, WireSession, _slots, _step_line
+from mirrorsim.network import Monitorables, Topology, _is_int
+from mirrorsim.runner import TRACE_FIELDS, SatisfactionSummary, TraceRecord, _drive
+from mirrorsim.wire import (
+    _MONITORABLES,
+    _NO_MONITORABLES,
+    PROBE_REPLIES,
+    WireSession,
+    _field,
+    _hello,
+    _read,
+    _requester,
+    _slots,
+    _step_line,
+)
+
+
+def _integer(value: object) -> int:
+    """A JSON integer as it is: a float, a bool or a string raises ValueError
+    rather than being truncated or converted."""
+    if not _is_int(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+# Probe reply kind -> the decoder of its value into the in-process type.
+_DECODE = {
+    "topology": Topology,
+    "value": _integer,
+    "monitorables": lambda fields: None if fields is None else Monitorables(**fields),
+}
+
+
+def reference_connect(rfile, wfile):
+    """The probe, effector and step of a client session past its hello, each
+    probe one request answered by the server's own ``Probe``: the reference
+    that ``wire.connect``'s local probe must agree with."""
+    request, effector = _requester(rfile, wfile)
+
+    def probe(kind: str, reply_kind: str):
+        return lambda: _field(request(kind, reply_kind), reply_kind, _DECODE[reply_kind])
+
+    probes = {kind: probe(kind, reply) for kind, (reply, _) in PROBE_REPLIES.items()}
+    return SimpleNamespace(**probes), effector, lambda: request("step", "step_complete")
+
+
+def reference_run_remote(manager, rfile, wfile) -> SatisfactionSummary:
+    """``wire.run_remote`` over :func:`reference_connect`."""
+    timesteps, _ = _field(_read(rfile, "hello"), "config", _hello)
+    _drive(manager, *reference_connect(rfile, wfile), timesteps)
+    return _field(_read(rfile, "run_complete"), "summary", lambda f: SatisfactionSummary(**f))
 
 
 def record_payload(record: TraceRecord) -> dict:
@@ -44,6 +93,21 @@ def monitorables_line(seq: int, request_seq: int, monitorables: Monitorables | N
         return _NO_MONITORABLES % (seq, request_seq)
     slots = _slots(monitorables)
     return slots and _MONITORABLES % (seq, request_seq, *slots)
+
+
+class RequestRecorder:
+    """A client's text writer that keeps the kind of every request line it forwards."""
+
+    def __init__(self, wfile):
+        self._wfile = wfile
+        self.kinds: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.kinds.extend(json.loads(line)["kind"] for line in text.splitlines())
+        return self._wfile.write(text)
+
+    def flush(self) -> None:
+        self._wfile.flush()
 
 
 class WireHarness:
