@@ -377,10 +377,6 @@ class WireError(RuntimeError):
     """The server ended the session, or broke the protocol."""
 
 
-# Error codes after which the session goes on -> the in-process exception.
-_RECOVERABLE = {"not_observable": ProbeError, "invalid_value": EffectorError}
-
-
 def _hello(config: dict) -> tuple[int, Topology]:
     """A ``hello`` config's ``timesteps`` (a JSON integer ``>= 1``) and ``initial_topology``."""
     if not _is_int(timesteps := config["timesteps"]):
@@ -425,8 +421,8 @@ def _field(message: dict, key: str, decode: Callable):
 
 def _requester(rfile, wfile) -> tuple[Callable[..., dict], SimpleNamespace]:
     """``request(kind, reply_kind, **fields)``, one request of a session past
-    its hello, and the effector over it. An error reply the session survives
-    raises as in process (``_RECOVERABLE``); any other, a reply of another
+    its hello, and the effector over it. An ``invalid_value`` reply raises
+    EffectorError, as in process; any other error reply, a reply of another
     kind than ``reply_kind``, and any reply not of the grammar, raises WireError."""
     seqs = count(1)
 
@@ -442,7 +438,8 @@ def _requester(rfile, wfile) -> tuple[Callable[..., dict], SimpleNamespace]:
             code = reply.get("code")
             if not isinstance(code, str):
                 raise WireError(f"expected an error code, got {reply}")
-            raise _RECOVERABLE.get(code, WireError)(f"{code}: {reply.get('detail')}")
+            error = EffectorError if code == "invalid_value" else WireError
+            raise error(f"{code}: {reply.get('detail')}")
         if reply["kind"] != reply_kind:
             raise WireError(f"expected {reply_kind} for request {seq}, got {reply}")
         return reply

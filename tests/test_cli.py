@@ -21,10 +21,9 @@ from mirrorsim.cli import (
     main,
 )
 from mirrorsim.config import MAX_SEED, SatisfactionThresholds, default_config, default_config_mapping
-from mirrorsim.managers import NullManager, create_manager
+from mirrorsim.managers import create_manager
 from mirrorsim.runner import TRACE_CSV_HEADER, ManagerError, render_trace_csv, run
 from mirrorsim.scenarios import ScenarioId
-from mirrorsim.wire import run_remote
 from test_kernels import forbidden
 
 
@@ -261,13 +260,15 @@ def test_run_plot_data_reads_no_file_back(tmp_path, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(Path, "read_text", refuse)
         rc = run_cli(
-            "run", "--scenario", "S0,S3", "--manager", "threshold", "--seeds", "1,2",
+            "run", "--scenario", "S0,S3", "--manager", "threshold", "--seeds", "0,1..2",
             "--timesteps", "50", "--output-dir", str(out), "--plot-data",
         )
     assert rc == EXIT_OK
-    traces = sorted(out.glob("*_trace.csv"))
-    assert len(traces) == 4
-    for trace_path in traces:
+    # Exactly the 19 artifact files: three per run, and the rollup.
+    assert {path.name for path in out.iterdir()} == {"rollup.csv", *(
+        f"S{scenario}_threshold_seed{seed}_{name}" for scenario in (0, 3) for seed in range(3)
+        for name in ("plot.csv", "summary.json", "trace.csv"))}
+    for trace_path in out.glob("*_trace.csv"):
         plot_path = trace_path.with_name(trace_path.name.replace("_trace.csv", "_plot.csv"))
         expected = emit_plot_data(trace_path.read_text(encoding="utf-8"), SatisfactionThresholds())
         assert plot_path.read_bytes() == expected.encode("utf-8")
@@ -315,6 +316,13 @@ def test_run_streams_the_trace_and_its_plot_across_chunk_edges(tmp_path, monkeyp
     plot = (out / "S3_threshold_seed4_plot.csv").read_bytes()
     assert plot == emit_plot_data(text, thresholds).encode("utf-8")
     assert plot == reference_plot_data(text, thresholds).encode("utf-8")
+    # plot-data, given init-config's file, reads the written trace back into
+    # the batch's own table.
+    config_path, plot_path = tmp_path / "configuration.json", tmp_path / "plot.csv"
+    assert run_cli("init-config", str(config_path)) == EXIT_OK
+    assert run_cli("plot-data", "--config", str(config_path), str(out / "S3_threshold_seed4_trace.csv"),
+                   "--output", str(plot_path)) == EXIT_OK
+    assert plot_path.read_bytes() == plot
 
 
 def plot_data_of_file(tmp_path, capsys, monkeypatch, text):
@@ -443,29 +451,6 @@ def test_init_config_writes_loadable_defaults(tmp_path):
     assert rc == EXIT_CONFIG_ERROR
     rc = run_cli("init-config", str(path), "--force")
     assert rc == EXIT_OK
-
-
-def test_serve_stdio_session(tmp_path):
-    out = tmp_path / "wire"
-    with subprocess.Popen(
-        [
-            sys.executable, "-m", "mirrorsim", "serve", "--stdio",
-            "--scenario", "S0", "--seed", "3", "--timesteps", "3",
-            "--output-dir", str(out),
-        ],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        text=True,
-    ) as process:
-        try:
-            summary = run_remote(NullManager(), process.stdout, process.stdin)
-            process.stdin.close()
-            assert process.wait(timeout=30) == EXIT_OK
-        finally:
-            process.kill()
-    trace = (out / "S0_wire_seed3_trace.csv").read_text()
-    assert len(trace.splitlines()) == 4
-    assert json.loads((out / "S0_wire_seed3_summary.json").read_text()) == summary.as_dict()
 
 
 def test_serve_stdio_exits_ok_when_the_client_stops_reading(tmp_path):

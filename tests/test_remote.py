@@ -243,6 +243,13 @@ def test_a_reply_of_another_kind_than_step_complete_raises_wire_error():
         _step_once('{"seq": 0, "re": 1, "kind": "ack"}')
 
 
+def test_a_step_answered_with_not_observable_raises_wire_error():
+    # The client sends no probe request, so no error code but invalid_value
+    # is one it recovers from.
+    with pytest.raises(WireError, match="not_observable: x"):
+        _step_once('{"seq": 0, "re": 1, "kind": "error", "code": "not_observable", "detail": "x"}')
+
+
 @pytest.mark.parametrize("value", ["3.7", "true", '"12"'])
 def test_a_probe_value_that_is_not_a_json_integer_raises_wire_error(value):
     # int() would truncate 3.7 to 3 and turn true into 1 and "12" into 12.

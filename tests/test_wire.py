@@ -888,8 +888,8 @@ class WireSessionMachine(RuleBasedStateMachine):
     def _serve(self):
         out = io.BytesIO()
         self.result = WireSession(self.config, io.BytesIO(b"".join(self.requests)), out).run()
-        self.messages = [json.loads(line, parse_constant=_reject_constant)
-                         for line in out.getvalue().splitlines()]
+        self.lines = out.getvalue().splitlines(keepends=True)
+        self.messages = [json.loads(line, parse_constant=_reject_constant) for line in self.lines]
 
     def _ends(self, message: dict) -> bool:
         return message["kind"] == "run_complete" or (
@@ -935,6 +935,12 @@ class WireSessionMachine(RuleBasedStateMachine):
     def step(self):
         self._request("step")
 
+    # Without it, the derandomized runs probe no row a step drew.
+    @precondition(lambda self: self.result.trace and not self.ended)
+    @rule()
+    def probe_a_stepped_row(self):
+        self._request("get_monitorables")
+
     @rule(line=st.sampled_from(UNREADABLE_LINES + REFUSED_REQUESTS))
     def refused(self, line):
         if line in REFUSED_REQUESTS:
@@ -974,6 +980,24 @@ class WireSessionMachine(RuleBasedStateMachine):
     def the_trace_is_the_replay_of_the_command_log(self):
         trace = self.result.trace
         assert trace == replay(self.result.command_log, self.config).trace[:len(trace)]
+
+    @invariant()
+    def step_and_monitorables_replies_are_the_reference_lines(self):
+        # A shadow simulation given each request the session acked, in the
+        # order of the replies, writes each step_complete and monitorables
+        # line byte for byte through the reference encodings.
+        sim = build_simulation(self.config)
+        for line, reply, request in zip(self.lines[1:], self.messages[1:], self.requests):
+            if reply["kind"] == "ack":
+                request = json.loads(request)
+                kind = request["kind"]
+                getattr(sim.effector, kind)(*map(request.get, EFFECTOR_FIELDS[kind]))
+            elif reply["kind"] == "step_complete":
+                sim.step()
+                assert line == record_line(reply["seq"], reply["re"], sim.trace[-1])
+            elif reply["kind"] == "monitorables":
+                monitorables = sim.probe.get_monitorables()
+                assert line == monitorables_line(reply["seq"], reply["re"], monitorables)
 
 
 WireSessionMachine.TestCase.settings = settings(

@@ -10,12 +10,14 @@ import socket
 import threading
 from types import SimpleNamespace
 
+from mirrorsim.management import ProbeError
 from mirrorsim.network import Monitorables, Topology, _is_int
 from mirrorsim.runner import TRACE_FIELDS, SatisfactionSummary, TraceRecord, _drive
 from mirrorsim.wire import (
     _MONITORABLES,
     _NO_MONITORABLES,
     PROBE_REPLIES,
+    WireError,
     WireSession,
     _field,
     _hello,
@@ -45,11 +47,20 @@ _DECODE = {
 def reference_connect(rfile, wfile):
     """The probe, effector and step of a client session past its hello, each
     probe one request answered by the server's own ``Probe``: the reference
-    that ``wire.connect``'s local probe must agree with."""
+    that ``wire.connect``'s local probe must agree with. A ``not_observable``
+    reply raises ProbeError, as in process."""
     request, effector = _requester(rfile, wfile)
 
     def probe(kind: str, reply_kind: str):
-        return lambda: _field(request(kind, reply_kind), reply_kind, _DECODE[reply_kind])
+        def ask():
+            try:
+                return _field(request(kind, reply_kind), reply_kind, _DECODE[reply_kind])
+            except WireError as exc:
+                if str(exc).startswith("not_observable: "):
+                    raise ProbeError(str(exc)) from None
+                raise
+
+        return ask
 
     probes = {kind: probe(kind, reply) for kind, (reply, _) in PROBE_REPLIES.items()}
     return SimpleNamespace(**probes), effector, lambda: request("step", "step_complete")
