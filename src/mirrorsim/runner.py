@@ -60,6 +60,7 @@ def normalize(monitorables: Monitorables, network: MirrorNetwork) -> NormalizedM
     ))
 
 
+# Apart from _mean_pct: a column built per decide to fold through it cost ~5% of steps/s.
 def window_mean_pct(rows: Sequence[Sequence[float]], index: int, basis: float) -> float:
     """The mean of column ``index`` of ``rows`` as a percentage of ``basis``.
 

@@ -374,7 +374,12 @@ def serve_tcp(config: ExperimentConfig, host: str = "127.0.0.1", port: int = 0, 
 
 
 class WireError(RuntimeError):
-    """The server ended the session, or broke the protocol."""
+    """The server ended the session, or broke the protocol. ``code`` is the
+    server's error code, or None when the server broke the grammar."""
+
+    def __init__(self, message: str, code: Optional[str] = None):
+        super().__init__(message)
+        self.code = code
 
 
 def _hello(config: dict) -> tuple[int, Topology]:
@@ -394,20 +399,26 @@ def _observed(record: dict) -> tuple[Topology, Monitorables]:
 
 
 def _read(rfile, kind: Optional[str] = None) -> dict:
-    """The next server message, a JSON object with a string kind (``kind``
-    itself when given); anything else, or the end of the stream, raises WireError."""
+    """The next server message, a UTF-8 line holding a JSON object with a
+    string kind (``kind`` itself when given); anything else, or the end of the
+    stream, raises WireError."""
     line = rfile.readline()
     if not line:
         raise WireError("the server ended the session")
     try:
-        message = json.loads(line)
-    except (ValueError, RecursionError):
+        message = json.loads(line.decode())
+    except (ValueError, RecursionError):  # a UnicodeDecodeError is a ValueError
         message = None
     if not isinstance(message, dict) or not isinstance(message.get("kind"), str):
-        raise WireError(f"expected a message object with a string kind, got {line.strip()}")
+        raise WireError(f"expected a message object with a string kind, got {_shown(line)}")
     if kind is not None and message["kind"] != kind:
-        raise WireError(f"expected {kind}, got {line.strip()}")
+        raise WireError(f"expected {kind}, got {_shown(line)}")
     return message
+
+
+def _shown(line: bytes) -> str:
+    """A server line as text for a WireError message."""
+    return line.decode(errors="replace").strip()
 
 
 def _field(message: dict, key: str, decode: Callable):
@@ -429,7 +440,7 @@ def _requester(rfile, wfile) -> tuple[Callable[..., dict], SimpleNamespace]:
     def request(kind: str, reply_kind: str, **fields) -> dict:
         seq = next(seqs)
         # Not the strict encoder: the server's effector refuses a NaN, as in process.
-        wfile.write(json.dumps({"seq": seq, "kind": kind, **fields}) + "\n")
+        wfile.write(json.dumps({"seq": seq, "kind": kind, **fields}).encode() + b"\n")
         wfile.flush()
         reply = _read(rfile)
         if reply.get("re") != seq:
@@ -438,8 +449,10 @@ def _requester(rfile, wfile) -> tuple[Callable[..., dict], SimpleNamespace]:
             code = reply.get("code")
             if not isinstance(code, str):
                 raise WireError(f"expected an error code, got {reply}")
-            error = EffectorError if code == "invalid_value" else WireError
-            raise error(f"{code}: {reply.get('detail')}")
+            message = f"{code}: {reply.get('detail')}"
+            if code == "invalid_value":
+                raise EffectorError(message)
+            raise WireError(message, code)
         if reply["kind"] != reply_kind:
             raise WireError(f"expected {reply_kind} for request {seq}, got {reply}")
         return reply
@@ -473,7 +486,8 @@ def connect(rfile, wfile, initial_topology: Topology) -> tuple[Probe, SimpleName
 def run_remote(manager, rfile, wfile) -> SatisfactionSummary:
     """Drive a new session with an in-process manager under ``run``'s contract;
     return its ``run_complete`` summary (the server keeps trace and log). An
-    unexpected server message or an early end raises WireError."""
+    unexpected server message or an early end raises WireError. ``rfile`` and
+    ``wfile`` are binary streams, as a session's are."""
     timesteps, initial_topology = _field(_read(rfile, "hello"), "config", _hello)
     _drive(manager, *connect(rfile, wfile, initial_topology), timesteps)
     return _field(_read(rfile, "run_complete"), "summary", lambda f: SatisfactionSummary(**f))

@@ -72,7 +72,7 @@ def test_run_remote_over_serve_writes_the_batch_files(tmp_path, monkeypatch, tra
     argv = command("serve", transport, "--config", "configuration.json", "--scenario", "S3",
                    "--seed", "2", "--output-dir", "served")
     with subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, text=True, env=ENV) as server:
+                          stderr=subprocess.PIPE, env=ENV) as server:
         try:
             if transport == "--stdio":
                 # The client's probe answers from the last step_complete
@@ -82,11 +82,10 @@ def test_run_remote_over_serve_writes_the_batch_files(tmp_path, monkeypatch, tra
                 assert requests.kinds.count("step") == config.properties.timesteps
                 assert set(requests.kinds) <= {"step", *EFFECTOR_FIELDS}
             else:
-                announced = server.stderr.readline()
+                announced = server.stderr.readline().decode()
                 host, _, port = announced.removeprefix("listening on ").strip().rpartition(":")
                 with socket.create_connection((host, int(port)), timeout=60) as conn, \
-                        conn.makefile("r", encoding="utf-8", newline="\n") as rfile, \
-                        conn.makefile("w", encoding="utf-8", newline="\n") as wfile:
+                        conn.makefile("rb") as rfile, conn.makefile("wb") as wfile:
                     summary = run_remote(manager, rfile, wfile)
             assert server.wait(timeout=60) == EXIT_OK
         finally:

@@ -24,11 +24,19 @@ digest. One more digest pins the summary JSON of every in-process and
 windowed case, so each of their means and verdicts is pinned to the last
 digit as well.
 
+Every digest is one entry of ``PINNED_DIGESTS``: its name, how to recompute
+it and its pinned value. Tier-1 runs one ``test_pinned_digest`` case per
+entry, with the entry's name as its id. Adding a digest means adding its
+``*_GOLDEN`` constant (or a key of ``GOLDEN`` or ``WINDOW_GOLDEN``) and one
+table entry; ``test_every_golden_has_one_table_entry`` fails until both are
+there.
+
 The module needs no pytest outside a pytest run. To recompute every digest
 and list each mismatch (exit status 1 if there is one), on any interpreter:
-``PYTHONPATH=src python tests/test_golden.py --check``. To print the table
-for the current source (only when a change of the trace is intended and
-documented): ``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py --check``. With no argument it
+prints each entry's name and the digest of the current source, one
+``name = "digest"`` line per entry, for re-pinning (only when a change of the
+trace is intended and documented).
 """
 
 from __future__ import annotations
@@ -47,9 +55,6 @@ from mirrorsim.wire import WireSession, run_remote
 
 from wire_helpers import WireHarness, reference_run_remote
 
-SCENARIOS = ("S0", "S1", "S2", "S3", "S4", "S5", "S6")
-MANAGERS = ("null", "random", "threshold")
-SEEDS = (7, 2021)
 STEPS = 500
 WIRE_CASE = ("S3", 13)
 LONG_CASE = ("S3", 1, 10_000)  # scenario, seed, steps; threshold manager
@@ -234,7 +239,7 @@ def wire_stream_digest(scenario: str, seed: int, client=run_remote) -> str:
     with WireHarness(_config(scenario, seed)) as harness:
         run_threshold_remotely(harness, scenario, seed, client)
         assert harness.recv_eof()
-    return hashlib.sha256("".join(harness.received).encode("utf-8")).hexdigest()
+    return hashlib.sha256(b"".join(harness.received)).hexdigest()
 
 
 def scripted_session(mapping: dict, requests) -> str:
@@ -276,59 +281,57 @@ def long_run_digests(scenario: str, seed: int, steps: int) -> tuple[str, str]:
     return _digest(result.trace), hashlib.sha256(summary_text.encode("utf-8")).hexdigest()
 
 
-def recomputed_digests() -> list[tuple[str, str, str]]:
-    """(name, digest of the current source, pinned digest) for every golden."""
-    long_trace, long_summary = long_run_digests(*LONG_CASE)
-    return [
-        *(
-            (f"GOLDEN[{key}]", in_process_digest(*key), digest)
-            for key, digest in GOLDEN.items()
-        ),
-        *(
-            (f"WINDOW_GOLDEN[{scenario!r}]", window_digest(scenario), digest)
-            for scenario, digest in WINDOW_GOLDEN.items()
-        ),
-        ("WIRE_GOLDEN", wire_digest(*WIRE_CASE), WIRE_GOLDEN),
-        ("WIRE_STREAM_GOLDEN", wire_stream_digest(*WIRE_CASE, reference_run_remote),
-         WIRE_STREAM_GOLDEN),
-        ("REMOTE_STREAM_GOLDEN", wire_stream_digest(*WIRE_CASE), REMOTE_STREAM_GOLDEN),
-        ("GRAMMAR_STREAM_GOLDEN", _text_digest(grammar_session()), GRAMMAR_STREAM_GOLDEN),
-        ("OVERFLOW_STREAM_GOLDEN", _text_digest(overflow_session()), OVERFLOW_STREAM_GOLDEN),
-        ("LONG_TRACE_GOLDEN", long_trace, LONG_TRACE_GOLDEN),
-        ("LONG_SUMMARY_GOLDEN", long_summary, LONG_SUMMARY_GOLDEN),
-        ("SUMMARY_GOLDEN", summary_digest(), SUMMARY_GOLDEN),
-    ]
+# (name, recompute, pinned) for each pinned digest: the one listing that
+# tier-1, --check and the no-argument mode read.
+PINNED_DIGESTS = (
+    *(
+        (f"GOLDEN[{key}]", functools.partial(in_process_digest, *key), digest)
+        for key, digest in GOLDEN.items()
+    ),
+    *(
+        (f"WINDOW_GOLDEN[{scenario!r}]", functools.partial(window_digest, scenario), digest)
+        for scenario, digest in WINDOW_GOLDEN.items()
+    ),
+    ("WIRE_GOLDEN", functools.partial(wire_digest, *WIRE_CASE), WIRE_GOLDEN),
+    ("WIRE_STREAM_GOLDEN", functools.partial(wire_stream_digest, *WIRE_CASE, reference_run_remote),
+     WIRE_STREAM_GOLDEN),
+    ("REMOTE_STREAM_GOLDEN", functools.partial(wire_stream_digest, *WIRE_CASE),
+     REMOTE_STREAM_GOLDEN),
+    ("GRAMMAR_STREAM_GOLDEN", lambda: _text_digest(grammar_session()), GRAMMAR_STREAM_GOLDEN),
+    ("OVERFLOW_STREAM_GOLDEN", lambda: _text_digest(overflow_session()), OVERFLOW_STREAM_GOLDEN),
+    ("LONG_TRACE_GOLDEN", lambda: long_run_digests(*LONG_CASE)[0], LONG_TRACE_GOLDEN),
+    ("LONG_SUMMARY_GOLDEN", lambda: long_run_digests(*LONG_CASE)[1], LONG_SUMMARY_GOLDEN),
+    ("SUMMARY_GOLDEN", summary_digest, SUMMARY_GOLDEN),
+)
 
 
 def pytest_generate_tests(metafunc):
     # Parametrized by hook, not by decorator, so the module imports without pytest.
-    if metafunc.definition.name == "test_in_process_trace_digest":
-        metafunc.parametrize(("scenario", "manager_name", "seed"), list(GOLDEN))
-    elif metafunc.definition.name == "test_windowed_trace_digest":
-        metafunc.parametrize("scenario", list(WINDOW_GOLDEN))
+    if metafunc.definition.name == "test_pinned_digest":
+        metafunc.parametrize(
+            ("recompute", "pinned"), [entry[1:] for entry in PINNED_DIGESTS],
+            ids=[name for name, _, _ in PINNED_DIGESTS],
+        )
 
 
-def test_in_process_trace_digest(scenario, manager_name, seed):
-    assert in_process_digest(scenario, manager_name, seed) == GOLDEN[(scenario, manager_name, seed)]
+def test_pinned_digest(recompute, pinned):
+    assert recompute() == pinned
 
 
-def test_windowed_trace_digest(scenario):
-    assert window_digest(scenario) == WINDOW_GOLDEN[scenario]
+def test_every_golden_has_one_table_entry():
+    # By source entry, not by value: two GOLDEN cases pin the same digest.
+    sources = {
+        **{f"GOLDEN[{key}]": digest for key, digest in GOLDEN.items()},
+        **{f"WINDOW_GOLDEN[{scenario!r}]": digest for scenario, digest in WINDOW_GOLDEN.items()},
+        **{name: value for name, value in globals().items()
+           if name.endswith("_GOLDEN") and isinstance(value, str)},
+    }
+    names = [name for name, _, _ in PINNED_DIGESTS]
+    assert len(names) == len(set(names))
+    assert {name: pinned for name, _, pinned in PINNED_DIGESTS} == sources
 
 
-def test_wire_threshold_session_digest():
-    assert wire_digest(*WIRE_CASE) == WIRE_GOLDEN
-
-
-def test_wire_threshold_session_stream_digest():
-    assert wire_stream_digest(*WIRE_CASE, reference_run_remote) == WIRE_STREAM_GOLDEN
-
-
-def test_run_remote_session_stream_digest():
-    assert wire_stream_digest(*WIRE_CASE) == REMOTE_STREAM_GOLDEN
-
-
-def test_full_grammar_session_stream_digest():
+def test_full_grammar_session_stream():
     messages = [json.loads(line) for line in grammar_session().splitlines()]
     # The script reaches every reply kind and both recoverable error codes.
     assert {message["kind"] for message in messages} == {
@@ -342,12 +345,10 @@ def test_full_grammar_session_stream_digest():
     assert [message.get("re") for message in messages[1:-1]] == list(
         range(1, len(GRAMMAR_REQUESTS) + 1)
     )
-    assert _text_digest(grammar_session()) == GRAMMAR_STREAM_GOLDEN
 
 
-def test_overflowing_step_session_stream_digest():
-    session = overflow_session()
-    messages = [json.loads(line) for line in session.splitlines()]
+def test_overflowing_step_session_stream():
+    messages = [json.loads(line) for line in overflow_session().splitlines()]
     assert [message["kind"] for message in messages] == [
         "hello", "monitorables", "step_complete", "run_complete",
     ]
@@ -356,51 +357,6 @@ def test_overflowing_step_session_stream_digest():
         "bandwidth_gbps", "time_to_write_ms", "active_links_pct", "bandwidth_pct", "write_time_pct",
     )]
     assert all(map(math.isfinite, floats)) and math.isinf(sum(floats))
-    assert _text_digest(session) == OVERFLOW_STREAM_GOLDEN
-
-
-def test_long_threshold_trace_digest():
-    assert long_run_digests(*LONG_CASE)[0] == LONG_TRACE_GOLDEN
-
-
-def test_long_threshold_summary_digest():
-    assert long_run_digests(*LONG_CASE)[1] == LONG_SUMMARY_GOLDEN
-
-
-def test_in_process_summaries_digest():
-    assert summary_digest() == SUMMARY_GOLDEN
-
-
-def print_table() -> None:
-    print("GOLDEN = {")
-    for scenario in SCENARIOS:
-        for manager_name in MANAGERS:
-            for seed in SEEDS:
-                digest = in_process_digest(scenario, manager_name, seed)
-                print(f'    ({scenario!r}, {manager_name!r}, {seed}): "{digest}",'.replace("'", '"'))
-    print("}")
-    print()
-    print("WINDOW_GOLDEN = {")
-    for scenario in WINDOW_GOLDEN:
-        print(f'    "{scenario}": "{window_digest(scenario)}",')
-    print("}")
-    print()
-    print(f'WIRE_GOLDEN = "{wire_digest(*WIRE_CASE)}"')
-    print()
-    print(f'WIRE_STREAM_GOLDEN = "{wire_stream_digest(*WIRE_CASE, reference_run_remote)}"')
-    print()
-    print(f'REMOTE_STREAM_GOLDEN = "{wire_stream_digest(*WIRE_CASE)}"')
-    print()
-    print(f'GRAMMAR_STREAM_GOLDEN = "{_text_digest(grammar_session())}"')
-    print()
-    print(f'OVERFLOW_STREAM_GOLDEN = "{_text_digest(overflow_session())}"')
-    long_trace, long_summary = long_run_digests(*LONG_CASE)
-    print()
-    print(f'LONG_TRACE_GOLDEN = "{long_trace}"')
-    print()
-    print(f'LONG_SUMMARY_GOLDEN = "{long_summary}"')
-    print()
-    print(f'SUMMARY_GOLDEN = "{summary_digest()}"')
 
 
 if __name__ == "__main__":
@@ -408,13 +364,16 @@ if __name__ == "__main__":
     parser.add_argument(
         "--check", action="store_true", help="compare every digest with its pinned value"
     )
-    if not parser.parse_args().check:
-        print_table()
-        sys.exit(0)
-    digests = recomputed_digests()
-    failed = [(name, got, want) for name, got, want in digests if got != want]
-    for name, got, want in failed:
-        print(f"MISMATCH {name}: got {got}, pinned {want}")
-    matched = len(digests) - len(failed)
-    print(f"{matched} of {len(digests)} digests match on Python {sys.version.split()[0]}")
+    check = parser.parse_args().check
+    failed = 0
+    for name, recompute, pinned in PINNED_DIGESTS:
+        digest = recompute()
+        if not check:
+            print(f'{name} = "{digest}"')
+        elif digest != pinned:
+            failed += 1
+            print(f"MISMATCH {name}: got {digest}, pinned {pinned}")
+    if check:
+        matched, total = len(PINNED_DIGESTS) - failed, len(PINNED_DIGESTS)
+        print(f"{matched} of {total} digests match on Python {sys.version.split()[0]}")
     sys.exit(1 if failed else 0)

@@ -147,22 +147,23 @@ def test_a_refused_override_raises_effector_error_and_the_session_goes_on(make_c
     assert harness.result.trace[1].adaptation is Topology.MST
 
 
-def _hello_only(config) -> io.StringIO:
+def _hello_only(config) -> io.BytesIO:
     """A server stream that ends right after its hello."""
     out = io.BytesIO()
     WireSession(config, io.BytesIO(), out).run()
-    return io.StringIO(out.getvalue().decode())
+    out.seek(0)
+    return out
 
 
 def test_a_session_that_ends_after_hello_raises(make_config):
     config = make_config(timesteps=3)
     with pytest.raises(WireError, match="ended the session"):
-        run_remote(NullManager(), _hello_only(config), io.StringIO())
+        run_remote(NullManager(), _hello_only(config), io.BytesIO())
     # The threshold manager's first decide probes without a request, so the
     # end meets the first step, outside decide: no ManagerError.
     manager = ThresholdRuleManager(config.network, config.properties.thresholds)
     with pytest.raises(WireError, match="ended the session"):
-        run_remote(manager, _hello_only(config), io.StringIO())
+        run_remote(manager, _hello_only(config), io.BytesIO())
 
 
 def test_a_session_the_server_ends_mid_run_raises(make_config, monkeypatch):
@@ -197,7 +198,7 @@ SUMMARY = {
 }
 
 
-def _session(timesteps, summary, record=RECORD) -> io.StringIO:
+def _session(timesteps, summary, record=RECORD) -> io.BytesIO:
     """A server stream: hello, a step_complete of ``record`` for each of its
     timesteps (true counted as 1), then run_complete."""
     steps = int(timesteps)
@@ -206,12 +207,12 @@ def _session(timesteps, summary, record=RECORD) -> io.StringIO:
     lines += [{"seq": n, "re": n, "kind": "step_complete", "record": record}
               for n in range(1, steps + 1)]
     lines.append({"seq": steps + 1, "kind": "run_complete", "summary": summary})
-    return io.StringIO("".join(json.dumps(line) + "\n" for line in lines))
+    return io.BytesIO("".join(json.dumps(line) + "\n" for line in lines).encode())
 
 
 def _step_once(reply: str):
     """The probe after one step whose reply is the line ``reply``."""
-    probe, _, step = connect(io.StringIO(reply + "\n"), io.StringIO(), Topology.RT)
+    probe, _, step = connect(io.BytesIO(reply.encode() + b"\n"), io.BytesIO(), Topology.RT)
     step()
     return probe
 
@@ -234,8 +235,9 @@ def test_a_step_complete_record_sets_every_probe_answer():
     pytest.param(_step_reply(record=[1, 2]), id="record_not_an_object"),
 ])
 def test_a_malformed_reply_raises_wire_error(line):
-    with pytest.raises(WireError):
+    with pytest.raises(WireError) as raised:
         _step_once(line)
+    assert raised.value.code is None
 
 
 def test_a_reply_of_another_kind_than_step_complete_raises_wire_error():
@@ -246,8 +248,9 @@ def test_a_reply_of_another_kind_than_step_complete_raises_wire_error():
 def test_a_step_answered_with_not_observable_raises_wire_error():
     # The client sends no probe request, so no error code but invalid_value
     # is one it recovers from.
-    with pytest.raises(WireError, match="not_observable: x"):
+    with pytest.raises(WireError, match="not_observable: x") as raised:
         _step_once('{"seq": 0, "re": 1, "kind": "error", "code": "not_observable", "detail": "x"}')
+    assert raised.value.code == "not_observable"
 
 
 @pytest.mark.parametrize("value", ["3.7", "true", '"12"'])
@@ -265,7 +268,7 @@ def test_a_load_that_is_not_a_json_number_raises_wire_error(field, value):
     # Infinity, which json.loads reads but JSON has not, and an int past the
     # float range (400 digits is valid JSON), which normalize cannot convert.
     with pytest.raises(WireError, match="must be a finite number"):
-        run_remote(NullManager(), _session(1, SUMMARY, {**RECORD, field: value}), io.StringIO())
+        run_remote(NullManager(), _session(1, SUMMARY, {**RECORD, field: value}), io.BytesIO())
 
 
 def test_an_unknown_record_topology_raises_wire_error():
@@ -292,9 +295,9 @@ def test_a_record_with_a_missing_field_raises_wire_error(field):
                   '{"seq": 2, "kind": "run_complete"}'], id="run_complete_with_no_summary"),
 ])
 def test_a_malformed_session_message_raises_wire_error(lines):
-    server = io.StringIO("".join(line + "\n" for line in lines))
+    server = io.BytesIO("".join(line + "\n" for line in lines).encode())
     with pytest.raises(WireError):
-        run_remote(NullManager(), server, io.StringIO())
+        run_remote(NullManager(), server, io.BytesIO())
 
 
 @pytest.mark.parametrize("config", [
@@ -304,28 +307,28 @@ def test_a_malformed_session_message_raises_wire_error(lines):
 ])
 def test_a_hello_with_no_known_initial_topology_raises_wire_error(config):
     hello = json.dumps({"seq": 0, "kind": "hello", "config": config})
-    requests = io.StringIO()
+    requests = io.BytesIO()
     with pytest.raises(WireError, match="bad config"):
-        run_remote(NullManager(), io.StringIO(f"{hello}\n{_step_reply()}\n"), requests)
-    assert requests.getvalue() == ""
+        run_remote(NullManager(), io.BytesIO(f"{hello}\n{_step_reply()}\n".encode()), requests)
+    assert requests.getvalue() == b""
 
 
 def test_a_hello_whose_timesteps_is_a_bool_raises_wire_error():
     # Without the integer check this drives a 1-step session.
-    requests = io.StringIO()
+    requests = io.BytesIO()
     with pytest.raises(WireError, match="expected an integer"):
         run_remote(NullManager(), _session(True, SUMMARY), requests)
-    assert requests.getvalue() == ""
+    assert requests.getvalue() == b""
 
 
 @pytest.mark.parametrize("timesteps", [-5, 0])
 def test_a_hello_with_no_step_to_run_raises_wire_error(timesteps):
     # Without the bound the client runs no step and returns the next
     # run_complete summary as the session's.
-    requests = io.StringIO()
+    requests = io.BytesIO()
     with pytest.raises(WireError, match="expected timesteps >= 1"):
         run_remote(NullManager(), _session(timesteps, SUMMARY), requests)
-    assert requests.getvalue() == ""
+    assert requests.getvalue() == b""
 
 
 @pytest.mark.parametrize(("field", "value"), [
@@ -340,4 +343,4 @@ def test_a_hello_with_no_step_to_run_raises_wire_error(timesteps):
 ])
 def test_a_summary_field_of_the_wrong_json_type_raises_wire_error(field, value):
     with pytest.raises(WireError, match="bad summary"):
-        run_remote(NullManager(), _session(1, {**SUMMARY, field: value}), io.StringIO())
+        run_remote(NullManager(), _session(1, {**SUMMARY, field: value}), io.BytesIO())

@@ -56,7 +56,7 @@ def reference_connect(rfile, wfile):
             try:
                 return _field(request(kind, reply_kind), reply_kind, _DECODE[reply_kind])
             except WireError as exc:
-                if str(exc).startswith("not_observable: "):
+                if exc.code == "not_observable":
                     raise ProbeError(str(exc)) from None
                 raise
 
@@ -107,15 +107,15 @@ def monitorables_line(seq: int, request_seq: int, monitorables: Monitorables | N
 
 
 class RequestRecorder:
-    """A client's text writer that keeps the kind of every request line it forwards."""
+    """A client's binary writer that keeps the kind of every request line it forwards."""
 
     def __init__(self, wfile):
         self._wfile = wfile
         self.kinds: list[str] = []
 
-    def write(self, text: str) -> int:
-        self.kinds.extend(json.loads(line)["kind"] for line in text.splitlines())
-        return self._wfile.write(text)
+    def write(self, data: bytes) -> int:
+        self.kinds.extend(json.loads(line)["kind"] for line in data.splitlines())
+        return self._wfile.write(data)
 
     def flush(self) -> None:
         self._wfile.flush()
@@ -133,10 +133,10 @@ class WireHarness:
         self._server_w = self._server_sock.makefile("wb")
         self._session = WireSession(config, self._server_r, self._server_w)
         self.result = None
-        self.rfile = self._client_sock.makefile("r", encoding="utf-8", newline="\n")
-        self.wfile = self._client_sock.makefile("w", encoding="utf-8", newline="\n")
+        self.rfile = self._client_sock.makefile("rb")
+        self.wfile = self._client_sock.makefile("wb")
         self._seq = 0
-        self.received: list[str] = []  # every server line, verbatim
+        self.received: list[bytes] = []  # every server line, verbatim
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
@@ -156,7 +156,7 @@ class WireHarness:
             except OSError:
                 pass
 
-    def readline(self) -> str:
+    def readline(self) -> bytes:
         line = self.rfile.readline()
         if line:
             self.received.append(line)
@@ -169,10 +169,10 @@ class WireHarness:
         return json.loads(line)
 
     def recv_eof(self) -> bool:
-        return self.rfile.readline() == ""
+        return self.rfile.readline() == b""
 
     def send_raw(self, text: str) -> None:
-        self.wfile.write(text + "\n")
+        self.wfile.write(text.encode() + b"\n")
         self.wfile.flush()
 
     def send(self, kind: str, *, seq=None, **fields) -> int:
